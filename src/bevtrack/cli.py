@@ -19,7 +19,6 @@ from . import metrics as bmetrics
 from . import refiner as bref
 from . import simulator as bsim
 from . import tracker as btrack
-from .geometry import iou_backend
 
 USAGE_ERROR = 2
 DATA_ERROR = 1
@@ -300,8 +299,7 @@ def cmd_init_config(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bevtrack",
-        description="BEV 3D multi-object tracking toolkit "
-                    f"(IoU kernel: {iou_backend()})")
+        description="BEV 3D multi-object tracking toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate a synthetic scenario")

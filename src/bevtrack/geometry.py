@@ -1,32 +1,26 @@
 """Oriented 3D boxes and rotated BEV IoU with footprint buffering.
 
 IoU is computed on the yaw-rotated rectangle footprints in the BEV plane;
-height overlap is ignored. The kernel lives in a compiled extension
-(``bevtrack._iou_core``) with a pure-Python twin (``bevtrack._iou_py``)
-selected at import time; set BEVTRACK_PURE_PY=1 to force the fallback.
+height overlap is ignored. The kernel is ``bevtrack._iou_py``, the only
+one: an exact polygon clip per pair, run in matrices only on pairs whose
+circumscribed circles (widened by the clip's edge tolerance) meet, so
+every other pair is exactly 0.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-if os.environ.get("BEVTRACK_PURE_PY"):
-    from . import _iou_py as _iou_impl
-else:
-    try:
-        from . import _iou_core as _iou_impl  # type: ignore[no-redef]
-    except ImportError:
-        from . import _iou_py as _iou_impl  # type: ignore[no-redef]
+from . import _iou_py
 
 
 def iou_backend() -> str:
-    """Name of the active IoU kernel: 'compiled' or 'python'."""
-    return "compiled" if _iou_impl.COMPILED else "python"
+    """Name of the IoU kernel; always 'python'."""
+    return "python"
 
 
 def wrap_angle(angle: float) -> float:
@@ -112,17 +106,15 @@ class BufferRatioTable:
 
 def bev_iou(a: Box3D, b: Box3D) -> float:
     """Rotated-rectangle IoU of the two BEV footprints, in [0, 1]."""
-    return _iou_impl.rect_iou(a.cx, a.cy, a.length, a.width, a.yaw,
-                              b.cx, b.cy, b.length, b.width, b.yaw)
+    return _iou_py.rect_iou(a.cx, a.cy, a.length, a.width, a.yaw,
+                            b.cx, b.cy, b.length, b.width, b.yaw)
 
 
 def bev_iou_matrix(boxes_a: Sequence[Box3D], boxes_b: Sequence[Box3D]) -> np.ndarray:
     """Pairwise BEV IoU, shape (len(a), len(b))."""
-    if not boxes_a or not boxes_b:
-        return np.zeros((len(boxes_a), len(boxes_b)))
     arr_a = np.array([(b.cx, b.cy, b.length, b.width, b.yaw) for b in boxes_a])
     arr_b = np.array([(b.cx, b.cy, b.length, b.width, b.yaw) for b in boxes_b])
-    return _iou_impl.iou_matrix(arr_a, arr_b)
+    return _iou_py.iou_matrix(arr_a, arr_b)
 
 
 def buffer_box(b: Box3D, r: float) -> Box3D:

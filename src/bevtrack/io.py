@@ -306,34 +306,39 @@ def load_config(path=None) -> AppConfig:
     if path is None:
         return AppConfig()
     raw = yaml.safe_load(Path(path).read_text()) or {}
+    base = AppConfig()
 
     trk = raw.get("tracker", {})
     weights = trk.get("clue_weights", {})
+    base_trk = base.tracker
+    base_w = base_trk.clue_weights
     tracker = TrackerConfig(
         clue_weights=ClueWeights(
-            w_img=float(weights.get("img", 1 / 3)),
-            w_bev=float(weights.get("bev", 1 / 3)),
-            w_head=float(weights.get("head", 1 / 3))),
-        similarity_gate=float(trk.get("similarity_gate", 0.3)),
-        iou_threshold=float(trk.get("iou_threshold", 0.1)),
-        buffer_ratios=BufferRatioTable(
-            tuple(trk.get("buffer_ratios", (0.5, 0.4, 0.3, 0.2, 0.1)))),
-        init_score_threshold=float(trk.get("init_score_threshold", 0.5)),
-        max_age=int(trk.get("max_age", 0)),
-        ema_alpha=float(trk.get("ema_alpha", 0.9)),
-        num_levels=int(trk.get("num_levels", 5)),
+            w_img=float(weights.get("img", base_w.w_img)),
+            w_bev=float(weights.get("bev", base_w.w_bev)),
+            w_head=float(weights.get("head", base_w.w_head))),
+        similarity_gate=float(trk.get("similarity_gate",
+                                      base_trk.similarity_gate)),
+        iou_threshold=float(trk.get("iou_threshold", base_trk.iou_threshold)),
+        buffer_ratios=BufferRatioTable(tuple(trk.get(
+            "buffer_ratios", base_trk.buffer_ratios.ratios))),
+        init_score_threshold=float(trk.get("init_score_threshold",
+                                           base_trk.init_score_threshold)),
+        max_age=int(trk.get("max_age", base_trk.max_age)),
+        ema_alpha=float(trk.get("ema_alpha", base_trk.ema_alpha)),
+        num_levels=int(trk.get("num_levels", base_trk.num_levels)),
     )
     mo = raw.get("motion", {})
-    defaults = NoiseConfig()
-    noise = NoiseConfig(**{name: float(mo.get(name, getattr(defaults, name)))
+    noise = NoiseConfig(**{name: float(mo.get(name, getattr(base.noise, name)))
                            for name in ("process_pos_std", "process_vel_std",
                                         "process_yaw_std", "process_dim_std",
                                         "meas_pos_std", "meas_yaw_std",
                                         "meas_dim_std")})
     ev = raw.get("eval", {})
     eval_cfg = EvalConfig(
-        match_distance=float(ev.get("match_distance", 2.0)),
-        recall_thresholds=int(ev.get("recall_thresholds", 40)))
+        match_distance=float(ev.get("match_distance", base.eval.match_distance)),
+        recall_thresholds=int(ev.get("recall_thresholds",
+                                     base.eval.recall_thresholds)))
 
     ref = raw.get("refiner", {})
 
@@ -345,7 +350,6 @@ def load_config(path=None) -> AppConfig:
             kernel_sizes=tuple(int(k) for k in section.get(
                 "kernel_sizes", default.kernel_sizes)))
 
-    base = AppConfig()
     return AppConfig(
         tracker=tracker, noise=noise, eval=eval_cfg,
         refiner_image=_grid(ref.get("image", {}), base.refiner_image),

@@ -1,20 +1,4 @@
 import sys
 from pathlib import Path
 
-import pytest
-
 sys.path.insert(0, str(Path(__file__).parent))
-
-from bevtrack import _iou_py
-
-try:
-    from bevtrack import _iou_core
-    IOU_IMPLS = [("python", _iou_py), ("compiled", _iou_core)]
-except ImportError:
-    IOU_IMPLS = [("python", _iou_py)]
-
-
-@pytest.fixture(params=IOU_IMPLS, ids=[name for name, _ in IOU_IMPLS])
-def iou_impl(request):
-    """Run IoU kernel tests against both backends when both exist."""
-    return request.param[1]

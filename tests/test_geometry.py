@@ -5,7 +5,8 @@ import pytest
 
 from bevtrack.geometry import (Box3D, BufferRatioTable, bev_iou,
                                bev_iou_matrix, buffer_box, buffered_iou,
-                               footprint_scale_level, wrap_angle)
+                               buffered_iou_matrix, footprint_scale_level,
+                               wrap_angle)
 
 from oracles import rasterized_iou, rasterized_iou_dense
 
@@ -87,15 +88,43 @@ class TestBevIou:
             assert abs(bev_iou(a, b) - bev_iou(move(a), move(b))) < 1e-6
 
     def test_range_and_matrix_consistency(self):
+        # the matrix clips only pairs that pass the circumcircle pre-filter;
+        # every cell must still equal the per-pair IoU exactly
         rng = np.random.default_rng(13)
+
+        def check(boxes_a, boxes_b, mat):
+            assert mat.shape == (len(boxes_a), len(boxes_b))
+            for i, a in enumerate(boxes_a):
+                for j, b in enumerate(boxes_b):
+                    assert 0.0 <= mat[i, j] <= 1.0
+                    assert mat[i, j] == bev_iou(a, b)
+
         boxes_a = [random_box(rng) for _ in range(8)]
         boxes_b = [random_box(rng) for _ in range(5)]
-        mat = bev_iou_matrix(boxes_a, boxes_b)
-        assert mat.shape == (8, 5)
-        for i, a in enumerate(boxes_a):
-            for j, b in enumerate(boxes_b):
-                assert 0.0 <= mat[i, j] <= 1.0
-                assert mat[i, j] == pytest.approx(bev_iou(a, b), abs=1e-12)
+        spread = [random_box(rng, span=40.0) for _ in range(40)]
+        same = [random_box(rng)] * 3
+        for a, b in ((boxes_a, boxes_b), (spread, spread), (same, same),
+                     ([], boxes_b), (boxes_a, [])):
+            check(a, b, bev_iou_matrix(a, b))
+
+        # axis-aligned boxes touching edge to edge and corner to corner
+        # (along the diagonal, where the circumcircles touch); the clip's
+        # edge tolerance gives some of these a tiny positive IoU
+        for length, width in ((4.0, 2.0), (1e-4, 1e-4), (1e-4, 3e-4)):
+            diag = math.hypot(length, width)
+            for gap in (1e-12, 1e-9, 1e-6):
+                boxes = [Box3D(x, y, 0, length, width, 1, 0) for x, y in (
+                    (0.0, 0.0), (length + gap, 0.0), (0.0, width + gap),
+                    (length * (1 + gap / diag), width * (1 + gap / diag)))]
+                check(boxes, boxes, bev_iou_matrix(boxes, boxes))
+
+        for r in np.linspace(0.0, 0.5, 6):
+            ratios_b = rng.uniform(0.0, r, size=len(spread))
+            mat = buffered_iou_matrix(boxes_a + spread, spread,
+                                      [r] * (len(boxes_a) + len(spread)),
+                                      ratios_b)
+            check([buffer_box(b, r) for b in boxes_a + spread],
+                  [buffer_box(b, rb) for b, rb in zip(spread, ratios_b)], mat)
 
     def test_agreement_with_rasterization_oracle(self):
         rng = np.random.default_rng(17)
@@ -116,25 +145,6 @@ class TestBevIou:
             fast = rasterized_iou(a, b, cell=0.02)
             dense = rasterized_iou_dense(a, b, cell=0.02)
             assert fast == pytest.approx(dense, abs=1e-12)
-
-    def test_backends_agree(self, iou_impl):
-        rng = np.random.default_rng(23)
-        for _ in range(200):
-            a, b = random_box(rng), random_box(rng)
-            ref = bev_iou(a, b)
-            got = iou_impl.rect_iou(a.cx, a.cy, a.length, a.width, a.yaw,
-                                    b.cx, b.cy, b.length, b.width, b.yaw)
-            assert got == pytest.approx(ref, abs=1e-12)
-
-    def test_pure_python_fallback_selectable(self):
-        import subprocess
-        import sys
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "from bevtrack.geometry import iou_backend; print(iou_backend())"],
-            capture_output=True, text=True, check=True,
-            env={"PATH": "/usr/bin:/bin", "BEVTRACK_PURE_PY": "1"})
-        assert out.stdout.strip() == "python"
 
 
 class TestBufferBox:

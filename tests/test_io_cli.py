@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from bevtrack import io as bio
-from bevtrack.association import AppearanceState
+from bevtrack.association import AppearanceState, ClueWeights
 from bevtrack.cli import main
 from bevtrack.geometry import Box3D
+from bevtrack.metrics import EvalConfig
 from bevtrack.simulator import ScenarioConfig, generate
-from bevtrack.tracker import Detection
+from bevtrack.tracker import Detection, TrackerConfig
 
 
 def make_dets(n_frames=3, per_frame=2, dim=4):
@@ -134,6 +135,13 @@ class TestConfig:
         assert cfg.tracker.iou_threshold == 0.25
         assert cfg.tracker.ema_alpha == 0.9  # untouched default
         assert cfg.eval.match_distance == 2.0
+
+        path.write_text("tracker:\n  clue_weights:\n    bev: 0.5\n"
+                        "eval:\n  recall_thresholds: 10\n")
+        cfg = bio.load_config(path)
+        assert cfg.tracker.clue_weights == ClueWeights(w_bev=0.5)
+        assert cfg.eval == EvalConfig(recall_thresholds=10)
+        assert cfg.tracker == TrackerConfig(clue_weights=ClueWeights(w_bev=0.5))
 
     def test_none_path_gives_defaults(self):
         assert bio.load_config(None) == bio.AppConfig()
