@@ -183,16 +183,10 @@ def cmd_refine_demo(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    levels = [bref.assign_scale_level(o, maps) for o in priors]
-    masks = []
     try:
-        for level in range(maps.num_levels):
-            members = [bref.object_mask(o, level, maps, (h, w))
-                       for o, lv in zip(priors, levels) if lv == level]
-            masks.append(bref.combine_masks(members, level, (h, w)))
+        refined, levels, masks = bref.refine_grid(grid, priors, maps)
     except ValueError as exc:
         return _fail(DATA_ERROR, str(exc))
-    refined = bref.refine_features(grid, masks, maps.kernel_sizes)
 
     np.save(out / "input_grid.npy", grid.data)
     np.save(out / "refined_grid.npy", refined.data)

@@ -36,7 +36,8 @@ class Box3D:
     """Oriented 3D bounding box: BEV-plane center, dims, heading.
 
     All lengths in meters, yaw in radians. Yaw is normalized into
-    (-pi, pi] on construction; dims must be strictly positive.
+    (-pi, pi] on construction; every field must be finite and dims
+    strictly positive.
     """
 
     cx: float
@@ -48,6 +49,14 @@ class Box3D:
     yaw: float
 
     def __post_init__(self):
+        finite = math.isfinite
+        if not (finite(self.cx) and finite(self.cy) and finite(self.cz)
+                and finite(self.length) and finite(self.width)
+                and finite(self.height) and finite(self.yaw)):
+            raise ValueError(
+                f"box fields must be finite, got ({self.cx}, {self.cy}, "
+                f"{self.cz}, {self.length}, {self.width}, {self.height}, "
+                f"{self.yaw})")
         if not (self.length > 0 and self.width > 0 and self.height > 0):
             raise ValueError(
                 f"box dims must be positive, got "

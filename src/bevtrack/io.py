@@ -47,10 +47,14 @@ def _box_from_list(vals, path, line_no) -> Box3D:
         raise DataError(path, line_no, f"invalid box: {exc}") from exc
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name} is not allowed")
+
+
 def _parse_line(raw: str, path, line_no: int) -> dict:
     try:
-        record = json.loads(raw)
-    except json.JSONDecodeError as exc:
+        record = json.loads(raw, parse_constant=_reject_constant)
+    except ValueError as exc:  # JSONDecodeError or a NaN/Infinity constant
         raise DataError(path, line_no, f"invalid JSON: {exc}") from exc
     if not isinstance(record, dict):
         raise DataError(path, line_no, "record must be a JSON object")
@@ -117,7 +121,7 @@ def iter_detection_frames(path, breakpoints=DEFAULT_SCALE_BREAKPOINTS,
                     scale_level=int(level),
                     timestamp=float(record.get("timestamp", 0.0)),
                     frame_id=frame_id)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise DataError(path, line_no, str(exc)) from exc
             if current_id is None:
                 current_id = frame_id

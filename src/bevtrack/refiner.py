@@ -3,8 +3,13 @@
 Posterior object information (embeddings + predicted pose) is turned into
 per-scale-level attention masks that suppress responses away from objects,
 then the masked features are smoothed and fused back with the original
-grid. A deformable-attention step fuses the refined previous-frame grid
-into the current one.
+grid (``refine_grid`` does this for one grid). A deformable-attention step
+fuses the refined previous-frame grid into the current one.
+
+The fusion projects values before sampling them, as multi-scale deformable
+attention does, so each head samples C/heads channels instead of C.
+Bilinear sampling with zero padding is linear in the grid, so it commutes
+with the per-cell projection and the order changes only rounding.
 
 Learned components are replaced by seeded injected linear maps and
 ordinary normalized box convolutions: the artifact verifies the masking,
@@ -161,11 +166,20 @@ def object_mask(o: ObjectPrior, level: int, maps: InjectedMaps,
     radius = maps.scope_radii[level]
     sigma = radius / 3.0
     amp = peak_amplitude(o, maps)
-    rr = np.arange(h, dtype=np.float64)[:, None]
-    cc = np.arange(w, dtype=np.float64)[None, :]
+    # Only the scope's bounding window can be non-zero. One spare cell on
+    # each side keeps the rounding of r0 +- radius from dropping a boundary
+    # cell, so every cell left out has d2 > radius^2 by more than a cell.
+    top = max(math.ceil(r0 - radius) - 1, 0)
+    bottom = min(math.floor(r0 + radius) + 1, h - 1)
+    left = max(math.ceil(c0 - radius) - 1, 0)
+    right = min(math.floor(c0 + radius) + 1, w - 1)
+    rr = np.arange(top, bottom + 1, dtype=np.float64)[:, None]
+    cc = np.arange(left, right + 1, dtype=np.float64)[None, :]
     d2 = (rr - r0) ** 2 + (cc - c0) ** 2
-    data = amp * np.exp(-d2 / (2.0 * sigma * sigma))
-    data[d2 > radius * radius] = 0.0
+    window = amp * np.exp(-d2 / (2.0 * sigma * sigma))
+    window[d2 > radius * radius] = 0.0
+    data = np.zeros((h, w))
+    data[top:bottom + 1, left:right + 1] = window
     return FilterMask(level=level, data=data)
 
 
@@ -209,7 +223,11 @@ def refine_features(f: FeatureGrid, masks: Sequence[FilterMask],
             raise ValueError(f"no default kernel sizes for L={len(masks)}")
     if len(kernel_sizes) != len(masks):
         raise ValueError("need one kernel size per mask level")
-    branches = [f.data]
+    # A running sum adds the branches in the same order as np.mean over
+    # the stacked branches, so the result is bitwise the same without
+    # holding every branch at once.
+    total = f.data.copy()
+    count = 1
     for mask in masks:
         if mask.data.shape != (h, w):
             raise ValueError(
@@ -217,9 +235,10 @@ def refine_features(f: FeatureGrid, masks: Sequence[FilterMask],
         if not mask.data.any():
             continue
         masked = mask.data[:, :, None] * f.data
-        branches.append(_box_smooth(masked, int(kernel_sizes[mask.level])))
-    refined = np.mean(branches, axis=0)
-    return FeatureGrid(refined, kind=f.kind)
+        total += _box_smooth(masked, int(kernel_sizes[mask.level]))
+        count += 1
+    total /= count
+    return FeatureGrid(total, kind=f.kind)
 
 
 @dataclass(frozen=True)
@@ -284,21 +303,33 @@ def bilinear_sample(data: np.ndarray, rows: np.ndarray,
 
     Samples outside the grid read as zero. rows/cols may have any common
     shape S; the result has shape S + (C,).
+
+    The grid is copied into a zero border one cell wide. Each corner index
+    is clipped to [-1, H] / [-1, W] after its +0/+1 offset and then shifted
+    into the padded grid, so a corner off the grid reads an exact zero and
+    all four corners come from one gather.
     """
-    h, w, _ = data.shape
-    r0 = np.floor(rows).astype(np.int64)
-    c0 = np.floor(cols).astype(np.int64)
+    h, w, c = data.shape
+    padded = np.zeros((h + 2, w + 2, c))
+    padded[1:-1, 1:-1] = data
+    r0 = np.floor(rows)
+    c0 = np.floor(cols)
     fr = rows - r0
     fc = cols - c0
-    out = None
-    for dr, dc, wgt in ((0, 0, (1 - fr) * (1 - fc)), (0, 1, (1 - fr) * fc),
-                        (1, 0, fr * (1 - fc)), (1, 1, fr * fc)):
-        ri = r0 + dr
-        ci = c0 + dc
-        valid = (ri >= 0) & (ri < h) & (ci >= 0) & (ci < w)
-        vals = data[np.clip(ri, 0, h - 1), np.clip(ci, 0, w - 1)]
-        vals = vals * (valid * wgt)[..., None]
-        out = vals if out is None else out + vals
+    r0 = r0.astype(np.int64)
+    c0 = c0.astype(np.int64)
+    row_lo = (np.clip(r0, -1, h) + 1) * (w + 2)
+    row_hi = (np.clip(r0 + 1, -1, h) + 1) * (w + 2)
+    col_lo = np.clip(c0, -1, w) + 1
+    col_hi = np.clip(c0 + 1, -1, w) + 1
+    flat_index = np.stack([row_lo + col_lo, row_lo + col_hi,
+                           row_hi + col_lo, row_hi + col_hi])
+    corners = padded.reshape(-1, c).take(flat_index, axis=0)  # (4,) + S + (C,)
+    corners *= np.stack([(1 - fr) * (1 - fc), (1 - fr) * fc,
+                         fr * (1 - fc), fr * fc])[..., None]
+    out = corners[0] + corners[1]
+    out += corners[2]
+    out += corners[3]
     return out
 
 
@@ -312,30 +343,57 @@ def temporal_fuse(prev_refined: FeatureGrid, curr: FeatureGrid,
     points is softmax-normalized, samples are bilinear reads of the
     current grid with zero padding, and the head outputs are projected and
     summed.
+
+    Values are projected before they are sampled: each head's w_value is
+    applied to the whole current grid once, and the head then samples its
+    C/heads value channels instead of all C input channels. Bilinear
+    sampling is a fixed linear combination of grid cells (zero padding
+    included), so it commutes with the per-cell value projection, and the
+    result equals sampling first and projecting after up to rounding.
     """
     if prev_refined.shape != curr.shape:
         raise ValueError("grids must share one shape")
     if curr.shape[2] != p.channels:
         raise ValueError("params channel count does not match the grids")
-    h, w, _ = curr.shape
+    h, w, c = curr.shape
 
     cat = np.concatenate([prev_refined.data, curr.data], axis=2)
-    offsets = np.einsum("hkdc,ijc->ijhkd", p.w_offset, cat)
-    logits = np.einsum("hkc,ijc->ijhk", p.w_attention, cat)
+    offsets = np.einsum("hkdc,ijc->ijhkd", p.w_offset, cat, optimize=True)
+    logits = np.einsum("hkc,ijc->ijhk", p.w_attention, cat, optimize=True)
     logits -= logits.max(axis=3, keepdims=True)
     att = np.exp(logits)
     att /= att.sum(axis=3, keepdims=True)
 
-    rr, cc = np.meshgrid(np.arange(h, dtype=np.float64),
-                         np.arange(w, dtype=np.float64), indexing="ij")
-    sample_r = rr[:, :, None, None] + offsets[..., 0]
-    sample_c = cc[:, :, None, None] + offsets[..., 1]
-    sampled = bilinear_sample(curr.data, sample_r, sample_c)  # (H,W,Hh,K,C)
-
-    values = np.einsum("hvc,ijhkc->ijhkv", p.w_value, sampled)
-    per_head = np.einsum("ijhk,ijhkv->ijhv", att, values)
-    fused = np.einsum("hcv,ijhv->ijc", p.w_out, per_head)
+    values = np.einsum("hvc,ijc->hijv", p.w_value, curr.data, optimize=True)
+    rr = np.arange(h, dtype=np.float64)[:, None, None]
+    cc = np.arange(w, dtype=np.float64)[None, :, None]
+    fused = np.zeros((h, w, c))
+    for head in range(p.heads):
+        sampled = bilinear_sample(values[head],
+                                  rr + offsets[:, :, head, :, 0],
+                                  cc + offsets[:, :, head, :, 1])  # (H,W,K,C_v)
+        per_head = np.einsum("ijk,ijkv->ijv", att[:, :, head], sampled)
+        fused += per_head @ p.w_out[head].T
     return FeatureGrid(fused, kind=curr.kind)
+
+
+def refine_grid(grid: FeatureGrid, priors: Sequence[ObjectPrior],
+                maps: InjectedMaps,
+                ) -> tuple[FeatureGrid, list[int], list[FilterMask]]:
+    """Refine one grid: assign each prior a scale level, build its mask,
+    combine the masks per level, and refine the grid with them.
+
+    Returns the refined grid, the per-prior levels, and the combined mask
+    of every level. Raises ValueError for a prior centred off the grid.
+    """
+    shape = grid.shape[:2]
+    levels = [assign_scale_level(o, maps) for o in priors]
+    masks = []
+    for level in range(maps.num_levels):
+        members = [object_mask(o, level, maps, shape)
+                   for o, lv in zip(priors, levels) if lv == level]
+        masks.append(combine_masks(members, level, shape))
+    return refine_features(grid, masks, maps.kernel_sizes), levels, masks
 
 
 def backward_refine(f_img: FeatureGrid, f_bev: FeatureGrid,
@@ -348,19 +406,8 @@ def backward_refine(f_img: FeatureGrid, f_bev: FeatureGrid,
     Returns the refined grids and the per-object BEV scale levels, which
     downstream association consumes.
     """
-
-    def _refine(grid: FeatureGrid, priors: list[ObjectPrior],
-                maps: InjectedMaps) -> tuple[FeatureGrid, list[int]]:
-        shape = grid.shape[:2]
-        levels = [assign_scale_level(o, maps) for o in priors]
-        combined = []
-        for level in range(maps.num_levels):
-            members = [object_mask(o, level, maps, shape)
-                       for o, lv in zip(priors, levels) if lv == level]
-            combined.append(combine_masks(members, level, shape))
-        return refine_features(grid, combined, maps.kernel_sizes), levels
-
-    refined_img, _ = _refine(f_img, [pair[0] for pair in objects], img_maps)
-    refined_bev, bev_levels = _refine(f_bev, [pair[1] for pair in objects],
-                                      bev_maps)
+    refined_img, _, _ = refine_grid(f_img, [pair[0] for pair in objects],
+                                    img_maps)
+    refined_bev, bev_levels, _ = refine_grid(
+        f_bev, [pair[1] for pair in objects], bev_maps)
     return refined_img, refined_bev, bev_levels

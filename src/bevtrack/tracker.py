@@ -12,6 +12,7 @@ Distinct sequences run in parallel with independent instances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from . import motion
@@ -35,6 +36,8 @@ class Detection:
     def __post_init__(self):
         if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"score must be in [0, 1], got {self.score}")
+        if not math.isfinite(self.timestamp):
+            raise ValueError(f"timestamp must be finite, got {self.timestamp}")
         if self.scale_level < 0:
             raise ValueError("scale_level must be non-negative")
 
@@ -127,13 +130,14 @@ class Tracker:
              frame_id: int | None = None) -> list[tuple[int, int]]:
         """Process one frame; returns (track_id, det_idx) matches sorted by
         detection index (new tracklets included)."""
-        if dt <= 0:
-            raise ValueError(f"dt must be positive, got {dt}")
+        if not (dt > 0 and math.isfinite(dt)):
+            raise ValueError(f"dt must be positive and finite, got {dt}")
         if frame_id is None:
             frame_id = detections[0].frame_id if detections else (
                 (self._last_frame_id or 0) + 1)
-        if self._last_frame_id is not None and frame_id == self._last_frame_id:
-            raise ValueError(f"frame {frame_id} was already processed")
+        if self._last_frame_id is not None and frame_id <= self._last_frame_id:
+            raise ValueError(f"frame {frame_id} does not follow frame "
+                             f"{self._last_frame_id}: frame ids must increase")
         self._last_frame_id = frame_id
         for det in detections:
             if det.scale_level >= self.cfg.num_levels:

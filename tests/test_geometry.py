@@ -36,6 +36,14 @@ class TestBox3D:
         with pytest.raises(ValueError):
             Box3D(0, 0, 0, *dims, 0.0)
 
+    @pytest.mark.parametrize("field", range(7))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_fields(self, field, bad):
+        vals = [1.0, 2.0, 0.5, 4.0, 2.0, 1.5, 0.3]
+        vals[field] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Box3D(*vals)
+
     def test_wrap_angle_range(self):
         for a in np.linspace(-20, 20, 401):
             w = wrap_angle(a)

@@ -66,6 +66,32 @@ class TestDetectionLog:
         with pytest.raises(bio.DataError, match=":2:"):
             bio.read_detections(path)
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_constant_names_line(self, tmp_path, token):
+        path = tmp_path / "dets.jsonl"
+        good = json.dumps({"frame_id": 0, "timestamp": 0.0,
+                           "box": [0, 0, 0.8, 4, 2, 1.6, 0.0], "score": 0.9,
+                           "e_img": [1], "e_bev": [1], "e_head": [1]})
+        path.write_text(good + "\n" + good.replace("[0, 0,", f"[{token}, 0,")
+                        + "\n")
+        with pytest.raises(bio.DataError, match=f":2: .*{token}"):
+            bio.read_detections(path)
+
+    @pytest.mark.parametrize("field", ["yaw", "timestamp", "scale_level"])
+    def test_overflowing_number_names_line(self, tmp_path, field):
+        # 1e999 is valid JSON that parses to inf; an infinite timestamp
+        # would otherwise turn the Kalman state into NaN one frame later
+        values = {"yaw": "0.0", "timestamp": "0.0", "scale_level": "1"}
+        values[field] = "1e999"
+        path = tmp_path / "dets.jsonl"
+        path.write_text(
+            '{"frame_id": 0, "timestamp": %(timestamp)s, '
+            '"box": [0, 0, 0.8, 4, 2, 1.6, %(yaw)s], "score": 0.9, '
+            '"scale_level": %(scale_level)s, "e_img": [1], "e_bev": [1], '
+            '"e_head": [1]}\n' % values)
+        with pytest.raises(bio.DataError, match=":1:"):
+            bio.read_detections(path)
+
     def test_missing_field_names_line(self, tmp_path):
         path = tmp_path / "dets.jsonl"
         path.write_text(json.dumps({"frame_id": 0}) + "\n")
@@ -256,6 +282,16 @@ class TestCliTrackEvaluate:
                      str(tmp_path / "t.jsonl")])
         assert code == 1
         assert ":1:" in capsys.readouterr().err
+
+    def test_non_finite_dets_exit_1_names_line(self, tmp_path, capsys):
+        dets = tmp_path / "dets.jsonl"
+        dets.write_text('{"frame_id": 0, "box": [NaN, 0, 0.8, 4, 2, 1.6, 0.0],'
+                        ' "score": 0.9, "e_img": [1], "e_bev": [1],'
+                        ' "e_head": [1]}\n')
+        code = main(["track", "--dets", str(dets), "--out",
+                     str(tmp_path / "t.jsonl")])
+        assert code == 1
+        assert f"{dets}:1:" in capsys.readouterr().err
 
     def test_evaluate_empty_tracks_amota_zero(self, tmp_path, capsys):
         sim = self._simulate(tmp_path)

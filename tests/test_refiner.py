@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.ndimage import uniform_filter
 
 from bevtrack.refiner import (DeformableFusionParams, FeatureGrid, FilterMask,
                               InjectedMaps, ObjectPrior, assign_scale_level,
@@ -9,7 +10,7 @@ from bevtrack.refiner import (DeformableFusionParams, FeatureGrid, FilterMask,
                               object_mask, peak_amplitude, refine_features,
                               temporal_fuse)
 
-from oracles import naive_box_conv, naive_temporal_fuse
+from oracles import _bilinear_point, naive_box_conv, naive_temporal_fuse
 
 
 def make_maps(seed=0, dim=12, levels=3):
@@ -94,6 +95,31 @@ class TestObjectMask:
         want = amp * math.exp(-(offset**2) / (2 * sigma**2))
         assert mask.data[12, 12 + offset] == pytest.approx(want, abs=1e-9)
 
+    def test_bitwise_equal_to_full_grid_formula(self):
+        # the mask is evaluated on the scope's window only; every cell must
+        # equal the Gaussian formula evaluated over the whole grid
+        rng = np.random.default_rng(27)
+        maps = InjectedMaps.from_seed(13, 12, 3, scope_radii=(2.0, 5.5, 40.0))
+        h, w = 16, 12
+        centers = [(0.0, 0.0), (0.0, w - 1.0), (h - 1.0, 0.0),
+                   (h - 1.0, w - 1.0), (0.0, 4.3), (h - 1.0, 7.7),
+                   (6.5, 0.0), (9.25, w - 1.0), (7.5, 5.5)]
+        centers += [(rng.uniform(0, h - 1), rng.uniform(0, w - 1))
+                    for _ in range(20)]
+        for center in centers:
+            o = ObjectPrior(rng.normal(size=12), center, (2.0, 2.0))
+            for level in range(3):
+                radius = maps.scope_radii[level]
+                sigma = radius / 3.0
+                rr = np.arange(h, dtype=np.float64)[:, None]
+                cc = np.arange(w, dtype=np.float64)[None, :]
+                d2 = (rr - center[0]) ** 2 + (cc - center[1]) ** 2
+                want = peak_amplitude(o, maps) * np.exp(
+                    -d2 / (2.0 * sigma * sigma))
+                want[d2 > radius * radius] = 0.0
+                got = object_mask(o, level, maps, (h, w)).data
+                assert np.array_equal(got, want), (center, level)
+
     def test_center_outside_grid_rejected(self):
         maps = make_maps()
         o = ObjectPrior(np.zeros(12), (30.0, 2.0), (1.0, 1.0))
@@ -162,6 +188,29 @@ class TestRefineFeatures:
         want = 0.5 * (f_data + naive_box_conv(f_data, 3))
         np.testing.assert_allclose(out.data, want, atol=1e-12)
 
+    def test_bitwise_equal_to_mean_of_branches(self):
+        rng = np.random.default_rng(29)
+        f = FeatureGrid(rng.normal(size=(20, 18, 5)))
+        kernels = (1, 3, 5, 7, 9)
+        for trial in range(6):
+            masks = []
+            for level in range(5):
+                data = np.zeros((20, 18))
+                if rng.uniform() < 0.7:  # leave some levels empty
+                    data = rng.uniform(0, 1, size=(20, 18))
+                    data[rng.uniform(size=(20, 18)) < 0.5] = 0.0
+                masks.append(FilterMask(level, data))
+            # the branches exactly as refine_features smooths them; only the
+            # averaging is under test here
+            branches = [f.data] + [
+                uniform_filter(m.data[:, :, None] * f.data,
+                               size=(kernels[m.level], kernels[m.level], 1),
+                               mode="constant", cval=0.0)
+                for m in masks if m.data.any()]
+            want = np.mean(branches, axis=0)
+            got = refine_features(f, masks, kernels).data
+            assert np.array_equal(got, want), trial
+
     def test_shape_mismatch_rejected(self):
         f = FeatureGrid(np.zeros((4, 4, 2)))
         with pytest.raises(ValueError):
@@ -192,6 +241,23 @@ class TestBilinearSample:
         data = np.ones((3, 3, 1))
         out = bilinear_sample(data, np.array([-0.5]), np.array([1.0]))
         assert out[0, 0] == pytest.approx(0.5)
+
+    def test_exactly_equals_point_oracle(self):
+        rng = np.random.default_rng(31)
+        h, w = 5, 7
+        data = rng.normal(size=(h, w, 3))
+        eps = 1e-9
+        row_vals = [0.0, 2.0, h - 1.0, 1.25, 3.7, -1.0, -0.5, h - 1 + eps, h,
+                    -1.0 - eps, h + 0.5, -5.0, 1e3, -1e3]
+        col_vals = [0.0, 3.0, w - 1.0, 2.5, 5.1, -1.0, -0.5, w - 1 + eps, w,
+                    -1.0 - eps, w + 0.5, -5.0, 1e3, -1e3]
+        rows, cols = np.meshgrid(row_vals, col_vals, indexing="ij")
+        rows = np.concatenate([rows.ravel(), rng.uniform(-3, h + 2, 200)])
+        cols = np.concatenate([cols.ravel(), rng.uniform(-3, w + 2, 200)])
+        got = bilinear_sample(data, rows, cols)
+        for k, (r, c) in enumerate(zip(rows, cols)):
+            want = _bilinear_point(data, float(r), float(c))
+            assert np.array_equal(got[k], want), (r, c)
 
 
 def identity_params(c):
@@ -251,6 +317,18 @@ class TestTemporalFuse:
             points = int(rng.integers(1, 4))
             p = DeformableFusionParams.from_seed(100 + trial, c, heads,
                                                  points, offset_scale=2.0)
+            prev = FeatureGrid(rng.normal(size=(h, w, c)))
+            curr = FeatureGrid(rng.normal(size=(h, w, c)))
+            got = temporal_fuse(prev, curr, p).data
+            want = naive_temporal_fuse(prev.data, curr.data, p)
+            assert np.abs(got - want).max() < 1e-9
+        # four heads and large offsets: many samples land off the grid
+        for trial in range(6):
+            h, w = int(rng.integers(2, 6)), int(rng.integers(2, 6))
+            c = int(rng.choice([4, 8]))
+            points = int(rng.integers(1, 4))
+            p = DeformableFusionParams.from_seed(200 + trial, c, 4, points,
+                                                 offset_scale=8.0)
             prev = FeatureGrid(rng.normal(size=(h, w, c)))
             curr = FeatureGrid(rng.normal(size=(h, w, c)))
             got = temporal_fuse(prev, curr, p).data

@@ -74,9 +74,20 @@ class TestLifecycle:
         with pytest.raises(ValueError, match="frame 4"):
             trk.step([det(0, 0)], dt=0.1, frame_id=4)
 
+    def test_backward_frame_rejected(self):
+        trk = Tracker()
+        trk.step([det(0, 0)], dt=0.1, frame_id=4)
+        with pytest.raises(ValueError, match="frame 3 does not follow frame 4"):
+            trk.step([det(0, 0)], dt=0.1, frame_id=3)
+
     def test_nonpositive_dt_rejected(self):
         with pytest.raises(ValueError):
             Tracker().step([], dt=0.0)
+
+    @pytest.mark.parametrize("dt", [math.inf, math.nan])
+    def test_non_finite_dt_rejected(self, dt):
+        with pytest.raises(ValueError, match="finite"):
+            Tracker().step([], dt=dt)
 
     def test_scale_level_bounds_checked(self):
         trk = Tracker(TrackerConfig(num_levels=5))
