@@ -98,30 +98,59 @@ def multi_clue_similarity(d: AppearanceState, t: AppearanceState,
             + w.w_head * normalized_inner_product(d.e_head, t.e_head))
 
 
-def _unit_rows(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    mat = np.array([np.asarray(v, dtype=np.float64) for v in vectors])
-    norms = np.linalg.norm(mat, axis=1, keepdims=True)
-    safe = np.where(norms < _NORM_EPS, 1.0, norms)
-    unit = mat / safe
-    unit[norms[:, 0] < _NORM_EPS] = 0.0
+def stack_appearance(states: Sequence[AppearanceState]) -> np.ndarray:
+    """(N, 3, C) rows of (e_img, e_bev, e_head); (0, 3, 0) when empty."""
+    if not states:
+        return np.zeros((0, 3, 0))
+    return np.array([(a.e_img, a.e_bev, a.e_head) for a in states])
+
+
+def unstack_appearance(stack: np.ndarray) -> list[AppearanceState]:
+    """Inverse of ``stack_appearance``: one state per (3, C) row, each a
+    view of the stack. The stack is checked once, not state by state."""
+    stack = np.asarray(stack, dtype=np.float64)
+    if stack.ndim != 3 or stack.shape[1] != 3:
+        raise ValueError("appearance stack must have shape (N, 3, C)")
+    if not np.isfinite(stack).all():
+        raise ValueError("appearance stack contains NaN/Inf")
+    states = []
+    for e_img, e_bev, e_head in stack:
+        state = object.__new__(AppearanceState)
+        state.__dict__.update(e_img=e_img, e_bev=e_bev, e_head=e_head)
+        states.append(state)
+    return states
+
+
+def _unit_rows(stack: np.ndarray) -> np.ndarray:
+    """Each embedding of an (N, 3, C) stack scaled to unit norm; zero-norm
+    embeddings become 0."""
+    norms = np.linalg.norm(stack, axis=2, keepdims=True)
+    tiny = norms < _NORM_EPS
+    unit = stack / np.where(tiny, 1.0, norms)
+    unit[tiny[..., 0]] = 0.0
     return unit
 
 
-def build_similarity_matrix(dets: Sequence[AppearanceState],
-                            trks: Sequence[AppearanceState],
+def build_similarity_matrix(dets: Sequence[AppearanceState] | np.ndarray,
+                            trks: Sequence[AppearanceState] | np.ndarray,
                             w: ClueWeights, sim_gate: float) -> CostMatrix:
-    """Negated multi-clue similarity with a >= sim_gate admissibility mask."""
+    """Negated multi-clue similarity with a >= sim_gate admissibility mask.
+
+    Each side is a sequence of AppearanceState or its (N, 3, C)
+    ``stack_appearance`` array.
+    """
     n, m = len(dets), len(trks)
     if n == 0 or m == 0:
         return CostMatrix(np.zeros((n, m)), np.zeros((n, m), dtype=bool))
+    if not isinstance(dets, np.ndarray):
+        dets = stack_appearance(dets)
+    if not isinstance(trks, np.ndarray):
+        trks = stack_appearance(trks)
+    du, tu = _unit_rows(dets), _unit_rows(trks)
     sim = np.zeros((n, m))
-    for weight, clue in ((w.w_img, "e_img"), (w.w_bev, "e_bev"),
-                         (w.w_head, "e_head")):
-        if weight == 0:
-            continue
-        du = _unit_rows([getattr(d, clue) for d in dets])
-        tu = _unit_rows([getattr(t, clue) for t in trks])
-        sim += weight * (du @ tu.T)
+    for clue, weight in enumerate((w.w_img, w.w_bev, w.w_head)):
+        if weight != 0:
+            sim += weight * (du[:, clue] @ tu[:, clue].T)
     return CostMatrix(values=-sim, gate_mask=sim >= sim_gate)
 
 

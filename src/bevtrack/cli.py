@@ -93,7 +93,8 @@ def cmd_track(args) -> int:
     prev_ts = None
     try:
         with open(args.out, "w") as fh:
-            frames = bio.iter_detection_frames(args.dets, app.scale_breakpoints)
+            frames = bio.iter_detection_frames(args.dets, app.scale_breakpoints,
+                                               cfg.num_levels)
             for frame_id, dets in frames:
                 ts = dets[0].timestamp if dets else None
                 dt = 0.1

@@ -23,8 +23,11 @@ def iou_backend() -> str:
     return "python"
 
 
-def wrap_angle(angle: float) -> float:
-    """Normalize an angle into (-pi, pi]."""
+def wrap_angle(angle: float | np.ndarray) -> float | np.ndarray:
+    """Normalize an angle, or an array of angles elementwise, into (-pi, pi]."""
+    if isinstance(angle, np.ndarray):
+        a = np.fmod(angle + math.pi, 2.0 * math.pi)
+        return np.where(a <= 0.0, a + 2.0 * math.pi, a) - math.pi
     a = math.fmod(angle + math.pi, 2.0 * math.pi)
     if a <= 0.0:
         a += 2.0 * math.pi

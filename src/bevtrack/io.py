@@ -87,11 +87,14 @@ def write_detections(path, det_frames: Sequence[Sequence[Detection]]) -> None:
 
 
 def iter_detection_frames(path, breakpoints=DEFAULT_SCALE_BREAKPOINTS,
+                          num_levels: int | None = None,
                           ) -> Iterator[tuple[int, list[Detection]]]:
     """Stream (frame_id, detections) groups; memory stays per-frame.
 
     Records must be grouped by ascending frame_id. A missing scale_level
-    falls back to the footprint-area rule.
+    falls back to the footprint-area rule. With num_levels given (the
+    tracker's level count), a level outside [0, num_levels) is a
+    DataError.
     """
     current_id: int | None = None
     bucket: list[Detection] = []
@@ -123,6 +126,10 @@ def iter_detection_frames(path, breakpoints=DEFAULT_SCALE_BREAKPOINTS,
                     frame_id=frame_id)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise DataError(path, line_no, str(exc)) from exc
+            if num_levels is not None and det.scale_level >= num_levels:
+                raise DataError(path, line_no,
+                                f"scale_level {det.scale_level} outside "
+                                f"[0, {num_levels})")
             if current_id is None:
                 current_id = frame_id
             if frame_id != current_id:
@@ -160,6 +167,7 @@ def write_ground_truth(path, gt_frames: Sequence[GroundTruthFrame]) -> None:
 def read_ground_truth(path) -> list[GroundTruthFrame]:
     frames: dict[int, list] = {}
     stamps: dict[int, float] = {}
+    seen: set[tuple[int, int]] = set()
     with open(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             raw = raw.strip()
@@ -169,9 +177,13 @@ def read_ground_truth(path) -> list[GroundTruthFrame]:
             frame_id = _require(record, "frame_id", path, line_no)
             box = _box_from_list(_require(record, "box", path, line_no),
                                  path, line_no)
-            gid = _require(record, "gt_id", path, line_no)
+            gid = int(_require(record, "gt_id", path, line_no))
             visible = bool(record.get("visible", True))
-            frames.setdefault(frame_id, []).append((int(gid), box, visible))
+            if (frame_id, gid) in seen:
+                raise DataError(path, line_no, f"duplicate gt_id {gid} in "
+                                f"frame {frame_id}")
+            seen.add((frame_id, gid))
+            frames.setdefault(frame_id, []).append((gid, box, visible))
             stamps[frame_id] = float(record.get("timestamp", 0.0))
     return [GroundTruthFrame(frame_id=fid, timestamp=stamps[fid],
                              objects=tuple(rows))

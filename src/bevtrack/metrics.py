@@ -142,9 +142,11 @@ def evaluate(gt_frames: Sequence[GroundTruthFrame],
                 visible_frames.setdefault(gid, []).append(g.frame_id)
         preds = tracker_output.get(g.frame_id, [])
         tps, _fps, _fns = match_frame(g, preds, cfg.match_distance)
+        score_of: dict[int, float] = {}
+        for tid, _box, score in preds:
+            score_of.setdefault(tid, score)  # first occurrence wins
         for gid, tid, dist in tps:
-            score = next(s for (t, _b, s) in preds if t == tid)
-            base.append(_BaseMatch(g.frame_id, gid, tid, score, dist))
+            base.append(_BaseMatch(g.frame_id, gid, tid, score_of[tid], dist))
 
     # full-set (no confidence cut) CLEAR numbers
     tp_total = len(base)

@@ -13,11 +13,14 @@ Distinct sequences run in parallel with independent instances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+
+import numpy as np
 
 from . import motion
 from .association import (AppearanceState, ClueWeights, CostMatrix,
-                          build_similarity_matrix, solve_assignment)
+                          build_similarity_matrix, solve_assignment,
+                          stack_appearance, unstack_appearance)
 from .geometry import Box3D, BufferRatioTable, buffered_iou_matrix
 from .motion import KalmanState, NoiseConfig
 
@@ -109,22 +112,82 @@ class StepInfo:
     deleted_track_ids: list[int] = field(default_factory=list)
 
 
+@dataclass
+class TrackRows:
+    """Row-aligned state of the live tracklets, one row each, birth order."""
+
+    mean: np.ndarray          # (N, 10) Kalman means
+    cov: np.ndarray           # (N, 10, 10) Kalman covariances
+    emb: np.ndarray           # (N, 3, C) raw (img, bev, head) embeddings
+    ids: np.ndarray           # (N,) int64
+    levels: np.ndarray        # (N,) int64 scale levels
+    hits: np.ndarray          # (N,) int64
+    since_update: np.ndarray  # (N,) int64 frames since the last match
+    created_at: np.ndarray    # (N,) int64 frame ids
+    last_score: np.ndarray    # (N,) float64
+
+    @classmethod
+    def empty(cls) -> "TrackRows":
+        return cls(np.zeros((0, motion.STATE_DIM)),
+                   np.zeros((0, motion.STATE_DIM, motion.STATE_DIM)),
+                   np.zeros((0, 3, 0)),
+                   *(np.zeros(0, dtype=np.int64) for _ in range(5)),
+                   np.zeros(0))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def kalman(self, rows=slice(None)) -> KalmanState:
+        return KalmanState(self.mean[rows], self.cov[rows])
+
+    def select(self, rows) -> "TrackRows":
+        """The given rows (index array or boolean mask), as copies."""
+        return TrackRows(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+    def concat(self, other: "TrackRows") -> "TrackRows":
+        if not len(self):
+            return other
+        return TrackRows(*(np.concatenate([getattr(self, f.name),
+                                           getattr(other, f.name)])
+                           for f in fields(self)))
+
+    def records(self, rows=None) -> list[Tracklet]:
+        """Tracklet snapshots of the given rows, default all (the arrays
+        are copied)."""
+        snap = self.select(np.arange(len(self)) if rows is None else rows)
+        return [Tracklet(tid, KalmanState(mean, cov), app, level, hits,
+                         since, created, score)
+                for tid, mean, cov, app, level, hits, since, created, score
+                in zip(snap.ids.tolist(), snap.mean, snap.cov,
+                       unstack_appearance(snap.emb), snap.levels.tolist(),
+                       snap.hits.tolist(), snap.since_update.tolist(),
+                       snap.created_at.tolist(), snap.last_score.tolist())]
+
+
 class Tracker:
-    """Stateful per-sequence tracker; see module docstring for the flow."""
+    """Stateful per-sequence tracker; see module docstring for the flow.
+
+    The tracklets live as one ``TrackRows``; each step predicts, updates
+    and blends all of its rows with one array operation each.
+    """
 
     def __init__(self, cfg: TrackerConfig | None = None,
                  noise: NoiseConfig | None = None):
         self.cfg = cfg or TrackerConfig()
         self.noise = noise or NoiseConfig()
-        self.tracklets: list[Tracklet] = []
+        self.rows = TrackRows.empty()
         self.last_info = StepInfo()
         self._next_id = 1
         self._last_frame_id: int | None = None
 
-    def _issue_id(self) -> int:
-        issued = self._next_id
-        self._next_id += 1
-        return issued
+    @property
+    def tracklets(self) -> list[Tracklet]:
+        """Snapshots of the live tracklets, in birth order."""
+        return self.rows.records()
+
+    def active_outputs(self) -> list[Tracklet]:
+        """Tracklets updated or created this frame (the ones to report)."""
+        return self.rows.records(self.rows.since_update == 0)
 
     def step(self, detections: list[Detection], dt: float,
              frame_id: int | None = None) -> list[tuple[int, int]]:
@@ -138,126 +201,123 @@ class Tracker:
         if self._last_frame_id is not None and frame_id <= self._last_frame_id:
             raise ValueError(f"frame {frame_id} does not follow frame "
                              f"{self._last_frame_id}: frame ids must increase")
-        self._last_frame_id = frame_id
         for det in detections:
             if det.scale_level >= self.cfg.num_levels:
                 raise ValueError(
                     f"detection scale level {det.scale_level} outside "
                     f"[0, {self.cfg.num_levels})")
+        self._last_frame_id = frame_id
         info = StepInfo()
         cfg = self.cfg
+        rows = self.rows
 
-        for trk in self.tracklets:
-            trk.kalman = motion.predict(trk.kalman, dt, self.noise)
+        if len(rows):
+            predicted = motion.predict(rows.kalman(), dt, self.noise)
+            rows.mean, rows.cov = predicted.mean, predicted.cov
+        det_emb = stack_appearance([d.appearance for d in detections])
+        det_levels = np.array([d.scale_level for d in detections],
+                              dtype=np.int64)
+        free_dets = np.ones(len(detections), dtype=bool)
+        free_trks = np.ones(len(rows), dtype=bool)
+        ids = rows.ids.tolist()
 
-        unmatched_dets = list(range(len(detections)))
-        unmatched_trks = list(range(len(self.tracklets)))
-
-        if cfg.use_multi_clue:
-            pairs = self._match_appearance(detections, unmatched_dets,
-                                           unmatched_trks)
+        pairs = []
+        if cfg.use_multi_clue and len(detections) and len(rows):
+            cost = build_similarity_matrix(det_emb, rows.emb,
+                                           cfg.clue_weights,
+                                           cfg.similarity_gate)
+            pairs = solve_assignment(cost)
+            info.stage1 = [(ids[ti], di) for di, ti in pairs]
             for di, ti in pairs:
-                info.stage1.append((self.tracklets[ti].id, di))
-                self._apply_match(ti, detections[di])
-                unmatched_dets.remove(di)
-                unmatched_trks.remove(ti)
+                free_dets[di] = free_trks[ti] = False
 
-        pairs = self._match_iou(detections, unmatched_dets, unmatched_trks)
-        for di, ti in pairs:
-            trk = self.tracklets[ti]
-            info.stage2.append((trk.id, di))
+        stage2 = self._match_iou(detections, det_levels, free_dets, free_trks)
+        for di, ti in stage2:
+            info.stage2.append((ids[ti], di))
             info.stage2_level_gaps.append(
-                abs(detections[di].scale_level - trk.scale_level))
-            self._apply_match(ti, detections[di])
-            unmatched_dets.remove(di)
-            unmatched_trks.remove(ti)
+                abs(int(det_levels[di]) - int(rows.levels[ti])))
+            free_dets[di] = free_trks[ti] = False
+        pairs += stage2
 
-        for ti in unmatched_trks:
-            self.tracklets[ti].time_since_update += 1
-        survivors = []
-        for trk in self.tracklets:
-            if trk.time_since_update > cfg.max_age:
-                info.deleted_track_ids.append(trk.id)
-            else:
-                survivors.append(trk)
-        self.tracklets = survivors
+        if pairs:
+            d_sel, t_sel = (np.array(p, dtype=np.int64) for p in zip(*pairs))
+            updated = motion.update(rows.kalman(t_sel),
+                                    [detections[i].box for i in d_sel],
+                                    self.noise)
+            rows.mean[t_sel], rows.cov[t_sel] = updated.mean, updated.cov
+            alpha = cfg.ema_alpha
+            rows.emb[t_sel] = alpha * rows.emb[t_sel] + (1.0 - alpha) * det_emb[d_sel]
+            rows.levels[t_sel] = det_levels[d_sel]
+            rows.hits[t_sel] += 1
+            rows.since_update[t_sel] = 0
+            rows.last_score[t_sel] = [detections[i].score for i in d_sel]
+        rows.since_update[free_trks] += 1
+
+        dead = rows.since_update > cfg.max_age
+        if dead.any():
+            info.deleted_track_ids = rows.ids[dead].tolist()
+            rows = rows.select(~dead)
 
         matches = info.stage1 + info.stage2
-        for di in unmatched_dets:
-            det = detections[di]
-            if det.score > cfg.init_score_threshold:
-                trk = Tracklet(
-                    id=self._issue_id(),
-                    kalman=motion.init_state(det.box, self.noise),
-                    appearance=det.appearance,
-                    scale_level=det.scale_level,
-                    created_at=frame_id,
-                    last_score=det.score,
-                )
-                self.tracklets.append(trk)
-                info.new_track_ids.append(trk.id)
-                matches.append((trk.id, di))
+        born = [di for di in np.flatnonzero(free_dets).tolist()
+                if detections[di].score > cfg.init_score_threshold]
+        if born:
+            new_ids = list(range(self._next_id, self._next_id + len(born)))
+            self._next_id += len(born)
+            state = motion.init_state([detections[i].box for i in born],
+                                      self.noise)
+            ones = np.ones(len(born), dtype=np.int64)
+            rows = rows.concat(TrackRows(
+                state.mean, state.cov, det_emb[born],
+                np.array(new_ids, dtype=np.int64), det_levels[born], ones,
+                np.zeros_like(ones), frame_id * ones,
+                np.array([detections[i].score for i in born])))
+            info.new_track_ids = new_ids
+            matches += zip(new_ids, born)
 
+        self.rows = rows
         self.last_info = info
         return sorted(matches, key=lambda m: m[1])
 
-    def active_outputs(self) -> list[Tracklet]:
-        """Tracklets updated or created this frame (the ones to report)."""
-        return [t for t in self.tracklets if t.time_since_update == 0]
-
-    def _apply_match(self, ti: int, det: Detection) -> None:
-        trk = self.tracklets[ti]
-        trk.kalman = motion.update(trk.kalman, det.box, self.noise)
-        trk.appearance = update_appearance(trk, det, self.cfg.ema_alpha)
-        trk.scale_level = det.scale_level
-        trk.hits += 1
-        trk.time_since_update = 0
-        trk.last_score = det.score
-
-    def _match_appearance(self, detections, det_ids, trk_ids):
-        """Stage 1: gated multi-clue similarity over all tracklets."""
-        if not det_ids or not trk_ids:
-            return []
-        cost = build_similarity_matrix(
-            [detections[i].appearance for i in det_ids],
-            [self.tracklets[j].appearance for j in trk_ids],
-            self.cfg.clue_weights, self.cfg.similarity_gate)
-        return [(det_ids[i], trk_ids[j]) for i, j in solve_assignment(cost)]
-
-    def _match_iou(self, detections, det_ids, trk_ids):
+    def _match_iou(self, detections, det_levels, free_dets, free_trks):
         """Stage 2: buffered-IoU assignment, cascaded by scale level.
 
         Levels run from largest to smallest; detections of level l may
         only match tracklets of levels l-1, l, l+1 that are still free.
         Without cascading all leftovers meet in one flat assignment.
+        Returns (det_idx, row) pairs.
         """
-        if not det_ids or not trk_ids:
+        det_ids = np.flatnonzero(free_dets)
+        trk_ids = np.flatnonzero(free_trks)
+        if not len(det_ids) or not len(trk_ids):
             return []
         cfg = self.cfg
+        rows = self.rows
+        boxes = dict(zip(trk_ids.tolist(),
+                         motion.state_to_box(rows.kalman(trk_ids))))
         if not cfg.use_cascade:
-            return self._solve_iou_group(detections, list(det_ids), list(trk_ids))
+            return self._solve_iou_group(detections, det_ids, trk_ids, boxes)
         matched: list[tuple[int, int]] = []
-        free_trks = list(trk_ids)
+        free = free_trks.copy()
         for level in range(cfg.num_levels - 1, -1, -1):
-            sel_dets = [i for i in det_ids
-                        if detections[i].scale_level == level]
-            sel_trks = [j for j in free_trks
-                        if abs(self.tracklets[j].scale_level - level) <= 1]
-            pairs = self._solve_iou_group(detections, sel_dets, sel_trks)
+            sel_dets = det_ids[det_levels[det_ids] == level]
+            sel_trks = np.flatnonzero(free & (np.abs(rows.levels - level) <= 1))
+            pairs = self._solve_iou_group(detections, sel_dets, sel_trks, boxes)
             for di, ti in pairs:
                 matched.append((di, ti))
-                free_trks.remove(ti)
+                free[ti] = False
         return matched
 
-    def _solve_iou_group(self, detections, det_ids, trk_ids):
-        if not det_ids or not trk_ids:
+    def _solve_iou_group(self, detections, det_ids, trk_ids, boxes):
+        if not len(det_ids) or not len(trk_ids):
             return []
         cfg = self.cfg
+        det_ids, trk_ids = det_ids.tolist(), trk_ids.tolist()
         det_boxes = [detections[i].box for i in det_ids]
         det_ratios = [cfg.ratio_for(detections[i].scale_level) for i in det_ids]
-        trk_boxes = [self.tracklets[j].predicted_box() for j in trk_ids]
-        trk_ratios = [cfg.ratio_for(self.tracklets[j].scale_level)
-                      for j in trk_ids]
+        trk_boxes = [boxes[j] for j in trk_ids]
+        trk_ratios = [cfg.ratio_for(level)
+                      for level in self.rows.levels[trk_ids].tolist()]
         iou = buffered_iou_matrix(det_boxes, trk_boxes, det_ratios, trk_ratios)
         cost = CostMatrix(values=-iou, gate_mask=iou >= cfg.iou_threshold)
         return [(det_ids[i], trk_ids[j]) for i, j in solve_assignment(cost)]

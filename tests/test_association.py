@@ -6,7 +6,8 @@ import pytest
 from bevtrack.association import (AppearanceState, ClueWeights, CostMatrix,
                                   build_similarity_matrix,
                                   multi_clue_similarity,
-                                  normalized_inner_product, solve_assignment)
+                                  normalized_inner_product, solve_assignment,
+                                  stack_appearance, unstack_appearance)
 
 from oracles import brute_force_assignment
 
@@ -145,6 +146,42 @@ class TestBuildSimilarityMatrix:
                                    atol=1e-12)
         np.testing.assert_array_equal(shuffled.gate_mask,
                                       base.gate_mask[np.ix_(perm_d, perm_t)])
+
+
+    def test_stacked_arrays_equal_sequences(self):
+        rng = np.random.default_rng(17)
+        dets = [random_appearance(rng) for _ in range(6)]
+        trks = [random_appearance(rng) for _ in range(4)]
+        trks.append(AppearanceState(np.zeros(8), np.zeros(8), np.zeros(8)))
+        w = ClueWeights(0.5, 0.0, 0.25)
+        a = build_similarity_matrix(dets, trks, w, 0.1)
+        b = build_similarity_matrix(stack_appearance(dets),
+                                    stack_appearance(trks), w, 0.1)
+        np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(a.gate_mask, b.gate_mask)
+
+
+class TestStackAppearance:
+    def test_round_trip(self):
+        rng = np.random.default_rng(19)
+        states = [random_appearance(rng, dim=5) for _ in range(4)]
+        stacked = stack_appearance(states)
+        assert stacked.shape == (4, 3, 5)
+        back = unstack_appearance(stacked)
+        for x, y in zip(states, back):
+            for clue in ("e_img", "e_bev", "e_head"):
+                np.testing.assert_array_equal(getattr(x, clue),
+                                              getattr(y, clue))
+        assert stack_appearance([]).shape == (0, 3, 0)
+        assert unstack_appearance(np.zeros((0, 3, 7))) == []
+
+    def test_unstack_rejects_non_finite_and_bad_shape(self):
+        stacked = np.ones((2, 3, 4))
+        stacked[1, 2, 0] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            unstack_appearance(stacked)
+        with pytest.raises(ValueError, match="shape"):
+            unstack_appearance(np.ones((2, 4)))
 
 
 class TestSolveAssignment:

@@ -51,6 +51,13 @@ class TestBox3D:
             assert math.isclose(math.cos(w), math.cos(a), abs_tol=1e-12)
             assert math.isclose(math.sin(w), math.sin(a), abs_tol=1e-12)
 
+    def test_wrap_angle_array_equals_scalar(self):
+        angles = np.r_[np.linspace(-20, 20, 401), -math.pi, math.pi,
+                       3 * math.pi, 0.0, -0.0]
+        got = wrap_angle(angles)
+        assert got.tolist() == [wrap_angle(float(a)) for a in angles]
+        assert wrap_angle(np.float64(4.0)) == wrap_angle(4.0)
+
 
 class TestBevIou:
     def test_identical_boxes(self):

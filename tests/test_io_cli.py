@@ -107,6 +107,16 @@ class TestDetectionLog:
         with pytest.raises(bio.DataError, match="ascending"):
             bio.read_detections(path)
 
+    def test_scale_level_checked_against_level_count(self, tmp_path):
+        path = tmp_path / "dets.jsonl"
+        rec = {"frame_id": 0, "box": [0, 0, 0.8, 4, 2, 1.6, 0.0],
+               "score": 0.9, "e_img": [1], "e_bev": [1], "e_head": [1]}
+        path.write_text(json.dumps({**rec, "scale_level": 4}) + "\n"
+                        + json.dumps({**rec, "scale_level": 5}) + "\n")
+        assert len(bio.read_detections(path)[0]) == 2
+        with pytest.raises(bio.DataError, match=r":2: scale_level 5 outside"):
+            list(bio.iter_detection_frames(path, num_levels=5))
+
     def test_streaming_yields_frames_in_order(self, tmp_path):
         frames = make_dets(n_frames=5)
         path = tmp_path / "dets.jsonl"
@@ -123,6 +133,21 @@ class TestGroundTruthLog:
         bio.write_ground_truth(path, gt)
         back = bio.read_ground_truth(path)
         assert back == list(gt)
+
+
+    def test_duplicate_gt_id_in_frame_names_line(self, tmp_path):
+        path = tmp_path / "gt.jsonl"
+        rec = {"box": [0, 0, 0.8, 4, 2, 1.6, 0.0], "visible": True}
+        lines = [{"frame_id": 0, "gt_id": 1}, {"frame_id": 0, "gt_id": 2},
+                 {"frame_id": 1, "gt_id": 1}, {"frame_id": 1, "gt_id": 1}]
+        path.write_text("".join(json.dumps({**r, **rec}) + "\n"
+                                for r in lines))
+        with pytest.raises(bio.DataError,
+                           match=r":4: duplicate gt_id 1 in frame 1"):
+            bio.read_ground_truth(path)
+        path.write_text("".join(json.dumps({**r, **rec}) + "\n"
+                                for r in lines[:3]))
+        assert [len(g.objects) for g in bio.read_ground_truth(path)] == [2, 1]
 
 
 class TestTrackLog:
@@ -292,6 +317,19 @@ class TestCliTrackEvaluate:
                      str(tmp_path / "t.jsonl")])
         assert code == 1
         assert f"{dets}:1:" in capsys.readouterr().err
+
+    def test_out_of_range_scale_level_exit_1_names_line(self, tmp_path,
+                                                         capsys):
+        dets = tmp_path / "dets.jsonl"
+        rec = {"frame_id": 0, "box": [0, 0, 0.8, 4, 2, 1.6, 0.0],
+               "score": 0.9, "e_img": [1], "e_bev": [1], "e_head": [1]}
+        dets.write_text(json.dumps({**rec, "scale_level": 1}) + "\n"
+                        + json.dumps({**rec, "scale_level": 9}) + "\n")
+        code = main(["track", "--dets", str(dets), "--out",
+                     str(tmp_path / "t.jsonl")])
+        assert code == 1
+        assert f"{dets}:2: scale_level 9 outside [0, 5)" in \
+            capsys.readouterr().err
 
     def test_evaluate_empty_tracks_amota_zero(self, tmp_path, capsys):
         sim = self._simulate(tmp_path)

@@ -169,6 +169,15 @@ class TestEvaluate:
         sparse = {f: [(1, box_at(0, f), 0.9)] for f in range(7)}  # 7/10
         assert evaluate(gt, sparse).mt == 0
 
+    def test_duplicate_track_id_scores_by_first_occurrence(self):
+        # the far copy of track 5 comes first and is an FP; the near copy
+        # is the TP, which is scored with the first occurrence's 0.9
+        gt = [gt_frame(0, [(0, 0)])]
+        tracks = {0: [(5, box_at(30, 0), 0.9), (5, box_at(0, 0), 0.3)]}
+        r = evaluate(gt, tracks)
+        assert r.per_threshold[-1]["threshold"] == 0.9
+        assert r.fp == 1 and r.fn == 0
+
     def test_format_report_mentions_all_metrics(self):
         gt, tracks = hand_fixture()
         text = format_report(evaluate(gt, tracks))

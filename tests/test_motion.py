@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from bevtrack.geometry import Box3D
-from bevtrack.motion import (KalmanState, NoiseConfig, init_state, predict,
+from bevtrack.motion import (MIN_DIM, KalmanState, NoiseConfig,
+                             NumericFailure, init_state, predict,
                              state_to_box, update)
 
 
@@ -212,3 +213,126 @@ class TestFilterProperties:
                 s = update(s, random_box(rng), n)
             assert np.abs(s.cov - s.cov.T).max() < 1e-9
             assert np.linalg.eigvalsh(s.cov).min() >= -1e-9
+
+
+def stack(states):
+    return KalmanState(np.array([s.mean for s in states]),
+                       np.array([s.cov for s in states]))
+
+
+def row(s, i):
+    return KalmanState(s.mean[i], s.cov[i])
+
+
+def singular_row():
+    # prior covariance canceling R exactly: singular innovation covariance
+    n = NoiseConfig()
+    cov = np.zeros((10, 10))
+    cov[:7, :7] = -n.meas_cov()
+    mean = np.zeros(10)
+    mean[4:7] = 1.0
+    return KalmanState(mean, cov)
+
+
+class TestStackedRows:
+    """An N-row state filters exactly like N single states."""
+
+    def _rows_and_boxes(self, seed, n_rows=12):
+        rng = np.random.default_rng(seed)
+        states = [random_state(rng) for _ in range(n_rows)]
+        boxes = [random_box(rng) for _ in range(n_rows)]
+        # yaw innovation across the cut at +-pi
+        m = states[1].mean.copy()
+        m[3] = -math.pi + 1e-3
+        states[1] = KalmanState(m, states[1].cov)
+        boxes[1] = Box3D(0, 0, 0, 1, 1, 1, math.pi - 1e-3)
+        # x and length strongly correlated: a far-left measurement drags
+        # the length below zero, which the floor must clamp
+        cov = np.eye(10)
+        cov[0, 4] = cov[4, 0] = 0.9
+        states[2] = KalmanState(np.r_[np.zeros(4), 0.2, 0.2, 0.2, np.zeros(3)],
+                                cov)
+        boxes[2] = Box3D(-50.0, 0, 0, 0.2, 0.2, 0.2, 0)
+        return states, boxes
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_predict_equals_rows(self, seed):
+        n = NoiseConfig()
+        states, _ = self._rows_and_boxes(seed)
+        out = predict(stack(states), 0.37, n)
+        for i, s in enumerate(states):
+            one = predict(s, 0.37, n)
+            np.testing.assert_array_equal(out.mean[i], one.mean)
+            np.testing.assert_array_equal(out.cov[i], one.cov)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_update_equals_rows(self, seed):
+        n = NoiseConfig()
+        states, boxes = self._rows_and_boxes(seed)
+        out = update(stack(states), boxes, n)
+        for i, (s, z) in enumerate(zip(states, boxes)):
+            one = update(s, z, n)
+            np.testing.assert_array_equal(out.mean[i], one.mean)
+            np.testing.assert_array_equal(out.cov[i], one.cov)
+        assert abs(out.mean[1, 3] - states[1].mean[3]) < 0.05
+        assert out.mean[2, 4] == MIN_DIM
+
+    def test_singular_row_recovered_alone(self):
+        n = NoiseConfig()
+        states, boxes = self._rows_and_boxes(4)
+        states[5] = singular_row()
+        out = update(stack(states), boxes, n)
+        assert np.isfinite(out.mean).all() and np.isfinite(out.cov).all()
+        for i, (s, z) in enumerate(zip(states, boxes)):
+            one = update(s, z, n)
+            np.testing.assert_array_equal(out.mean[i], one.mean)
+            np.testing.assert_array_equal(out.cov[i], one.cov)
+
+    def test_failed_jitter_raises(self):
+        # innovation covariance diag(0, -1e-6, 1, ...): singular, and
+        # singular again after the 1e-6 jitter (all sums exact)
+        r = 2.0**-30
+        n = NoiseConfig(meas_pos_std=2.0**-15, meas_yaw_std=2.0**-15,
+                        meas_dim_std=2.0**-15)
+        cov = np.eye(10)
+        cov[0, 0] = -r
+        cov[1, 1] = -(1e-6 + r)
+        bad = KalmanState(np.r_[np.zeros(4), 1.0, 1.0, 1.0, np.zeros(3)], cov)
+        states, boxes = self._rows_and_boxes(5)
+        states[3] = bad
+        with pytest.raises(NumericFailure):
+            update(bad, boxes[3], n)
+        with pytest.raises(NumericFailure):
+            update(stack(states), boxes, n)
+
+    def test_init_and_state_to_box_equal_rows(self):
+        n = NoiseConfig()
+        rng = np.random.default_rng(9)
+        boxes = [random_box(rng) for _ in range(5)]
+        s = init_state(boxes, n)
+        assert s.rows == (5,)
+        for i, b in enumerate(boxes):
+            one = init_state(b, n)
+            np.testing.assert_array_equal(s.mean[i], one.mean)
+            np.testing.assert_array_equal(s.cov[i], one.cov)
+        m = s.mean.copy()
+        m[0, 4] = -1.0
+        s = KalmanState(m, s.cov)
+        assert state_to_box(s) == [state_to_box(row(s, i)) for i in range(5)]
+        assert state_to_box(s)[0].length == MIN_DIM
+
+    def test_empty_stack(self):
+        n = NoiseConfig()
+        s = KalmanState(np.zeros((0, 10)), np.zeros((0, 10, 10)))
+        assert predict(s, 0.1, n).rows == (0,)
+        assert update(s, [], n).rows == (0,)
+        assert state_to_box(s) == []
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            KalmanState(np.zeros((3, 10)), np.zeros((2, 10, 10)))
+        with pytest.raises(ValueError):
+            KalmanState(np.zeros(10), np.zeros((1, 10, 10)))
+        with pytest.raises(ValueError):
+            update(KalmanState(np.zeros((2, 10)), np.zeros((2, 10, 10))),
+                   [Box3D(0, 0, 0, 1, 1, 1, 0)], NoiseConfig())

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bevtrack.association import AppearanceState
 from bevtrack.geometry import Box3D
@@ -285,3 +287,63 @@ class TestEndToEnd:
         trk.step([], dt=0.1, frame_id=1)
         assert trk.active_outputs() == []
         assert len(trk.tracklets) == 1
+
+    def test_records_are_snapshots(self):
+        trk = Tracker(TrackerConfig(max_age=3))
+        trk.step([det(0, 0, 0.9, axis=0, frame_id=0)], dt=0.1)
+        before = trk.tracklets[0]
+        mean = before.kalman.mean.copy()
+        e_img = before.appearance.e_img.copy()
+        trk.step([det(0.4, 0, 0.9, axis=0, frame_id=1)], dt=0.1)
+        after = trk.tracklets[0]
+        np.testing.assert_array_equal(before.kalman.mean, mean)
+        np.testing.assert_array_equal(before.appearance.e_img, e_img)
+        assert before.hits == 1 and after.hits == 2
+        assert not np.array_equal(after.kalman.mean, mean)
+
+
+# ---------------------------------------------------------------------------
+# invariants over generated detection streams
+
+_det_st = st.builds(
+    lambda x, y, length, axis, level, score: Detection(
+        box=Box3D(x, y, 0.8, length, 0.5 * length, 1.6, 0.0), score=score,
+        appearance=AppearanceState(unit(4, axis), unit(4, (axis + 1) % 4),
+                                   unit(4, axis)),
+        scale_level=level),
+    x=st.floats(-8, 8), y=st.floats(-8, 8), length=st.floats(0.5, 6.0),
+    axis=st.integers(0, 3), level=st.integers(0, 4),
+    score=st.floats(0.0, 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(frames=st.lists(st.lists(_det_st, max_size=6), min_size=1,
+                       max_size=8),
+       max_age=st.integers(0, 3), multi_clue=st.booleans(),
+       cascade=st.booleans())
+def test_invariants_over_random_streams(frames, max_age, multi_clue, cascade):
+    trk = Tracker(TrackerConfig(max_age=max_age, use_multi_clue=multi_clue,
+                                use_cascade=cascade))
+    issued = 0
+    for f, dets in enumerate(frames):
+        matches = trk.step(dets, dt=0.1, frame_id=f)
+        info = trk.last_info
+        ids = [t.id for t in trk.tracklets]
+        # ids unique and increasing in birth order, never reused
+        assert ids == sorted(set(ids))
+        assert all(i > issued for i in info.new_track_ids)
+        assert info.new_track_ids == sorted(info.new_track_ids)
+        issued = max([issued] + info.new_track_ids)
+        assert len({t for t, _ in matches}) == len(matches)
+        assert len({d for _, d in matches}) == len(matches)
+        if cascade:
+            assert all(gap <= 1 for gap in info.stage2_level_gaps)
+        # only tracklets matched or born this frame are reported
+        assert {t.id for t in trk.active_outputs()} == {t for t, _ in matches}
+        rows = trk.rows
+        assert np.isfinite(rows.mean).all() and np.isfinite(rows.cov).all()
+        assert np.isfinite(rows.emb).all()
+        for cov in rows.cov:
+            scale = max(1.0, float(np.abs(cov).max()))
+            assert np.abs(cov - cov.T).max() <= 1e-12 * scale
+            assert np.linalg.eigvalsh(cov).min() >= -1e-9 * scale
