@@ -9,7 +9,15 @@ fuses the refined previous-frame grid into the current one.
 The fusion projects values before sampling them, as multi-scale deformable
 attention does, so each head samples C/heads channels instead of C.
 Bilinear sampling with zero padding is linear in the grid, so it commutes
-with the per-cell projection and the order changes only rounding.
+with the per-cell projection and the order changes only rounding. The
+sampling is one sparse operator of bilinear taps with each cell's
+attention weights folded in: it yields the attention-weighted sum of the
+K sampled points per cell directly, and the samples themselves are never
+stored.
+
+The masked branches are box-smoothed on a channel-first C x H x W copy of
+the grid, so both filtered axes are contiguous; the result is bitwise the
+same as filtering the H x W x C grid.
 
 Learned components are replaced by seeded injected linear maps and
 ordinary normalized box convolutions: the artifact verifies the masking,
@@ -24,6 +32,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.ndimage import uniform_filter
+from scipy.sparse import csr_matrix
 
 # Per-level mask scope radii (cells) and smoothing kernel sizes, indexed by
 # level with 0 = smallest object class. Image grids use 3 levels, BEV grids
@@ -201,10 +210,10 @@ def combine_masks(masks: Sequence[FilterMask], level: int,
 
 
 def _box_smooth(data: np.ndarray, k: int) -> np.ndarray:
-    """Normalized k x k box convolution per channel, zero padded."""
+    """Normalized k x k box convolution of a C x H x W stack, zero padded."""
     if k == 1:
         return data
-    return uniform_filter(data, size=(k, k, 1), mode="constant", cval=0.0)
+    return uniform_filter(data, size=(1, k, k), mode="constant", cval=0.0)
 
 
 def refine_features(f: FeatureGrid, masks: Sequence[FilterMask],
@@ -215,6 +224,11 @@ def refine_features(f: FeatureGrid, masks: Sequence[FilterMask],
     Each branch is M_l * F smoothed by the level's normalized box kernel.
     All-zero masks contribute no branch, so an object-free grid passes
     through unchanged (residual path).
+
+    The branches work on one channel-first C x H x W copy of the grid, so
+    both smoothed axes are contiguous lines. The box filter runs the same
+    1-D running sums along H and then W whatever the memory layout, so the
+    result is bitwise the same as filtering the H x W x C grid.
     """
     h, w, _ = f.shape
     if kernel_sizes is None:
@@ -223,22 +237,27 @@ def refine_features(f: FeatureGrid, masks: Sequence[FilterMask],
             raise ValueError(f"no default kernel sizes for L={len(masks)}")
     if len(kernel_sizes) != len(masks):
         raise ValueError("need one kernel size per mask level")
-    # A running sum adds the branches in the same order as np.mean over
-    # the stacked branches, so the result is bitwise the same without
-    # holding every branch at once.
-    total = f.data.copy()
-    count = 1
     for mask in masks:
         if mask.data.shape != (h, w):
             raise ValueError(
                 f"mask shape {mask.data.shape} does not match grid {(h, w)}")
+        if not 0 <= mask.level < len(kernel_sizes):
+            raise ValueError(f"mask level {mask.level} has no kernel size "
+                             f"(levels 0..{len(kernel_sizes) - 1})")
+    # A running sum adds the branches in the same order as np.mean over
+    # the stacked branches, so the result is bitwise the same without
+    # holding every branch at once.
+    stack = np.ascontiguousarray(f.data.transpose(2, 0, 1))  # C x H x W
+    total = stack.copy()
+    count = 1
+    for mask in masks:
         if not mask.data.any():
             continue
-        masked = mask.data[:, :, None] * f.data
-        total += _box_smooth(masked, int(kernel_sizes[mask.level]))
+        total += _box_smooth(mask.data * stack, int(kernel_sizes[mask.level]))
         count += 1
     total /= count
-    return FeatureGrid(total, kind=f.kind)
+    return FeatureGrid(np.ascontiguousarray(total.transpose(1, 2, 0)),
+                       kind=f.kind)
 
 
 @dataclass(frozen=True)
@@ -297,40 +316,83 @@ class DeformableFusionParams:
                    w_offset=w_offset, w_attention=w_attention, seed=seed)
 
 
-def bilinear_sample(data: np.ndarray, rows: np.ndarray,
-                    cols: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation of an H x W x C grid at fractional cells.
+def _bilinear_taps(h: int, w: int, rows: np.ndarray,
+                   cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bilinear taps of fractional cells on an H x W grid with a zero border.
 
-    Samples outside the grid read as zero. rows/cols may have any common
-    shape S; the result has shape S + (C,).
-
-    The grid is copied into a zero border one cell wide. Each corner index
-    is clipped to [-1, H] / [-1, W] after its +0/+1 offset and then shifted
-    into the padded grid, so a corner off the grid reads an exact zero and
-    all four corners come from one gather.
+    Returns (flat_index, weight), each of shape (4,) + S for positions of
+    shape S: corners (r0, c0), (r0, c0+1), (r0+1, c0), (r0+1, c0+1), and
+    their flat indices into the (H+2) x (W+2) zero-bordered grid. Each
+    corner index is clipped to [-1, H] / [-1, W] after its +0/+1 offset and
+    then shifted into the border, so a corner off the grid lands on a zero
+    cell.
     """
-    h, w, c = data.shape
-    padded = np.zeros((h + 2, w + 2, c))
-    padded[1:-1, 1:-1] = data
     r0 = np.floor(rows)
     c0 = np.floor(cols)
     fr = rows - r0
     fc = cols - c0
-    r0 = r0.astype(np.int64)
-    c0 = c0.astype(np.int64)
+    # Clipping to one cell beyond the border first changes no corner and
+    # keeps far-off positions inside the integer range.
+    r0 = np.clip(r0, -2, h).astype(np.int64)
+    c0 = np.clip(c0, -2, w).astype(np.int64)
     row_lo = (np.clip(r0, -1, h) + 1) * (w + 2)
     row_hi = (np.clip(r0 + 1, -1, h) + 1) * (w + 2)
     col_lo = np.clip(c0, -1, w) + 1
     col_hi = np.clip(c0 + 1, -1, w) + 1
     flat_index = np.stack([row_lo + col_lo, row_lo + col_hi,
                            row_hi + col_lo, row_hi + col_hi])
-    corners = padded.reshape(-1, c).take(flat_index, axis=0)  # (4,) + S + (C,)
-    corners *= np.stack([(1 - fr) * (1 - fc), (1 - fr) * fc,
-                         fr * (1 - fc), fr * fc])[..., None]
-    out = corners[0] + corners[1]
-    out += corners[2]
-    out += corners[3]
-    return out
+    weight = np.stack([(1 - fr) * (1 - fc), (1 - fr) * fc,
+                       fr * (1 - fc), fr * fc])
+    return flat_index, weight
+
+
+def bilinear_sample(data: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                    weights: np.ndarray | None = None) -> np.ndarray:
+    """Bilinear interpolation of an H x W x C grid at fractional cells.
+
+    Samples outside the grid read as zero. rows/cols may have any common
+    shape S; the result has shape S + (C,). With ``weights`` (shape S), the
+    samples along the last axis of S are summed with those weights instead,
+    and the result has shape S[:-1] + (C,).
+
+    The taps form one sparse matrix with four entries per sample, applied
+    to the grid copied into a zero border one cell wide. Without weights
+    every sample is its own matrix row; with weights the taps of the last
+    sample axis share a row and carry the weights folded in, so the
+    weighted sum is formed without storing the samples. A row sums its
+    taps sample by sample, four corners each in order, so an unweighted
+    sample is exactly the four-corner sum.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    cols = np.asarray(cols, dtype=np.float64)
+    if rows.shape != cols.shape:
+        raise ValueError(
+            f"rows shape {rows.shape} does not match cols shape {cols.shape}")
+    if not (np.isfinite(rows).all() and np.isfinite(cols).all()):
+        raise ValueError("sample positions contain NaN/Inf")
+    h, w, c = data.shape
+    flat_index, tap_weight = _bilinear_taps(h, w, rows, cols)
+    if weights is None:
+        out_shape = rows.shape
+        per_row = 4
+    else:
+        weights = np.asarray(weights, dtype=np.float64)
+        if rows.ndim == 0 or weights.shape != rows.shape:
+            raise ValueError(f"weights shape {weights.shape} must equal the "
+                             f"sample shape {rows.shape} (at least 1-D)")
+        tap_weight *= weights
+        out_shape = rows.shape[:-1]
+        per_row = 4 * rows.shape[-1]
+    n_out = math.prod(out_shape)
+    # corner axis last, so each output row's taps are contiguous
+    taps = csr_matrix(
+        (np.moveaxis(tap_weight, 0, -1).ravel(),
+         np.moveaxis(flat_index, 0, -1).ravel(),
+         np.arange(n_out + 1) * per_row),
+        shape=(n_out, (h + 2) * (w + 2)))
+    padded = np.zeros((h + 2, w + 2, c))
+    padded[1:-1, 1:-1] = data
+    return (taps @ padded.reshape(-1, c)).reshape(out_shape + (c,))
 
 
 def temporal_fuse(prev_refined: FeatureGrid, curr: FeatureGrid,
@@ -369,10 +431,12 @@ def temporal_fuse(prev_refined: FeatureGrid, curr: FeatureGrid,
     cc = np.arange(w, dtype=np.float64)[None, :, None]
     fused = np.zeros((h, w, c))
     for head in range(p.heads):
-        sampled = bilinear_sample(values[head],
-                                  rr + offsets[:, :, head, :, 0],
-                                  cc + offsets[:, :, head, :, 1])  # (H,W,K,C_v)
-        per_head = np.einsum("ijk,ijkv->ijv", att[:, :, head], sampled)
+        # the attention over the K points is folded into the sampling
+        # operator, so the (H, W, K, C_v) samples are never stored
+        per_head = bilinear_sample(values[head],
+                                   rr + offsets[:, :, head, :, 0],
+                                   cc + offsets[:, :, head, :, 1],
+                                   weights=att[:, :, head])  # (H,W,C_v)
         fused += per_head @ p.w_out[head].T
     return FeatureGrid(fused, kind=curr.kind)
 

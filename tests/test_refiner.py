@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -216,6 +217,13 @@ class TestRefineFeatures:
         with pytest.raises(ValueError):
             refine_features(f, [FilterMask(0, np.zeros((5, 5)))], (3,))
 
+    @pytest.mark.parametrize("level", [3, -1])
+    def test_level_without_kernel_size_rejected(self, level):
+        f = FeatureGrid(np.ones((4, 4, 2)))
+        for data in (np.ones((4, 4)), np.zeros((4, 4))):
+            with pytest.raises(ValueError, match="kernel size"):
+                refine_features(f, [FilterMask(level, data)], (3,))
+
 
 class TestBilinearSample:
     def test_integer_positions_read_exact(self):
@@ -258,6 +266,74 @@ class TestBilinearSample:
         for k, (r, c) in enumerate(zip(rows, cols)):
             want = _bilinear_point(data, float(r), float(c))
             assert np.array_equal(got[k], want), (r, c)
+
+    def test_2d_positions_exactly_equal_point_oracle(self):
+        rng = np.random.default_rng(37)
+        h, w = 6, 4
+        data = rng.normal(size=(h, w, 2))
+        rows = rng.uniform(-3, h + 2, size=(9, 5))
+        cols = rng.uniform(-3, w + 2, size=(9, 5))
+        rows[0] = [-1.0, -0.5, h - 1.0, h, 2.0]
+        cols[0] = [-1.0, w - 1.0, -0.5, w, 1.0]
+        got = bilinear_sample(data, rows, cols)
+        assert got.shape == (9, 5, 2)
+        for i in range(9):
+            for j in range(5):
+                want = _bilinear_point(data, float(rows[i, j]),
+                                       float(cols[i, j]))
+                assert np.array_equal(got[i, j], want), (rows[i, j], cols[i, j])
+
+    def test_weights_sum_the_last_sample_axis(self):
+        rng = np.random.default_rng(41)
+        h, w, c = 7, 5, 3
+        data = rng.normal(size=(h, w, c))
+        # about half the samples sit partly or wholly off the grid
+        rows = rng.uniform(-4, h + 3, size=(6, 4, 5))
+        cols = rng.uniform(-4, w + 3, size=(6, 4, 5))
+        rows[0, 0] = [-1.0, -0.5, h - 0.5, h, 1e3]
+        weights = rng.normal(size=rows.shape)
+        got = bilinear_sample(data, rows, cols, weights=weights)
+        want = np.sum(weights[..., None] * bilinear_sample(data, rows, cols),
+                      axis=-2)
+        assert got.shape == (6, 4, c)
+        assert np.abs(got - want).max() < 1e-12
+
+    def test_far_off_positions_read_zero_without_warning(self):
+        data = np.ones((3, 4, 2))
+        rows = np.array([1e300, -1e300, 1e19, 1.0])
+        cols = np.array([1.0, 1.0, 1.0, -1e19])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflowing integer cast
+            out = bilinear_sample(data, rows, cols)
+        np.testing.assert_array_equal(out, np.zeros((4, 2)))
+
+    def test_mismatched_position_shapes_rejected(self):
+        data = np.ones((3, 3, 1))
+        with pytest.raises(ValueError, match="shape"):
+            bilinear_sample(data, np.zeros(3), np.zeros(4))
+        with pytest.raises(ValueError, match="shape"):
+            bilinear_sample(data, np.zeros((2, 3)), np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="shape"):  # would broadcast
+            bilinear_sample(data, np.zeros((2, 1)), np.zeros((1, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_positions_rejected(self, bad):
+        data = np.ones((3, 3, 1))
+        good = np.array([0.5, 1.0])
+        with pytest.raises(ValueError, match="NaN/Inf"):
+            bilinear_sample(data, np.array([0.5, bad]), good)
+        with pytest.raises(ValueError, match="NaN/Inf"):
+            bilinear_sample(data, good, np.array([bad, 1.0]))
+
+    def test_weights_shape_mismatch_rejected(self):
+        data = np.ones((3, 3, 1))
+        rows = np.zeros((2, 3))
+        for weights in (np.ones(3), np.ones((3, 2)), np.ones((2, 3, 1))):
+            with pytest.raises(ValueError, match="weights"):
+                bilinear_sample(data, rows, rows, weights=weights)
+        with pytest.raises(ValueError, match="weights"):
+            bilinear_sample(data, np.array(1.0), np.array(1.0),
+                            weights=np.array(1.0))
 
 
 def identity_params(c):
@@ -334,6 +410,16 @@ class TestTemporalFuse:
             got = temporal_fuse(prev, curr, p).data
             want = naive_temporal_fuse(prev.data, curr.data, p)
             assert np.abs(got - want).max() < 1e-9
+
+    def test_matches_naive_loop_on_mid_size_grid(self):
+        rng = np.random.default_rng(43)
+        p = DeformableFusionParams.from_seed(300, 8, heads=2, points=4,
+                                             offset_scale=8.0)
+        prev = FeatureGrid(rng.normal(size=(24, 20, 8)))
+        curr = FeatureGrid(rng.normal(size=(24, 20, 8)))
+        got = temporal_fuse(prev, curr, p).data
+        want = naive_temporal_fuse(prev.data, curr.data, p)
+        assert np.abs(got - want).max() < 1e-9
 
     def test_shape_mismatch_rejected(self):
         p = identity_params(4)
