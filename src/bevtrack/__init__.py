@@ -13,7 +13,8 @@ from .geometry import Box3D, BufferRatioTable, bev_iou, buffer_box, \
 from .metrics import EvalConfig, MetricsReport, evaluate
 from .motion import KalmanState, NoiseConfig
 from .simulator import ScenarioConfig, generate, standard_suites
-from .tracker import Detection, Tracker, TrackerConfig, Tracklet, run_sequence
+from .tracker import Detection, Tracker, TrackerConfig, Tracklet, \
+    number_frames, run_sequence, track_stream
 
 __version__ = "0.1.0"
 
@@ -22,5 +23,6 @@ __all__ = [
     "buffer_box", "buffered_iou", "iou_backend", "EvalConfig",
     "MetricsReport", "evaluate", "KalmanState", "NoiseConfig",
     "ScenarioConfig", "generate", "standard_suites", "Detection", "Tracker",
-    "TrackerConfig", "Tracklet", "run_sequence", "__version__",
+    "TrackerConfig", "Tracklet", "number_frames", "run_sequence",
+    "track_stream", "__version__",
 ]

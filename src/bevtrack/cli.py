@@ -74,44 +74,22 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _tracker_config(app: bio.AppConfig, args) -> btrack.TrackerConfig:
-    cfg = app.tracker
-    if getattr(args, "max_age", None) is not None:
-        cfg = replace(cfg, max_age=args.max_age)
-    return replace(
-        cfg,
-        use_multi_clue=not getattr(args, "no_multi_clue", False),
-        use_buffer=not getattr(args, "no_buffer", False),
-        use_cascade=not getattr(args, "no_cascade", False),
-    )
-
-
 def cmd_track(args) -> int:
     app = bio.load_config(args.config)
-    cfg = _tracker_config(app, args)
-    trk = btrack.Tracker(cfg, app.noise)
-    prev_ts = None
+    cfg = replace(app.tracker, use_multi_clue=not args.no_multi_clue,
+                  use_buffer=not args.no_buffer,
+                  use_cascade=not args.no_cascade)
+    if args.max_age is not None:
+        cfg = replace(cfg, max_age=args.max_age)
+    frames = bio.iter_detection_frames(args.dets, app.scale_breakpoints,
+                                       cfg.num_levels)
+    records = ({"frame_id": frame_id, "track_id": tid, "box": box,
+                "score": score, "scale_level": level}
+               for frame_id, _m, _i, outs in btrack.track_stream(
+                   frames, cfg, app.noise)
+               for tid, box, score, level in outs)
     try:
-        with open(args.out, "w") as fh:
-            frames = bio.iter_detection_frames(args.dets, app.scale_breakpoints,
-                                               cfg.num_levels)
-            for frame_id, dets in frames:
-                ts = dets[0].timestamp if dets else None
-                dt = 0.1
-                if ts is not None and prev_ts is not None and ts > prev_ts:
-                    dt = ts - prev_ts
-                if ts is not None:
-                    prev_ts = ts
-                trk.step(dets, dt, frame_id=frame_id)
-                for t in sorted(trk.active_outputs(), key=lambda t: t.id):
-                    box = t.predicted_box()
-                    fh.write(json.dumps({
-                        "frame_id": frame_id,
-                        "track_id": t.id,
-                        "box": bio.box_to_list(box),
-                        "score": float(t.last_score),
-                        "scale_level": t.scale_level,
-                    }) + "\n")
+        bio.write_track_records(args.out, records)
     except bio.DataError as exc:
         return _fail(DATA_ERROR, str(exc))
     print(f"wrote {args.out}")

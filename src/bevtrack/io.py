@@ -4,6 +4,10 @@ All logs are line-delimited JSON, one object per line with self-describing
 field names, grouped by ascending frame id. Python's repr-based float
 serialization is shortest-round-trip, so write-then-read reproduces every
 value exactly.
+
+A frame without detections is one marker record ``{"frame_id": f, "empty":
+true}``: ``iter_detection_frames`` yields ``(f, [])``, ``read_detections``
+skips it.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import yaml
 
@@ -21,7 +25,7 @@ from .geometry import (DEFAULT_SCALE_BREAKPOINTS, Box3D, BufferRatioTable,
 from .metrics import EvalConfig, Pred
 from .motion import NoiseConfig
 from .simulator import GroundTruthFrame
-from .tracker import Detection, TrackerConfig
+from .tracker import Detection, TrackerConfig, number_frames
 
 
 class DataError(ValueError):
@@ -72,7 +76,10 @@ def _require(record: dict, key: str, path, line_no: int):
 
 def write_detections(path, det_frames: Sequence[Sequence[Detection]]) -> None:
     with open(path, "w") as fh:
-        for dets in det_frames:
+        for frame_id, dets in number_frames(det_frames):
+            if not dets:
+                fh.write(json.dumps({"frame_id": frame_id, "empty": True})
+                         + "\n")
             for d in dets:
                 fh.write(json.dumps({
                     "frame_id": d.frame_id,
@@ -91,14 +98,14 @@ def iter_detection_frames(path, breakpoints=DEFAULT_SCALE_BREAKPOINTS,
                           ) -> Iterator[tuple[int, list[Detection]]]:
     """Stream (frame_id, detections) groups; memory stays per-frame.
 
-    Records must be grouped by ascending frame_id. A missing scale_level
-    falls back to the footprint-area rule. With num_levels given (the
-    tracker's level count), a level outside [0, num_levels) is a
-    DataError.
+    Records must be grouped by ascending frame_id. An empty-frame marker
+    yields (frame_id, []) and must be its frame's only record. A missing
+    scale_level falls back to the footprint-area rule. With num_levels
+    given (the tracker's level count), a level outside [0, num_levels) is
+    a DataError.
     """
     current_id: int | None = None
     bucket: list[Detection] = []
-    last_seen: int | None = None
     with open(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             raw = raw.strip()
@@ -108,6 +115,19 @@ def iter_detection_frames(path, breakpoints=DEFAULT_SCALE_BREAKPOINTS,
             frame_id = _require(record, "frame_id", path, line_no)
             if not isinstance(frame_id, int):
                 raise DataError(path, line_no, "frame_id must be an integer")
+            empty = record.get("empty") is True
+            if frame_id != current_id:
+                if current_id is not None:
+                    if frame_id < current_id:
+                        raise DataError(path, line_no, "records must be "
+                                        "grouped by ascending frame_id")
+                    yield current_id, bucket
+                current_id, bucket = frame_id, []
+            elif empty or not bucket:
+                raise DataError(path, line_no, f"frame {frame_id} has an "
+                                "empty-frame marker and other records")
+            if empty:
+                continue
             box = _box_from_list(_require(record, "box", path, line_no),
                                  path, line_no)
             score = _require(record, "score", path, line_no)
@@ -130,22 +150,13 @@ def iter_detection_frames(path, breakpoints=DEFAULT_SCALE_BREAKPOINTS,
                 raise DataError(path, line_no,
                                 f"scale_level {det.scale_level} outside "
                                 f"[0, {num_levels})")
-            if current_id is None:
-                current_id = frame_id
-            if frame_id != current_id:
-                if last_seen is not None and frame_id < last_seen:
-                    raise DataError(path, line_no,
-                                    "records must be grouped by ascending frame_id")
-                yield current_id, bucket
-                current_id, bucket = frame_id, []
             bucket.append(det)
-            last_seen = frame_id
     if current_id is not None:
         yield current_id, bucket
 
 
 def read_detections(path) -> list[list[Detection]]:
-    return [dets for _fid, dets in iter_detection_frames(path)]
+    return [dets for _fid, dets in iter_detection_frames(path) if dets]
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +204,7 @@ def read_ground_truth(path) -> list[GroundTruthFrame]:
 # ---------------------------------------------------------------------------
 # track output logs
 
-def write_track_records(path, records: Sequence[dict]) -> None:
+def write_track_records(path, records: Iterable[dict]) -> None:
     """records: dicts with frame_id, track_id, box (Box3D), score,
     scale_level. (frame_id, track_id) must be unique."""
     seen = set()
@@ -327,23 +338,18 @@ def load_config(path=None) -> AppConfig:
     trk = raw.get("tracker", {})
     weights = trk.get("clue_weights", {})
     base_trk = base.tracker
-    base_w = base_trk.clue_weights
     tracker = TrackerConfig(
-        clue_weights=ClueWeights(
-            w_img=float(weights.get("img", base_w.w_img)),
-            w_bev=float(weights.get("bev", base_w.w_bev)),
-            w_head=float(weights.get("head", base_w.w_head))),
-        similarity_gate=float(trk.get("similarity_gate",
-                                      base_trk.similarity_gate)),
-        iou_threshold=float(trk.get("iou_threshold", base_trk.iou_threshold)),
+        clue_weights=ClueWeights(*(float(weights.get(
+            clue, getattr(base_trk.clue_weights, f"w_{clue}")))
+            for clue in ("img", "bev", "head"))),
         buffer_ratios=BufferRatioTable(tuple(trk.get(
             "buffer_ratios", base_trk.buffer_ratios.ratios))),
-        init_score_threshold=float(trk.get("init_score_threshold",
-                                           base_trk.init_score_threshold)),
-        max_age=int(trk.get("max_age", base_trk.max_age)),
-        ema_alpha=float(trk.get("ema_alpha", base_trk.ema_alpha)),
-        num_levels=int(trk.get("num_levels", base_trk.num_levels)),
-    )
+        **{name: cast(trk.get(name, getattr(base_trk, name)))
+           for name, cast in (("similarity_gate", float),
+                              ("iou_threshold", float),
+                              ("init_score_threshold", float),
+                              ("max_age", int), ("ema_alpha", float),
+                              ("num_levels", int))})
     mo = raw.get("motion", {})
     noise = NoiseConfig(**{name: float(mo.get(name, getattr(base.noise, name)))
                            for name in ("process_pos_std", "process_vel_std",

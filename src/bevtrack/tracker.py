@@ -96,11 +96,6 @@ class TrackerConfig:
         return self.buffer_ratios.ratio(level)
 
 
-def update_appearance(t: Tracklet, d: Detection, alpha: float) -> AppearanceState:
-    """Per-clue exponential smoothing: alpha*old + (1-alpha)*new."""
-    return t.appearance.blend(d.appearance, alpha)
-
-
 @dataclass
 class StepInfo:
     """Diagnostics for one step: which stage produced which match."""
@@ -323,36 +318,57 @@ class Tracker:
         return [(det_ids[i], trk_ids[j]) for i, j in solve_assignment(cost)]
 
 
-def run_sequence(det_frames, cfg: TrackerConfig | None = None,
-                 noise: NoiseConfig | None = None, default_dt: float = 0.1,
-                 ) -> tuple[dict[int, list[tuple[int, Box3D, float]]],
-                            list[StepInfo]]:
-    """Track a whole sequence of per-frame detection lists.
-
-    Returns ({frame_id: [(track_id, posterior box, score), ...]}, per-frame
-    StepInfo). dt comes from detection timestamps where available.
-    """
-    trk = Tracker(cfg, noise)
-    outputs: dict[int, list[tuple[int, Box3D, float]]] = {}
-    infos: list[StepInfo] = []
-    prev_ts: float | None = None
-    prev_id: int | None = None
+def number_frames(det_frames):
+    """(frame_id, detections) per frame: the detections' id, else the
+    previous id + 1, else (a leading empty frame) the frame's index."""
+    frame_id = None
     for idx, dets in enumerate(det_frames):
         if dets:
             frame_id = dets[0].frame_id
         else:
-            frame_id = idx if prev_id is None else prev_id + 1
-        prev_id = frame_id
+            frame_id = idx if frame_id is None else frame_id + 1
+        yield frame_id, list(dets)
+
+
+def track_stream(frames, cfg: TrackerConfig | None = None,
+                 noise: NoiseConfig | None = None, frame_dt: float = 0.1):
+    """One Tracker.step per (frame_id, detections) pair. Yields (frame_id,
+    matches, StepInfo, outputs): (track_id, posterior box, score, level) of
+    the tracklets matched or born this frame, by ascending id.
+
+    A frame whose timestamp passes the clock steps by the difference; any
+    other frame steps by the previous dt (frame_dt at first), and an empty
+    one advances the clock by it."""
+    trk = Tracker(cfg, noise)
+    clock = dt = None
+    for frame_id, dets in frames:
         ts = dets[0].timestamp if dets else None
-        dt = default_dt
-        if ts is not None and prev_ts is not None and ts > prev_ts:
-            dt = ts - prev_ts
-        if ts is not None:
-            prev_ts = ts
-        trk.step(list(dets), dt, frame_id=frame_id)
-        infos.append(trk.last_info)
-        outputs[frame_id] = [
-            (t.id, t.predicted_box(), t.last_score)
-            for t in sorted(trk.active_outputs(), key=lambda t: t.id)
-        ]
+        if ts is not None and clock is not None and ts > clock:
+            dt = ts - clock
+        elif dt is None:
+            dt = frame_dt
+        if ts is None and clock is not None:  # an empty frame
+            ts = clock + dt
+        clock = ts
+        matches = trk.step(dets, dt, frame_id=frame_id)
+        rows = trk.rows
+        out = rows.since_update == 0  # rows are in birth order: ids ascend
+        yield frame_id, matches, trk.last_info, list(zip(
+            rows.ids[out].tolist(), motion.state_to_box(rows.kalman(out)),
+            rows.last_score[out].tolist(), rows.levels[out].tolist()))
+
+
+def run_sequence(det_frames, cfg: TrackerConfig | None = None,
+                 noise: NoiseConfig | None = None, default_dt: float = 0.1,
+                 ) -> tuple[dict[int, list[tuple[int, Box3D, float]]],
+                            list[StepInfo]]:
+    """Track a whole sequence of per-frame detection lists, numbered by
+    ``number_frames`` and stepped by ``track_stream``. Returns ({frame_id:
+    [(track_id, posterior box, score), ...]}, per-frame StepInfo)."""
+    outputs: dict[int, list[tuple[int, Box3D, float]]] = {}
+    infos: list[StepInfo] = []
+    for frame_id, _matches, info, outs in track_stream(
+            number_frames(det_frames), cfg, noise, default_dt):
+        infos.append(info)
+        outputs[frame_id] = [(tid, box, score) for tid, box, score, _ in outs]
     return outputs, infos

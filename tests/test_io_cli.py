@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,9 +10,9 @@ from bevtrack import io as bio
 from bevtrack.association import AppearanceState, ClueWeights
 from bevtrack.cli import main
 from bevtrack.geometry import Box3D
-from bevtrack.metrics import EvalConfig
-from bevtrack.simulator import ScenarioConfig, generate
-from bevtrack.tracker import Detection, TrackerConfig
+from bevtrack.metrics import EvalConfig, evaluate
+from bevtrack.simulator import ScenarioConfig, generate, standard_suites
+from bevtrack.tracker import Detection, TrackerConfig, run_sequence
 
 
 def make_dets(n_frames=3, per_frame=2, dim=4):
@@ -123,6 +125,44 @@ class TestDetectionLog:
         bio.write_detections(path, frames)
         seen = [fid for fid, _ in bio.iter_detection_frames(path)]
         assert seen == [0, 1, 2, 3, 4]
+
+    def test_empty_frames_round_trip_as_markers(self, tmp_path):
+        frames = make_dets(n_frames=6)
+        frames[2] = frames[4] = frames[5] = []
+        path = tmp_path / "dets.jsonl"
+        bio.write_detections(path, frames)
+        assert json.loads(path.read_text().splitlines()[4]) == \
+            {"frame_id": 2, "empty": True}
+        back = list(bio.iter_detection_frames(path))
+        assert [(f, len(d)) for f, d in back] == \
+            [(0, 2), (1, 2), (2, 0), (3, 2), (4, 0), (5, 0)]
+        for (_f, got), orig in zip(back, frames):
+            assert [d.box for d in got] == [d.box for d in orig]
+
+    def test_read_detections_skips_empty_frames(self, tmp_path):
+        frames = make_dets(n_frames=4)
+        frames[0] = frames[2] = []
+        path = tmp_path / "dets.jsonl"
+        bio.write_detections(path, frames)
+        back = bio.read_detections(path)
+        assert [d[0].frame_id for d in back] == [1, 3]
+
+    @pytest.mark.parametrize("first,second", [("marker", "marker"),
+                                              ("marker", "detection"),
+                                              ("detection", "marker")])
+    def test_marker_must_be_only_record_of_frame(self, tmp_path, first,
+                                                 second):
+        path = tmp_path / "dets.jsonl"
+        recs = {"detection": {"frame_id": 1, "box": [0, 0, 0.8, 4, 2, 1.6, 0],
+                              "score": 0.9, "e_img": [1], "e_bev": [1],
+                              "e_head": [1]},
+                "marker": {"frame_id": 1, "empty": True}}
+        lines = [{**recs["detection"], "frame_id": 0}, recs[first],
+                 recs[second]]
+        path.write_text("".join(json.dumps(r) + "\n" for r in lines))
+        want = re.escape(f"{path}:3: frame 1 has an empty-frame marker")
+        with pytest.raises(bio.DataError, match=want):
+            bio.read_detections(path)
 
 
 class TestGroundTruthLog:
@@ -366,6 +406,48 @@ class TestCliTrackEvaluate:
             blobs.append((sim / "dets.jsonl").read_bytes()
                          + tracks.read_bytes() + report.read_bytes())
         assert blobs[0] == blobs[1]
+
+
+class TestCliLibraryParity:
+    """``bevtrack track`` on a written log and ``run_sequence`` on the
+    generated frames give the same outputs, with empty frames present."""
+
+    @staticmethod
+    def _cli(tmp_path, det_frames, max_age):
+        path = tmp_path / "dets.jsonl"
+        bio.write_detections(path, det_frames)
+        tracks = tmp_path / f"tracks-{max_age}.jsonl"
+        assert main(["track", "--dets", str(path), "--out", str(tracks),
+                     "--max-age", str(max_age)]) == 0
+        return bio.read_tracks(tracks)
+
+    @staticmethod
+    def _lib(det_frames, max_age, frame_dt):
+        outputs, _ = run_sequence(det_frames, TrackerConfig(max_age=max_age),
+                                  default_dt=frame_dt)
+        return {f: preds for f, preds in outputs.items() if preds}
+
+    @pytest.mark.parametrize("seed", [5, 9])
+    @pytest.mark.parametrize("suite", sorted(standard_suites()))
+    def test_every_suite_with_empty_frames(self, tmp_path, suite, seed):
+        scenario = replace(standard_suites()[suite], seed=seed, fn_rate=0.5)
+        _gt, dets = generate(scenario)
+        assert any(not frame for frame in dets)
+        cli = {max_age: self._cli(tmp_path, dets, max_age)
+               for max_age in (0, 5)}
+        for max_age in (0, 5):
+            assert cli[max_age] == self._lib(dets, max_age, 0.1), max_age
+        # with max_age 0 no tracklet coasts, so frame_dt reaches no box
+        assert cli[0] == self._lib(dets, 0, scenario.frame_dt)
+
+    def test_empty_frame_repro(self, tmp_path):
+        # one object missed in 40 % of frames: with max_age 0 every miss
+        # ends its tracklet, so both sides open 7 ids
+        gt, dets = generate(ScenarioConfig(seed=3, num_objects=1,
+                                           fn_rate=0.4))
+        for out in (self._cli(tmp_path, dets, 0), self._lib(dets, 0, 0.1)):
+            assert len({p[0] for preds in out.values() for p in preds}) == 7
+            assert evaluate(gt, out).amota == pytest.approx(0.390, abs=5e-4)
 
 
 class TestCliRefineDemo:

@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 from bevtrack.association import AppearanceState
 from bevtrack.geometry import Box3D
 from bevtrack.metrics import evaluate
-from bevtrack.motion import NoiseConfig
 from bevtrack.simulator import ScenarioConfig, SpawnSpec, generate, \
     standard_suites
-from bevtrack.tracker import (Detection, Tracker, TrackerConfig, Tracklet,
-                              run_sequence, update_appearance)
+from bevtrack.tracker import (Detection, Tracker, TrackerConfig,
+                              number_frames, run_sequence, track_stream)
 
 
 def unit(dim, axis):
@@ -216,31 +215,89 @@ class TestCascade:
         assert not (s1 & s2)
 
 
-class TestUpdateAppearance:
-    def _tracklet(self, axis=0):
-        from bevtrack import motion
-        d = det(0, 0)
-        return Tracklet(id=1, kalman=motion.init_state(d.box, NoiseConfig()),
-                        appearance=appearance(axis), scale_level=2)
+class TestAppearanceBlend:
+    """One stage-2 match (orthogonal embeddings fail the stage-1 gate)
+    blends the stored embeddings as alpha*old + (1-alpha)*new."""
+
+    def _match(self, alpha):
+        trk = Tracker(TrackerConfig(ema_alpha=alpha))
+        old, new = det(0, 0, axis=0, frame_id=0), det(0, 0, axis=1, frame_id=1)
+        trk.step([old], dt=0.1)
+        assert trk.step([new], dt=0.1) == [(1, 0)]
+        assert trk.last_info.stage2 == [(1, 0)]
+        return old.appearance, new.appearance, trk.tracklets[0].appearance
+
+    @staticmethod
+    def _clues(app):
+        return np.stack([app.e_img, app.e_bev, app.e_head])
 
     def test_alpha_zero_replaces(self):
-        t = self._tracklet(axis=0)
-        d = det(0, 0, axis=1)
-        out = update_appearance(t, d, 0.0)
-        np.testing.assert_array_equal(out.e_img, d.appearance.e_img)
+        _old, new, got = self._match(0.0)
+        np.testing.assert_array_equal(self._clues(got), self._clues(new))
 
     def test_alpha_one_keeps(self):
-        t = self._tracklet(axis=0)
-        d = det(0, 0, axis=1)
-        out = update_appearance(t, d, 1.0)
-        np.testing.assert_array_equal(out.e_img, t.appearance.e_img)
+        old, _new, got = self._match(1.0)
+        np.testing.assert_array_equal(self._clues(got), self._clues(old))
 
     def test_convex_combination(self):
-        t = self._tracklet(axis=0)
-        d = det(0, 0, axis=1)
-        out = update_appearance(t, d, 0.9)
-        want = 0.9 * t.appearance.e_img + 0.1 * d.appearance.e_img
-        np.testing.assert_allclose(out.e_img, want)
+        old, new, got = self._match(0.9)
+        np.testing.assert_allclose(
+            self._clues(got), 0.9 * self._clues(old) + 0.1 * self._clues(new))
+
+
+class TestTrackStream:
+    @staticmethod
+    def _frames(stamps):
+        """One detection per timestamp; None is an empty frame."""
+        return [[] if ts is None else [Detection(
+            box=Box3D(0.5 * f, 0, 0.8, 4.0, 2.0, 1.6, 0.0), score=0.9,
+            appearance=appearance(0), scale_level=2, timestamp=ts,
+            frame_id=f)] for f, ts in enumerate(stamps)]
+
+    @staticmethod
+    def _record_dt(monkeypatch):
+        """The dt of every Tracker.step call, in call order."""
+        seen = []
+        step = Tracker.step
+
+        def record(self, dets, dt, frame_id=None):
+            seen.append(dt)
+            return step(self, dets, dt, frame_id=frame_id)
+
+        monkeypatch.setattr(Tracker, "step", record)
+        return seen
+
+    @pytest.mark.parametrize("start", [0.0, 2.0])
+    def test_empty_frame_steps_by_previous_dt(self, start, monkeypatch):
+        # 0.5 s frames; an empty frame repeats the last dt and moves the
+        # clock, so the next frame steps 0.5 s, not across the whole gap
+        seen = self._record_dt(monkeypatch)
+        frames = self._frames([start, start + 0.5, None, start + 1.5])
+        outputs, _ = run_sequence(frames, TrackerConfig(max_age=2),
+                                  default_dt=0.1)
+        assert seen == [0.1, 0.5, 0.5, 0.5]
+        assert list(outputs) == [0, 1, 2, 3] and outputs[2] == []
+
+    def test_leading_empty_frames_step_by_frame_dt(self, monkeypatch):
+        seen = self._record_dt(monkeypatch)
+        frames = self._frames([None, None, 0.0, 0.5])
+        assert [f for f, _ in number_frames(frames)] == [0, 1, 2, 3]
+        list(track_stream(number_frames(frames), frame_dt=0.25))
+        assert seen == [0.25, 0.25, 0.25, 0.5]
+
+    def test_outputs_equal_tracklet_snapshots(self):
+        # track_stream reads outputs from the rows: same ids, boxes (bitwise),
+        # scores and levels as the Tracklet snapshots
+        sc = standard_suites()["occlusion"]
+        _, dets = generate(sc)
+        trk = Tracker(TrackerConfig(max_age=5))
+        for frame_id, _m, _i, outs in track_stream(
+                number_frames(dets), TrackerConfig(max_age=5),
+                frame_dt=sc.frame_dt):
+            trk.step(dets[frame_id], dt=sc.frame_dt, frame_id=frame_id)
+            want = [(t.id, t.predicted_box(), t.last_score, t.scale_level)
+                    for t in sorted(trk.active_outputs(), key=lambda t: t.id)]
+            assert outs == want
 
 
 class TestEndToEnd:
