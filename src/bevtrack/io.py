@@ -13,6 +13,7 @@ skips it.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -71,6 +72,23 @@ def _require(record: dict, key: str, path, line_no: int):
     return record[key]
 
 
+def _number(record: dict, key: str, path, line_no: int, kind=int,
+            default=None):
+    """record[key] as a JSON integer (kind int) or as a finite JSON number
+    converted to float (kind float). A missing key gives the default, or a
+    DataError when there is none."""
+    value = (_require(record, key, path, line_no) if default is None
+             else record.get(key, default))
+    try:
+        if type(value) is int or (kind is float and type(value) is float
+                                  and math.isfinite(value)):
+            return kind(value)
+    except OverflowError:  # an integer beyond the float range
+        pass
+    what = "an integer" if kind is int else "a finite number"
+    raise DataError(path, line_no, f"{key} must be {what}")
+
+
 # ---------------------------------------------------------------------------
 # detection logs
 
@@ -112,9 +130,7 @@ def iter_detection_frames(path, breakpoints=DEFAULT_SCALE_BREAKPOINTS,
             if not raw:
                 continue
             record = _parse_line(raw, path, line_no)
-            frame_id = _require(record, "frame_id", path, line_no)
-            if not isinstance(frame_id, int):
-                raise DataError(path, line_no, "frame_id must be an integer")
+            frame_id = _number(record, "frame_id", path, line_no)
             empty = record.get("empty") is True
             if frame_id != current_id:
                 if current_id is not None:
@@ -130,19 +146,22 @@ def iter_detection_frames(path, breakpoints=DEFAULT_SCALE_BREAKPOINTS,
                 continue
             box = _box_from_list(_require(record, "box", path, line_no),
                                  path, line_no)
-            score = _require(record, "score", path, line_no)
+            score = _number(record, "score", path, line_no, float)
             level = record.get("scale_level")
             if level is None:
                 level = footprint_scale_level(box, breakpoints)
+            else:
+                level = _number(record, "scale_level", path, line_no)
+            timestamp = _number(record, "timestamp", path, line_no, float,
+                                default=0.0)
             try:
                 det = Detection(
-                    box=box, score=float(score),
+                    box=box, score=score,
                     appearance=AppearanceState(
                         e_img=_require(record, "e_img", path, line_no),
                         e_bev=_require(record, "e_bev", path, line_no),
                         e_head=_require(record, "e_head", path, line_no)),
-                    scale_level=int(level),
-                    timestamp=float(record.get("timestamp", 0.0)),
+                    scale_level=level, timestamp=timestamp,
                     frame_id=frame_id)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise DataError(path, line_no, str(exc)) from exc
@@ -185,17 +204,18 @@ def read_ground_truth(path) -> list[GroundTruthFrame]:
             if not raw:
                 continue
             record = _parse_line(raw, path, line_no)
-            frame_id = _require(record, "frame_id", path, line_no)
+            frame_id = _number(record, "frame_id", path, line_no)
             box = _box_from_list(_require(record, "box", path, line_no),
                                  path, line_no)
-            gid = int(_require(record, "gt_id", path, line_no))
+            gid = _number(record, "gt_id", path, line_no)
             visible = bool(record.get("visible", True))
             if (frame_id, gid) in seen:
                 raise DataError(path, line_no, f"duplicate gt_id {gid} in "
                                 f"frame {frame_id}")
             seen.add((frame_id, gid))
             frames.setdefault(frame_id, []).append((gid, box, visible))
-            stamps[frame_id] = float(record.get("timestamp", 0.0))
+            stamps[frame_id] = _number(record, "timestamp", path, line_no,
+                                       float, default=0.0)
     return [GroundTruthFrame(frame_id=fid, timestamp=stamps[fid],
                              objects=tuple(rows))
             for fid, rows in sorted(frames.items())]
@@ -233,8 +253,8 @@ def read_tracks(path) -> dict[int, list[Pred]]:
             if not raw:
                 continue
             record = _parse_line(raw, path, line_no)
-            frame_id = _require(record, "frame_id", path, line_no)
-            track_id = _require(record, "track_id", path, line_no)
+            frame_id = _number(record, "frame_id", path, line_no)
+            track_id = _number(record, "track_id", path, line_no)
             if (frame_id, track_id) in seen:
                 raise DataError(path, line_no,
                                 f"duplicate (frame_id, track_id) "
@@ -242,8 +262,8 @@ def read_tracks(path) -> dict[int, list[Pred]]:
             seen.add((frame_id, track_id))
             box = _box_from_list(_require(record, "box", path, line_no),
                                  path, line_no)
-            score = float(_require(record, "score", path, line_no))
-            out.setdefault(int(frame_id), []).append((int(track_id), box, score))
+            score = _number(record, "score", path, line_no, float)
+            out.setdefault(frame_id, []).append((track_id, box, score))
     return out
 
 

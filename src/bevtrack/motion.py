@@ -5,11 +5,17 @@ Position follows a linear constant-velocity transition; yaw and dims are
 random walks. Measurements are full boxes (the first 7 components).
 Predict/update are pure: they return new states and never mutate inputs.
 
+P0, Q and R are diagonal and F couples each position only with its own
+velocity, so the covariance is always three (position, velocity) 2x2
+blocks plus the yaw and dim variances. A ``KalmanState`` stores just that,
+and predict/update are elementwise array code; ``cov`` builds the 10x10
+matrix for inspection.
+
 Every function works on stacked rows: a ``KalmanState`` may carry leading
-dimensions (``mean (..., 10)``, ``cov (..., 10, 10)``), and each row is
-filtered independently with exactly the arithmetic of a single state, which
-is the one-row case. A tracker therefore filters all of its objects with
-one call per step.
+dimensions (``mean (..., 10)``, ``var (..., 10)``, ``cross (..., 3)``), and
+each row is filtered independently with exactly the arithmetic of a single
+state, which is the one-row case. A tracker therefore filters all of its
+objects with one call per step.
 """
 
 from __future__ import annotations
@@ -29,10 +35,6 @@ _POS = slice(0, 3)
 _YAW = 3
 _DIMS = slice(4, 7)
 _VEL = slice(7, 10)
-
-
-class NumericFailure(RuntimeError):
-    """Innovation covariance stayed singular after jitter retry."""
 
 
 @dataclass(frozen=True)
@@ -58,52 +60,62 @@ class NoiseConfig:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
 
-    def process_cov(self) -> np.ndarray:
-        q = np.empty(STATE_DIM)
-        q[_POS] = self.process_pos_std**2
-        q[_YAW] = self.process_yaw_std**2
-        q[_DIMS] = self.process_dim_std**2
-        q[_VEL] = self.process_vel_std**2
-        return np.diag(q)
+    def process_var(self) -> np.ndarray:
+        """(10,) diagonal of the process covariance Q."""
+        return np.repeat([self.process_pos_std, self.process_yaw_std,
+                          self.process_dim_std, self.process_vel_std],
+                         [3, 1, 3, 3]) ** 2
 
-    def meas_cov(self) -> np.ndarray:
-        r = np.empty(MEAS_DIM)
-        r[_POS] = self.meas_pos_std**2
-        r[_YAW] = self.meas_yaw_std**2
-        r[_DIMS] = self.meas_dim_std**2
-        return np.diag(r)
+    def meas_var(self) -> np.ndarray:
+        """(7,) diagonal of the measurement covariance R."""
+        return np.repeat([self.meas_pos_std, self.meas_yaw_std,
+                          self.meas_dim_std], [3, 1, 3]) ** 2
 
 
 @dataclass(frozen=True)
 class KalmanState:
-    """Mean (..., 10) and covariance (..., 10, 10); leading dims are rows."""
+    """Mean (..., 10), variances (..., 10) and x/y/z position-velocity
+    covariances (..., 3); leading dims are rows.
+
+    Rejects (ValueError) non-finite values, non-positive variances and a
+    position-velocity block that is not PSD (cross^2 > var_pos * var_vel).
+    """
 
     mean: np.ndarray
-    cov: np.ndarray
+    var: np.ndarray
+    cross: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "mean", np.asarray(self.mean, dtype=np.float64))
-        object.__setattr__(self, "cov", np.asarray(self.cov, dtype=np.float64))
-        if (self.mean.ndim < 1 or self.mean.shape[-1] != STATE_DIM
-                or self.cov.shape != self.mean.shape + (STATE_DIM,)):
-            raise ValueError("state must be 10-vectors with 10x10 covariances")
+        for name in ("mean", "var", "cross"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name),
+                                                      dtype=np.float64))
+        mean, var, cross = self.mean, self.var, self.cross
+        if (mean.ndim < 1 or mean.shape[-1] != STATE_DIM
+                or var.shape != mean.shape
+                or cross.shape != mean.shape[:-1] + (3,)):
+            raise ValueError("state must be 10-vectors with 10 variances and "
+                             "3 position-velocity covariances")
+        if not all(np.isfinite(a).all() for a in (mean, var, cross)):
+            raise ValueError("state must be finite")
+        if not (var > 0).all():
+            raise ValueError("variances must be positive")
+        if (cross * cross > var[..., _POS] * var[..., _VEL]).any():
+            raise ValueError("position-velocity covariance is not PSD")
 
     @property
     def rows(self) -> tuple[int, ...]:
         """Leading dimensions; () for a single state."""
         return self.mean.shape[:-1]
 
-
-def _measurement_matrix() -> np.ndarray:
-    h = np.zeros((MEAS_DIM, STATE_DIM))
-    h[:MEAS_DIM, :MEAS_DIM] = np.eye(MEAS_DIM)
-    return h
-
-
-def _transition_matrix(dt: float) -> np.ndarray:
-    f = np.eye(STATE_DIM)
-    f[0, 7] = f[1, 8] = f[2, 9] = dt
-    return f
+    @property
+    def cov(self) -> np.ndarray:
+        """The (..., 10, 10) covariance matrix, built on each access."""
+        cov = np.zeros(self.var.shape + (STATE_DIM,))
+        idx = np.arange(STATE_DIM)
+        cov[..., idx, idx] = self.var
+        pos = np.arange(3)
+        cov[..., pos, pos + 7] = cov[..., pos + 7, pos] = self.cross
+        return cov
 
 
 def init_state(box: Box3D | Sequence[Box3D], noise: NoiseConfig) -> KalmanState:
@@ -116,24 +128,26 @@ def init_state(box: Box3D | Sequence[Box3D], noise: NoiseConfig) -> KalmanState:
     z = _measurements(box)
     mean = np.zeros(z.shape[:-1] + (STATE_DIM,))
     mean[..., :MEAS_DIM] = z
-    var = np.empty(STATE_DIM)
-    var[_POS] = noise.meas_pos_std**2
-    var[_YAW] = noise.meas_yaw_std**2
-    var[_DIMS] = noise.meas_dim_std**2
-    var[_VEL] = 100.0
-    cov = np.broadcast_to(np.diag(var), mean.shape + (STATE_DIM,)).copy()
-    return KalmanState(mean, cov)
+    var = np.empty_like(mean)
+    var[..., :MEAS_DIM] = noise.meas_var()
+    var[..., _VEL] = 100.0
+    return KalmanState(mean, var, np.zeros(z.shape[:-1] + (3,)))
 
 
 def predict(s: KalmanState, dt: float, noise: NoiseConfig) -> KalmanState:
-    """Advance every row by dt seconds: x <- Fx, P <- FPF' + Q."""
+    """Advance every row by dt seconds: x <- Fx, P <- FPF' + Q.
+
+    Per axis with position variance p, velocity variance v and covariance
+    c: p += dt (2c + dt v) + q_pos, c += dt v, v += q_vel.
+    """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    f = _transition_matrix(dt)
-    mean = (f @ s.mean[..., None])[..., 0]
-    cov = f @ s.cov @ f.T + noise.process_cov()
-    cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
-    return KalmanState(mean, cov)
+    mean = s.mean.copy()
+    mean[..., _POS] += dt * s.mean[..., _VEL]
+    var = s.var.copy()
+    var[..., _POS] += dt * (2.0 * s.cross + dt * s.var[..., _VEL])
+    var += noise.process_var()
+    return KalmanState(mean, var, s.cross + dt * s.var[..., _VEL])
 
 
 def update(s: KalmanState, z: Box3D | Sequence[Box3D],
@@ -142,47 +156,29 @@ def update(s: KalmanState, z: Box3D | Sequence[Box3D],
 
     z is one box for a single state, else one box per row (row order).
     The yaw innovation is wrapped into (-pi, pi] so near-cut measurements
-    do not produce ~2*pi jumps. Covariance uses the Joseph form to stay
-    PSD. A row whose innovation covariance is singular gets one 1e-6
-    diagonal jitter retry, which leaves every other row unchanged;
-    NumericFailure is raised when the retry fails too.
+    do not produce ~2*pi jumps. The innovation covariance is diagonal,
+    s = p + r per measured component, so each gain is k = p / s and the
+    velocities take k_v = c / s from their position's innovation. Then
+    p <- (1 - k) p, c <- (1 - k) c, v <- v - k_v c with 1 - k = r / s; per
+    axis the block determinant scales by r / s, so the covariance stays PSD.
     """
-    h = _measurement_matrix()
-    r = noise.meas_cov()
     z_vec = _measurements(z).reshape(s.rows + (MEAS_DIM,))
-    innov = z_vec - (h @ s.mean[..., None])[..., 0]
-    innov[..., 3] = wrap_angle(innov[..., 3])
+    innov = z_vec - s.mean[..., :MEAS_DIM]
+    innov[..., _YAW] = wrap_angle(innov[..., _YAW])
 
-    hp = h @ s.cov
-    s_mat = hp @ h.T + r
-    try:
-        gain = np.swapaxes(np.linalg.solve(s_mat, hp), -1, -2)
-    except np.linalg.LinAlgError:
-        gain = _jittered_gain(s_mat, hp)
-
-    mean = s.mean + (gain @ innov[..., None])[..., 0]
+    p, r = s.var[..., :MEAS_DIM], noise.meas_var()
+    s_diag = p + r
+    gain, keep = p / s_diag, r / s_diag
+    gain_vel = s.cross / s_diag[..., _POS]
+    mean = s.mean.copy()
+    mean[..., :MEAS_DIM] += gain * innov
+    mean[..., _VEL] += gain_vel * innov[..., _POS]
     mean[..., _DIMS] = np.maximum(mean[..., _DIMS], MIN_DIM)
-    ikh = np.eye(STATE_DIM) - gain @ h
-    cov = (ikh @ s.cov @ np.swapaxes(ikh, -1, -2)
-           + gain @ r @ np.swapaxes(gain, -1, -2))
-    cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
-    return KalmanState(mean, cov)
 
-
-def _jittered_gain(s_mat: np.ndarray, hp: np.ndarray) -> np.ndarray:
-    """Gains row by row, retrying only the singular rows with jitter."""
-    rows_s = s_mat.reshape(-1, MEAS_DIM, MEAS_DIM)
-    rows_hp = hp.reshape(-1, MEAS_DIM, STATE_DIM)
-    sol = np.empty_like(rows_hp)
-    for i, (sm, b) in enumerate(zip(rows_s, rows_hp)):
-        try:
-            sol[i] = np.linalg.solve(sm, b)
-        except np.linalg.LinAlgError:
-            try:
-                sol[i] = np.linalg.solve(sm + 1e-6 * np.eye(MEAS_DIM), b)
-            except np.linalg.LinAlgError as exc:
-                raise NumericFailure("innovation covariance is singular") from exc
-    return np.swapaxes(sol.reshape(hp.shape), -1, -2)
+    var = s.var.copy()
+    var[..., :MEAS_DIM] *= keep
+    var[..., _VEL] -= gain_vel * s.cross
+    return KalmanState(mean, var, keep[..., _POS] * s.cross)
 
 
 def state_to_box(s: KalmanState) -> Box3D | list[Box3D]:

@@ -112,7 +112,8 @@ class TrackRows:
     """Row-aligned state of the live tracklets, one row each, birth order."""
 
     mean: np.ndarray          # (N, 10) Kalman means
-    cov: np.ndarray           # (N, 10, 10) Kalman covariances
+    var: np.ndarray           # (N, 10) Kalman variances
+    cross: np.ndarray         # (N, 3) position-velocity covariances
     emb: np.ndarray           # (N, 3, C) raw (img, bev, head) embeddings
     ids: np.ndarray           # (N,) int64
     levels: np.ndarray        # (N,) int64 scale levels
@@ -124,7 +125,7 @@ class TrackRows:
     @classmethod
     def empty(cls) -> "TrackRows":
         return cls(np.zeros((0, motion.STATE_DIM)),
-                   np.zeros((0, motion.STATE_DIM, motion.STATE_DIM)),
+                   np.zeros((0, motion.STATE_DIM)), np.zeros((0, 3)),
                    np.zeros((0, 3, 0)),
                    *(np.zeros(0, dtype=np.int64) for _ in range(5)),
                    np.zeros(0))
@@ -133,7 +134,7 @@ class TrackRows:
         return len(self.ids)
 
     def kalman(self, rows=slice(None)) -> KalmanState:
-        return KalmanState(self.mean[rows], self.cov[rows])
+        return KalmanState(self.mean[rows], self.var[rows], self.cross[rows])
 
     def select(self, rows) -> "TrackRows":
         """The given rows (index array or boolean mask), as copies."""
@@ -150,13 +151,14 @@ class TrackRows:
         """Tracklet snapshots of the given rows, default all (the arrays
         are copied)."""
         snap = self.select(np.arange(len(self)) if rows is None else rows)
-        return [Tracklet(tid, KalmanState(mean, cov), app, level, hits,
-                         since, created, score)
-                for tid, mean, cov, app, level, hits, since, created, score
-                in zip(snap.ids.tolist(), snap.mean, snap.cov,
-                       unstack_appearance(snap.emb), snap.levels.tolist(),
-                       snap.hits.tolist(), snap.since_update.tolist(),
-                       snap.created_at.tolist(), snap.last_score.tolist())]
+        return [Tracklet(tid, snap.kalman(i), app, level, hits, since,
+                         created, score)
+                for i, (tid, app, level, hits, since, created, score)
+                in enumerate(zip(
+                    snap.ids.tolist(), unstack_appearance(snap.emb),
+                    snap.levels.tolist(), snap.hits.tolist(),
+                    snap.since_update.tolist(), snap.created_at.tolist(),
+                    snap.last_score.tolist()))]
 
 
 class Tracker:
@@ -207,8 +209,8 @@ class Tracker:
         rows = self.rows
 
         if len(rows):
-            predicted = motion.predict(rows.kalman(), dt, self.noise)
-            rows.mean, rows.cov = predicted.mean, predicted.cov
+            kf = motion.predict(rows.kalman(), dt, self.noise)
+            rows.mean, rows.var, rows.cross = kf.mean, kf.var, kf.cross
         det_emb = stack_appearance([d.appearance for d in detections])
         det_levels = np.array([d.scale_level for d in detections],
                               dtype=np.int64)
@@ -236,10 +238,10 @@ class Tracker:
 
         if pairs:
             d_sel, t_sel = (np.array(p, dtype=np.int64) for p in zip(*pairs))
-            updated = motion.update(rows.kalman(t_sel),
-                                    [detections[i].box for i in d_sel],
-                                    self.noise)
-            rows.mean[t_sel], rows.cov[t_sel] = updated.mean, updated.cov
+            kf = motion.update(rows.kalman(t_sel),
+                               [detections[i].box for i in d_sel], self.noise)
+            rows.mean[t_sel], rows.var[t_sel] = kf.mean, kf.var
+            rows.cross[t_sel] = kf.cross
             alpha = cfg.ema_alpha
             rows.emb[t_sel] = alpha * rows.emb[t_sel] + (1.0 - alpha) * det_emb[d_sel]
             rows.levels[t_sel] = det_levels[d_sel]
@@ -263,7 +265,7 @@ class Tracker:
                                       self.noise)
             ones = np.ones(len(born), dtype=np.int64)
             rows = rows.concat(TrackRows(
-                state.mean, state.cov, det_emb[born],
+                state.mean, state.var, state.cross, det_emb[born],
                 np.array(new_ids, dtype=np.int64), det_levels[born], ones,
                 np.zeros_like(ones), frame_id * ones,
                 np.array([detections[i].score for i in born])))

@@ -201,3 +201,32 @@ def naive_box_conv(data, k):
                         acc += data[ri, cj]
             out[i, j] = acc / (k * k)
     return out
+
+
+# ---------------------------------------------------------------------------
+# dense textbook Kalman filter (10-state constant velocity, full matrices)
+
+def dense_kalman_predict(mean, cov, dt, q):
+    """x <- F x, P <- F P F' + Q, with q the diagonal of Q."""
+    f = np.eye(10)
+    f[0, 7] = f[1, 8] = f[2, 9] = dt
+    return f @ mean, f @ cov @ f.T + np.diag(q)
+
+
+def dense_kalman_update(mean, cov, z, r, min_dim):
+    """Gain K = P H' S^-1 from np.linalg.solve, Joseph-form covariance.
+
+    z is the (7,) box measurement (cx, cy, cz, yaw, l, w, h) and r the
+    diagonal of R. The yaw innovation is wrapped by the IEEE remainder and
+    the posterior dims are floored at min_dim.
+    """
+    h = np.eye(7, 10)
+    r_mat = np.diag(r)
+    innov = np.asarray(z, dtype=np.float64) - h @ mean
+    innov[3] = math.remainder(innov[3], 2.0 * math.pi)
+    s = h @ cov @ h.T + r_mat
+    gain = np.linalg.solve(s, h @ cov).T
+    post = mean + gain @ innov
+    post[4:7] = np.maximum(post[4:7], min_dim)
+    ikh = np.eye(10) - gain @ h
+    return post, ikh @ cov @ ikh.T + gain @ r_mat @ gain.T

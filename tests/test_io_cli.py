@@ -94,6 +94,26 @@ class TestDetectionLog:
         with pytest.raises(bio.DataError, match=":1:"):
             bio.read_detections(path)
 
+    @pytest.mark.parametrize("field, raw, message", [
+        ("frame_id", "true", "frame_id must be an integer"),
+        ("score", '"0.9"', "score must be a finite number"),
+        ("timestamp", '"0.5"', "timestamp must be a finite number"),
+        ("scale_level", "2.7", "scale_level must be an integer"),
+        ("scale_level", '"2"', "scale_level must be an integer")])
+    def test_mistyped_field_names_line(self, tmp_path, field, raw, message):
+        values = {"frame_id": "0", "score": "0.9", "timestamp": "0.0",
+                  "scale_level": "2"}
+        values[field] = raw
+        path = tmp_path / "dets.jsonl"
+        path.write_text(
+            '{"frame_id": %(frame_id)s, "timestamp": %(timestamp)s, '
+            '"box": [0, 0, 0.8, 4, 2, 1.6, 0.0], "score": %(score)s, '
+            '"scale_level": %(scale_level)s, "e_img": [1], "e_bev": [1], '
+            '"e_head": [1]}\n' % values)
+        with pytest.raises(bio.DataError,
+                           match=f"{re.escape(str(path))}:1: {message}"):
+            bio.read_detections(path)
+
     def test_missing_field_names_line(self, tmp_path):
         path = tmp_path / "dets.jsonl"
         path.write_text(json.dumps({"frame_id": 0}) + "\n")
@@ -190,7 +210,56 @@ class TestGroundTruthLog:
         assert [len(g.objects) for g in bio.read_ground_truth(path)] == [2, 1]
 
 
+    @pytest.mark.parametrize("field, raw, message", [
+        ("gt_id", '"x"', "gt_id must be an integer"),
+        ("gt_id", "1.0", "gt_id must be an integer"),
+        ("frame_id", '"1"', "frame_id must be an integer"),
+        ("timestamp", "1e999", "timestamp must be a finite number"),
+        ("timestamp", '"0.1"', "timestamp must be a finite number")])
+    def test_malformed_field_names_line(self, tmp_path, field, raw, message):
+        values = {"frame_id": "1", "gt_id": "2", "timestamp": "0.1"}
+        values[field] = raw
+        path = tmp_path / "gt.jsonl"
+        path.write_text(
+            gt_line("0", "1", "0.0") + "\n"
+            + gt_line(values["frame_id"], values["gt_id"],
+                      values["timestamp"]) + "\n")
+        with pytest.raises(bio.DataError,
+                           match=f"{re.escape(str(path))}:2: {message}"):
+            bio.read_ground_truth(path)
+
+
+def gt_line(frame_id, gt_id, timestamp):
+    return ('{"frame_id": %s, "timestamp": %s, "gt_id": %s, '
+            '"box": [0, 0, 0.8, 4, 2, 1.6, 0.0], "visible": true}'
+            % (frame_id, timestamp, gt_id))
+
+
+def track_line(frame_id, track_id, score):
+    return ('{"frame_id": %s, "track_id": %s, '
+            '"box": [0, 0, 0.8, 4, 2, 1.6, 0.0], "score": %s, '
+            '"scale_level": 2}' % (frame_id, track_id, score))
+
+
 class TestTrackLog:
+    @pytest.mark.parametrize("field, raw, message", [
+        ("track_id", '"7"', "track_id must be an integer"),
+        ("frame_id", '"0"', "frame_id must be an integer"),
+        ("score", "1e999", "score must be a finite number"),
+        ("score", '"0.9"', "score must be a finite number")])
+    def test_malformed_field_names_line(self, tmp_path, field, raw, message):
+        # the first record is frame 0, track 7: a "7" string id beside it
+        # must not pass as a second track
+        values = {"frame_id": "0", "track_id": "8", "score": "0.8"}
+        values[field] = raw
+        path = tmp_path / "tracks.jsonl"
+        path.write_text(track_line("0", "7", "0.9") + "\n"
+                        + track_line(values["frame_id"], values["track_id"],
+                                     values["score"]) + "\n")
+        with pytest.raises(bio.DataError,
+                           match=f"{re.escape(str(path))}:2: {message}"):
+            bio.read_tracks(path)
+
     def test_round_trip_and_duplicate_rejection(self, tmp_path):
         path = tmp_path / "tracks.jsonl"
         records = [
@@ -390,6 +459,27 @@ class TestCliTrackEvaluate:
                      str(tracks)])
         assert code == 1
         assert "999" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad_file, line", [
+        ("gt", gt_line("0", '"x"', "0.0")),
+        ("gt", gt_line('"1"', "1", "0.0")),
+        ("gt", gt_line("1", "1", "1e999")),
+        ("tracks", track_line("0", "1", "1e999")),
+        ("tracks", track_line("0", '"7"', "0.9"))],
+        ids=["gt-id-string", "gt-frame-string", "gt-timestamp-inf",
+             "track-score-inf", "track-id-string"])
+    def test_evaluate_malformed_field_exit_1_names_line(self, tmp_path,
+                                                         capsys, bad_file,
+                                                         line):
+        files = {"gt": [gt_line("0", "1", "0.0")],
+                 "tracks": [track_line("0", "7", "0.9")]}
+        files[bad_file].append(line)
+        for name, lines in files.items():
+            (tmp_path / f"{name}.jsonl").write_text("\n".join(lines) + "\n")
+        code = main(["evaluate", "--gt", str(tmp_path / "gt.jsonl"),
+                     "--tracks", str(tmp_path / "tracks.jsonl")])
+        assert code == 1
+        assert f"{tmp_path / bad_file}.jsonl:2: " in capsys.readouterr().err
 
     def test_determinism_end_to_end(self, tmp_path):
         blobs = []

@@ -2,19 +2,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bevtrack.geometry import Box3D
-from bevtrack.motion import (MIN_DIM, KalmanState, NoiseConfig,
-                             NumericFailure, init_state, predict,
-                             state_to_box, update)
+from bevtrack.motion import (MIN_DIM, KalmanState, NoiseConfig, init_state,
+                             predict, state_to_box, update)
+from oracles import dense_kalman_predict, dense_kalman_update
 
 
 def random_state(rng):
     mean = rng.normal(0, 3, size=10)
     mean[4:7] = rng.uniform(0.5, 5.0, size=3)
-    a = rng.normal(0, 1, size=(10, 10))
-    cov = a @ a.T + 0.1 * np.eye(10)
-    return KalmanState(mean, cov)
+    var = rng.uniform(0.1, 10.0, size=10)
+    cross = rng.uniform(-0.95, 0.95, size=3) * np.sqrt(var[:3] * var[7:])
+    return KalmanState(mean, var, cross)
+
+
+def unit_state(mean, scale=1.0):
+    """Identity-scaled covariance: every variance `scale`, no cross terms."""
+    return KalmanState(mean, np.full(10, scale), np.zeros(3))
 
 
 def random_box(rng):
@@ -36,7 +43,7 @@ class TestPredict:
         mean = np.zeros(10)
         mean[4:7] = 1.0
         mean[7:10] = (1.0, 2.0, 0.0)
-        s = KalmanState(mean, np.eye(10))
+        s = unit_state(mean)
         out = predict(s, 0.5, n)
         np.testing.assert_allclose(out.mean[:3], [0.5, 1.0, 0.0], atol=1e-12)
 
@@ -45,7 +52,7 @@ class TestPredict:
         mean = np.zeros(10)
         mean[:3] = (3.0, -2.0, 0.7)
         mean[4:7] = 1.0
-        s = KalmanState(mean, np.eye(10))
+        s = unit_state(mean)
         for dt in (0.05, 0.5, 2.0):
             np.testing.assert_allclose(predict(s, dt, n).mean[:3],
                                        s.mean[:3], atol=1e-12)
@@ -59,7 +66,7 @@ class TestPredict:
             out = predict(s, dt, n)
             f = np.eye(10)
             f[0, 7] = f[1, 8] = f[2, 9] = dt
-            q = n.process_cov()
+            q = np.diag(n.process_var())
             want = f @ s.cov @ f.T + q
             np.testing.assert_allclose(out.cov, 0.5 * (want + want.T),
                                        atol=1e-10)
@@ -85,7 +92,7 @@ class TestUpdate:
     def test_tiny_measurement_noise_pins_posterior_to_measurement(self):
         n = NoiseConfig(meas_pos_std=1e-9, meas_yaw_std=1e-9, meas_dim_std=1e-9)
         s = init_state(Box3D(0, 0, 0, 4, 2, 1.5, 0), n)
-        s = KalmanState(s.mean, np.eye(10))  # uncertain prior
+        s = unit_state(s.mean)  # uncertain prior
         z = Box3D(1.0, -2.0, 0.3, 4.2, 1.9, 1.4, 0.5)
         out = update(s, z, n)
         np.testing.assert_allclose(
@@ -104,7 +111,7 @@ class TestUpdate:
         prior_var = 2.3
         mean = np.zeros(10)
         mean[4:7] = 1.0
-        s = KalmanState(mean, np.diag(np.full(10, prior_var)))
+        s = unit_state(mean, prior_var)
         z = Box3D(1.0, 0, 0, 1, 1, 1, 0)
         out = update(s, z, n)
         k = prior_var / (prior_var + 0.7**2)
@@ -116,7 +123,7 @@ class TestUpdate:
         mean = np.zeros(10)
         mean[3] = -math.pi + 0.01
         mean[4:7] = 1.0
-        s = KalmanState(mean, np.eye(10))
+        s = unit_state(mean)
         z = Box3D(0, 0, 0, 1, 1, 1, math.pi - 0.01)
         out = update(s, z, n)
         # posterior yaw moves a little toward the wrapped innovation of
@@ -136,29 +143,21 @@ class TestUpdate:
         n = NoiseConfig(meas_dim_std=10.0)
         mean = np.zeros(10)
         mean[4:7] = (0.2, 0.2, 0.2)
-        s = KalmanState(mean, 100 * np.eye(10))
+        s = unit_state(mean, 100.0)
         out = update(s, Box3D(0, 0, 0, 0.05, 0.05, 0.05, 0), n)
         assert (out.mean[4:7] >= 0.01 - 1e-15).all()
 
-    def test_singular_innovation_recovered_by_jitter(self):
-        # a (non-physical) prior covariance canceling R exactly makes the
-        # innovation covariance singular; the one-shot diagonal jitter must
-        # rescue the update
-        n = NoiseConfig()
-        cov = np.zeros((10, 10))
-        cov[:7, :7] = -n.meas_cov()
-        mean = np.zeros(10)
-        mean[4:7] = 1.0
-        s = KalmanState(mean, cov)
-        out = update(s, Box3D(0.5, 0, 0, 1, 1, 1, 0), n)
-        assert np.all(np.isfinite(out.mean))
-        assert np.all(np.isfinite(out.cov))
+    def test_singular_innovation_input_rejected(self):
+        # a (non-physical) prior covariance canceling R exactly would make
+        # the innovation covariance singular; no state can hold it
+        with pytest.raises(ValueError, match="positive"):
+            singular_row()
 
 
 class TestStateToBox:
     def test_field_projection(self):
         mean = np.array([1, 2, 0.5, 0.1, 4, 2, 1.5, 9, 9, 9], dtype=float)
-        b = state_to_box(KalmanState(mean, np.eye(10)))
+        b = state_to_box(unit_state(mean))
         assert (b.cx, b.cy, b.cz) == (1, 2, 0.5)
         assert (b.length, b.width, b.height) == (4, 2, 1.5)
         assert b.yaw == pytest.approx(0.1)
@@ -166,14 +165,14 @@ class TestStateToBox:
     def test_negative_dim_clamped(self):
         mean = np.zeros(10)
         mean[4:7] = (-0.5, 1.0, 1.0)
-        b = state_to_box(KalmanState(mean, np.eye(10)))
+        b = state_to_box(unit_state(mean))
         assert b.length == 0.01
 
     def test_yaw_normalized(self):
         mean = np.zeros(10)
         mean[3] = 3.5
         mean[4:7] = 1.0
-        b = state_to_box(KalmanState(mean, np.eye(10)))
+        b = state_to_box(unit_state(mean))
         assert b.yaw == pytest.approx(3.5 - 2 * math.pi)
 
 
@@ -216,22 +215,27 @@ class TestFilterProperties:
 
 
 def stack(states):
-    return KalmanState(np.array([s.mean for s in states]),
-                       np.array([s.cov for s in states]))
+    return KalmanState(*(np.array([getattr(s, name) for s in states])
+                         for name in ("mean", "var", "cross")))
 
 
 def row(s, i):
-    return KalmanState(s.mean[i], s.cov[i])
+    return KalmanState(s.mean[i], s.var[i], s.cross[i])
+
+
+def assert_rows_equal(out, i, one):
+    np.testing.assert_array_equal(out.mean[i], one.mean)
+    np.testing.assert_array_equal(out.var[i], one.var)
+    np.testing.assert_array_equal(out.cross[i], one.cross)
 
 
 def singular_row():
-    # prior covariance canceling R exactly: singular innovation covariance
-    n = NoiseConfig()
-    cov = np.zeros((10, 10))
-    cov[:7, :7] = -n.meas_cov()
+    # prior variances canceling R exactly: singular innovation covariance
+    var = np.zeros(10)
+    var[:7] = -NoiseConfig().meas_var()
     mean = np.zeros(10)
     mean[4:7] = 1.0
-    return KalmanState(mean, cov)
+    return KalmanState(mean, var, np.zeros(3))
 
 
 class TestStackedRows:
@@ -244,15 +248,12 @@ class TestStackedRows:
         # yaw innovation across the cut at +-pi
         m = states[1].mean.copy()
         m[3] = -math.pi + 1e-3
-        states[1] = KalmanState(m, states[1].cov)
+        states[1] = KalmanState(m, states[1].var, states[1].cross)
         boxes[1] = Box3D(0, 0, 0, 1, 1, 1, math.pi - 1e-3)
-        # x and length strongly correlated: a far-left measurement drags
-        # the length below zero, which the floor must clamp
-        cov = np.eye(10)
-        cov[0, 4] = cov[4, 0] = 0.9
-        states[2] = KalmanState(np.r_[np.zeros(4), 0.2, 0.2, 0.2, np.zeros(3)],
-                                cov)
-        boxes[2] = Box3D(-50.0, 0, 0, 0.2, 0.2, 0.2, 0)
+        # an uncertain 0.2 m length measured at 0.005 m: the posterior
+        # length falls below MIN_DIM, which the floor must clamp
+        states[2] = unit_state(np.r_[np.zeros(4), 0.2, 0.2, 0.2, np.zeros(3)])
+        boxes[2] = Box3D(0, 0, 0, 0.005, 0.2, 0.2, 0)
         return states, boxes
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -261,9 +262,7 @@ class TestStackedRows:
         states, _ = self._rows_and_boxes(seed)
         out = predict(stack(states), 0.37, n)
         for i, s in enumerate(states):
-            one = predict(s, 0.37, n)
-            np.testing.assert_array_equal(out.mean[i], one.mean)
-            np.testing.assert_array_equal(out.cov[i], one.cov)
+            assert_rows_equal(out, i, predict(s, 0.37, n))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_update_equals_rows(self, seed):
@@ -271,39 +270,36 @@ class TestStackedRows:
         states, boxes = self._rows_and_boxes(seed)
         out = update(stack(states), boxes, n)
         for i, (s, z) in enumerate(zip(states, boxes)):
-            one = update(s, z, n)
-            np.testing.assert_array_equal(out.mean[i], one.mean)
-            np.testing.assert_array_equal(out.cov[i], one.cov)
+            assert_rows_equal(out, i, update(s, z, n))
         assert abs(out.mean[1, 3] - states[1].mean[3]) < 0.05
         assert out.mean[2, 4] == MIN_DIM
 
-    def test_singular_row_recovered_alone(self):
-        n = NoiseConfig()
-        states, boxes = self._rows_and_boxes(4)
-        states[5] = singular_row()
-        out = update(stack(states), boxes, n)
-        assert np.isfinite(out.mean).all() and np.isfinite(out.cov).all()
-        for i, (s, z) in enumerate(zip(states, boxes)):
-            one = update(s, z, n)
-            np.testing.assert_array_equal(out.mean[i], one.mean)
-            np.testing.assert_array_equal(out.cov[i], one.cov)
+    def test_singular_row_rejected_in_stack(self):
+        # one singular row among well-conditioned ones: the stack is
+        # rejected as a whole, before any row is filtered
+        states, _ = self._rows_and_boxes(4)
+        rows = stack(states)
+        var = rows.var.copy()
+        var[5, :7] = -NoiseConfig().meas_var()
+        with pytest.raises(ValueError, match="positive"):
+            KalmanState(rows.mean, var, rows.cross)
 
-    def test_failed_jitter_raises(self):
-        # innovation covariance diag(0, -1e-6, 1, ...): singular, and
-        # singular again after the 1e-6 jitter (all sums exact)
+    def test_negative_variances_rejected(self):
+        # the variances that used to leave the innovation covariance
+        # singular even after a 1e-6 diagonal jitter
         r = 2.0**-30
-        n = NoiseConfig(meas_pos_std=2.0**-15, meas_yaw_std=2.0**-15,
-                        meas_dim_std=2.0**-15)
-        cov = np.eye(10)
-        cov[0, 0] = -r
-        cov[1, 1] = -(1e-6 + r)
-        bad = KalmanState(np.r_[np.zeros(4), 1.0, 1.0, 1.0, np.zeros(3)], cov)
-        states, boxes = self._rows_and_boxes(5)
-        states[3] = bad
-        with pytest.raises(NumericFailure):
-            update(bad, boxes[3], n)
-        with pytest.raises(NumericFailure):
-            update(stack(states), boxes, n)
+        var = np.ones(10)
+        var[0] = -r
+        var[1] = -(1e-6 + r)
+        mean = np.r_[np.zeros(4), 1.0, 1.0, 1.0, np.zeros(3)]
+        with pytest.raises(ValueError, match="positive"):
+            KalmanState(mean, var, np.zeros(3))
+        states, _ = self._rows_and_boxes(5)
+        rows = stack(states)
+        all_var = rows.var.copy()
+        all_var[3] = var
+        with pytest.raises(ValueError, match="positive"):
+            KalmanState(rows.mean, all_var, rows.cross)
 
     def test_init_and_state_to_box_equal_rows(self):
         n = NoiseConfig()
@@ -312,27 +308,121 @@ class TestStackedRows:
         s = init_state(boxes, n)
         assert s.rows == (5,)
         for i, b in enumerate(boxes):
-            one = init_state(b, n)
-            np.testing.assert_array_equal(s.mean[i], one.mean)
-            np.testing.assert_array_equal(s.cov[i], one.cov)
+            assert_rows_equal(s, i, init_state(b, n))
         m = s.mean.copy()
         m[0, 4] = -1.0
-        s = KalmanState(m, s.cov)
+        s = KalmanState(m, s.var, s.cross)
         assert state_to_box(s) == [state_to_box(row(s, i)) for i in range(5)]
         assert state_to_box(s)[0].length == MIN_DIM
 
     def test_empty_stack(self):
         n = NoiseConfig()
-        s = KalmanState(np.zeros((0, 10)), np.zeros((0, 10, 10)))
+        s = KalmanState(np.zeros((0, 10)), np.zeros((0, 10)),
+                        np.zeros((0, 3)))
         assert predict(s, 0.1, n).rows == (0,)
         assert update(s, [], n).rows == (0,)
         assert state_to_box(s) == []
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            KalmanState(np.zeros((3, 10)), np.zeros((2, 10, 10)))
+            KalmanState(np.zeros((3, 10)), np.ones((2, 10)), np.zeros((3, 3)))
         with pytest.raises(ValueError):
-            KalmanState(np.zeros(10), np.zeros((1, 10, 10)))
+            KalmanState(np.zeros((3, 10)), np.ones((3, 10)), np.zeros((2, 3)))
         with pytest.raises(ValueError):
-            update(KalmanState(np.zeros((2, 10)), np.zeros((2, 10, 10))),
+            KalmanState(np.zeros(10), np.ones((1, 10)), np.zeros(3))
+        with pytest.raises(ValueError):
+            KalmanState(np.zeros(10), np.ones(10), np.zeros((10, 10)))
+        with pytest.raises(ValueError):
+            update(KalmanState(np.zeros((2, 10)), np.ones((2, 10)),
+                               np.zeros((2, 3))),
                    [Box3D(0, 0, 0, 1, 1, 1, 0)], NoiseConfig())
+
+
+class TestKalmanState:
+    def test_cov_is_block_form(self):
+        s = random_state(np.random.default_rng(2))
+        cov = s.cov
+        pos, vel = np.arange(3), np.arange(7, 10)
+        np.testing.assert_array_equal(np.diag(cov), s.var)
+        np.testing.assert_array_equal(cov[pos, vel], s.cross)
+        np.testing.assert_array_equal(cov[vel, pos], s.cross)
+        cov[np.arange(10), np.arange(10)] = 0.0
+        cov[pos, vel] = cov[vel, pos] = 0.0
+        assert not cov.any()
+        np.testing.assert_array_equal(stack([s, s]).cov[1], s.cov)
+
+    @pytest.mark.parametrize("name, index, value", [
+        ("mean", 0, np.nan), ("mean", 7, np.inf), ("var", 3, np.inf),
+        ("cross", 1, np.nan), ("var", 9, 0.0), ("var", 4, -1.0),
+        ("cross", 2, 1.0 + 1e-12), ("cross", 0, -1.5)])
+    def test_rejects_invalid_values(self, name, index, value):
+        fields = {"mean": np.zeros(10), "var": np.ones(10),
+                  "cross": np.zeros(3)}
+        KalmanState(**fields)
+        fields[name][index] = value
+        with pytest.raises(ValueError):
+            KalmanState(**fields)
+
+    def test_singular_block_accepted(self):
+        # cross^2 == var_pos * var_vel is PSD (rank one), so it is valid
+        s = KalmanState(np.zeros(10), np.full(10, 4.0), np.full(3, -4.0))
+        assert np.linalg.eigvalsh(s.cov).min() >= -1e-12
+
+
+# ---------------------------------------------------------------------------
+# the per-axis filter against the dense textbook filter on full matrices
+
+_std = st.floats(0.01, 3.0)
+_yaw = (st.floats(-math.pi, -math.pi + 1e-3) | st.floats(math.pi - 1e-3, math.pi)
+        | st.floats(-math.pi, math.pi))
+
+
+@st.composite
+def block_states(draw):
+    """A state whose covariance has the block form, PSD, well scaled."""
+    var = np.array(draw(st.lists(st.floats(1e-3, 1e2), min_size=10,
+                                 max_size=10)))
+    rho = np.array(draw(st.lists(st.floats(-0.99, 0.99), min_size=3,
+                                 max_size=3)))
+    mean = np.r_[draw(st.lists(st.floats(-50, 50), min_size=3, max_size=3)),
+                 draw(_yaw),
+                 draw(st.lists(st.floats(0.1, 6.0), min_size=3, max_size=3)),
+                 draw(st.lists(st.floats(-20, 20), min_size=3, max_size=3))]
+    return KalmanState(mean, var, rho * np.sqrt(var[:3] * var[7:]))
+
+
+_boxes = st.builds(Box3D, st.floats(-50, 50), st.floats(-50, 50),
+                   st.floats(-5, 5), st.floats(0.005, 6.0),
+                   st.floats(0.005, 6.0), st.floats(0.005, 6.0), _yaw)
+
+
+def assert_rel_close(got, want, rtol=1e-12):
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+class TestDenseOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.tuples(block_states(), _boxes), min_size=1,
+                         max_size=6),
+           dt=st.floats(0.02, 1.0),
+           stds=st.lists(_std, min_size=7, max_size=7))
+    def test_predict_and_update_match_dense_filter(self, rows, dt, stds):
+        n = NoiseConfig(*stds)
+        states = [s for s, _ in rows]
+        boxes = [z for _, z in rows]
+        for s, z in rows:  # +-pi innovations wrap either way: skip them
+            innov = math.remainder(z.yaw - s.mean[3], 2.0 * math.pi)
+            assume(abs(abs(innov) - math.pi) > 1e-9)
+        pred = predict(stack(states), dt, n)
+        post = update(stack(states), boxes, n)
+        pred_cov, post_cov = pred.cov, post.cov
+        for i, (s, z) in enumerate(rows):
+            mean, cov = dense_kalman_predict(s.mean, s.cov, dt,
+                                             n.process_var())
+            assert_rel_close(pred.mean[i], mean)
+            assert_rel_close(pred_cov[i], cov)
+            z_vec = [z.cx, z.cy, z.cz, z.yaw, z.length, z.width, z.height]
+            mean, cov = dense_kalman_update(s.mean, s.cov, z_vec,
+                                            n.meas_var(), MIN_DIM)
+            assert_rel_close(post.mean[i], mean)
+            assert_rel_close(post_cov[i], cov)

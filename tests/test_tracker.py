@@ -398,9 +398,10 @@ def test_invariants_over_random_streams(frames, max_age, multi_clue, cascade):
         # only tracklets matched or born this frame are reported
         assert {t.id for t in trk.active_outputs()} == {t for t, _ in matches}
         rows = trk.rows
-        assert np.isfinite(rows.mean).all() and np.isfinite(rows.cov).all()
+        covs = rows.kalman().cov
+        assert np.isfinite(rows.mean).all() and np.isfinite(covs).all()
         assert np.isfinite(rows.emb).all()
-        for cov in rows.cov:
+        for cov in covs:
             scale = max(1.0, float(np.abs(cov).max()))
             assert np.abs(cov - cov.T).max() <= 1e-12 * scale
             assert np.linalg.eigvalsh(cov).min() >= -1e-9 * scale
