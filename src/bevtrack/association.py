@@ -131,21 +131,15 @@ def _unit_rows(stack: np.ndarray) -> np.ndarray:
     return unit
 
 
-def build_similarity_matrix(dets: Sequence[AppearanceState] | np.ndarray,
-                            trks: Sequence[AppearanceState] | np.ndarray,
+def build_similarity_matrix(dets: np.ndarray, trks: np.ndarray,
                             w: ClueWeights, sim_gate: float) -> CostMatrix:
     """Negated multi-clue similarity with a >= sim_gate admissibility mask.
 
-    Each side is a sequence of AppearanceState or its (N, 3, C)
-    ``stack_appearance`` array.
+    Each side is an (N, 3, C) ``stack_appearance`` array.
     """
     n, m = len(dets), len(trks)
     if n == 0 or m == 0:
         return CostMatrix(np.zeros((n, m)), np.zeros((n, m), dtype=bool))
-    if not isinstance(dets, np.ndarray):
-        dets = stack_appearance(dets)
-    if not isinstance(trks, np.ndarray):
-        trks = stack_appearance(trks)
     du, tu = _unit_rows(dets), _unit_rows(trks)
     sim = np.zeros((n, m))
     for clue, weight in enumerate((w.w_img, w.w_bev, w.w_head)):

@@ -342,7 +342,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, bio.ConfigError) as exc:
         return _fail(DATA_ERROR, str(exc))
 
 

@@ -4,7 +4,9 @@ IoU is computed on the yaw-rotated rectangle footprints in the BEV plane;
 height overlap is ignored. The kernel is ``bevtrack._iou_py``, the only
 one: an exact polygon clip per pair, run in matrices only on pairs whose
 circumscribed circles (widened by the clip's edge tolerance) meet, so
-every other pair is exactly 0.
+every other pair is exactly 0. Matrices take ``(N, 5)`` footprint
+rectangles (cx, cy, length, width, yaw) from ``bev_rects`` or
+``motion.state_rects``.
 """
 
 from __future__ import annotations
@@ -71,19 +73,6 @@ class Box3D:
     def footprint_area(self) -> float:
         return self.length * self.width
 
-    def corners_bev(self) -> np.ndarray:
-        """Footprint corners, (4, 2), counter-clockwise."""
-        c, s = math.cos(self.yaw), math.sin(self.yaw)
-        dx, dy = 0.5 * self.length, 0.5 * self.width
-        local = np.array([(dx, dy), (-dx, dy), (-dx, -dy), (dx, -dy)])
-        rot = np.array([(c, -s), (s, c)])
-        return local @ rot.T + np.array([self.cx, self.cy])
-
-    def to_array(self) -> np.ndarray:
-        """(cx, cy, cz, length, width, height, yaw) as float64."""
-        return np.array([self.cx, self.cy, self.cz, self.length,
-                         self.width, self.height, self.yaw])
-
     @classmethod
     def from_array(cls, arr: Sequence[float]) -> "Box3D":
         cx, cy, cz, length, width, height, yaw = (float(v) for v in arr)
@@ -122,11 +111,10 @@ def bev_iou(a: Box3D, b: Box3D) -> float:
                             b.cx, b.cy, b.length, b.width, b.yaw)
 
 
-def bev_iou_matrix(boxes_a: Sequence[Box3D], boxes_b: Sequence[Box3D]) -> np.ndarray:
-    """Pairwise BEV IoU, shape (len(a), len(b))."""
-    arr_a = np.array([(b.cx, b.cy, b.length, b.width, b.yaw) for b in boxes_a])
-    arr_b = np.array([(b.cx, b.cy, b.length, b.width, b.yaw) for b in boxes_b])
-    return _iou_py.iou_matrix(arr_a, arr_b)
+def bev_rects(boxes: Sequence[Box3D]) -> np.ndarray:
+    """(N, 5) footprint rectangles (cx, cy, length, width, yaw) of boxes."""
+    return np.array([(b.cx, b.cy, b.length, b.width, b.yaw) for b in boxes],
+                    dtype=np.float64).reshape(-1, 5)
 
 
 def buffer_box(b: Box3D, r: float) -> Box3D:
@@ -147,13 +135,20 @@ def buffered_iou(a: Box3D, b: Box3D, ra: float, rb: float) -> float:
     return bev_iou(buffer_box(a, ra), buffer_box(b, rb))
 
 
-def buffered_iou_matrix(boxes_a: Sequence[Box3D], boxes_b: Sequence[Box3D],
-                        ratios_a: Sequence[float],
-                        ratios_b: Sequence[float]) -> np.ndarray:
-    """Pairwise buffered IoU with a per-box buffer ratio on each side."""
-    buf_a = [buffer_box(b, r) for b, r in zip(boxes_a, ratios_a)]
-    buf_b = [buffer_box(b, r) for b, r in zip(boxes_b, ratios_b)]
-    return bev_iou_matrix(buf_a, buf_b)
+def buffered_iou_matrix(rects_a: np.ndarray, rects_b: np.ndarray,
+                        ratios_a: np.ndarray, ratios_b: np.ndarray) -> np.ndarray:
+    """Pairwise BEV IoU of two (N, 5) / (M, 5) rectangle arrays after
+    scaling each rectangle's length and width by (1 + its ratio); equal,
+    pair by pair, to ``buffered_iou`` of the boxes."""
+    buffered = []
+    for rects, ratios in ((rects_a, ratios_a), (rects_b, ratios_b)):
+        ratios = np.asarray(ratios, dtype=np.float64)
+        if (ratios < 0).any():
+            raise ValueError("buffer ratios must be >= 0")
+        rects = np.array(rects, dtype=np.float64).reshape(-1, 5)
+        rects[:, 2:4] *= (1.0 + ratios)[:, None]
+        buffered.append(rects)
+    return _iou_py.iou_matrix(*buffered)
 
 
 # BEV footprint-area breakpoints (m^2) assigning scale levels when no

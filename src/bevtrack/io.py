@@ -208,7 +208,9 @@ def read_ground_truth(path) -> list[GroundTruthFrame]:
             box = _box_from_list(_require(record, "box", path, line_no),
                                  path, line_no)
             gid = _number(record, "gt_id", path, line_no)
-            visible = bool(record.get("visible", True))
+            visible = record.get("visible", True)
+            if type(visible) is not bool:
+                raise DataError(path, line_no, "visible must be true or false")
             if (frame_id, gid) in seen:
                 raise DataError(path, line_no, f"duplicate gt_id {gid} in "
                                 f"frame {frame_id}")
@@ -288,8 +290,6 @@ class AppConfig:
                                                          (1, 3, 5))
     refiner_bev: RefinerGridConfig = RefinerGridConfig(
         5, (2.0, 4.0, 8.0, 16.0, 24.0), (1, 3, 5, 7, 9))
-    fusion_heads: int = 2
-    fusion_points: int = 4
     scale_breakpoints: tuple[float, ...] = DEFAULT_SCALE_BREAKPOINTS
 
 
@@ -334,8 +334,6 @@ refiner:
     num_levels: 5
     scope_radii: [2.0, 4.0, 8.0, 16.0, 24.0]
     kernel_sizes: [1, 3, 5, 7, 9]
-  fusion_heads: 2        # attention heads in temporal fusion
-  fusion_points: 4       # sampled points per head
 
 # BEV footprint-area breakpoints (m^2) assigning a scale level when a
 # detection record carries none: area < 1 -> level 0, < 4 -> 1, < 12 -> 2,
@@ -348,56 +346,68 @@ def write_default_config(path) -> None:
     Path(path).write_text(DEFAULT_CONFIG_TEXT)
 
 
+class ConfigError(ValueError):
+    """Invalid run configuration; names the file and the section.key."""
+
+    def __init__(self, path, key: tuple, message: str):
+        where = ".".join(map(str, key)) or "(top level)"
+        super().__init__(f"{path}: {where}: {message}")
+
+
+def _checked(value, default, path, key: tuple = ()):
+    """value checked against its default in DEFAULT_CONFIG_TEXT: a mapping
+    takes the default's keys only, a list items of its first item's kind."""
+    if isinstance(default, dict):
+        value = {} if value is None else value  # an empty section
+        if not isinstance(value, dict):
+            raise ConfigError(path, key, "must be a mapping")
+        for k in value:
+            if k not in default:
+                raise ConfigError(path, key + (k,), "unknown key")
+        return {k: _checked(value.get(k, d), d, path, key + (k,))
+                for k, d in default.items()}
+    if isinstance(default, list):
+        if not isinstance(value, list):
+            raise ConfigError(path, key, "must be a list")
+        return tuple(_checked(v, default[0], path, key) for v in value)
+    try:  # a scalar: the JSON number rule of _number, on a one-key record
+        return _number({"value": value}, "value", path, 0, type(default))
+    except DataError:
+        raise ConfigError(path, key, "must be an integer" if type(default)
+                          is int else "must be a finite number") from None
+
+
 def load_config(path=None) -> AppConfig:
-    """Load a YAML config; omitted keys keep their defaults."""
+    """Load a YAML config; omitted keys keep their defaults. Any invalid
+    value is a ConfigError naming the file and the section.key."""
     if path is None:
         return AppConfig()
-    raw = yaml.safe_load(Path(path).read_text()) or {}
-    base = AppConfig()
+    try:
+        raw = yaml.safe_load(Path(path).read_text())
+    except yaml.YAMLError as exc:
+        raise ConfigError(path, (), f"invalid YAML: {exc}") from exc
+    cfg = _checked(raw, yaml.safe_load(DEFAULT_CONFIG_TEXT), path)
 
-    trk = raw.get("tracker", {})
-    weights = trk.get("clue_weights", {})
-    base_trk = base.tracker
-    tracker = TrackerConfig(
-        clue_weights=ClueWeights(*(float(weights.get(
-            clue, getattr(base_trk.clue_weights, f"w_{clue}")))
-            for clue in ("img", "bev", "head"))),
-        buffer_ratios=BufferRatioTable(tuple(trk.get(
-            "buffer_ratios", base_trk.buffer_ratios.ratios))),
-        **{name: cast(trk.get(name, getattr(base_trk, name)))
-           for name, cast in (("similarity_gate", float),
-                              ("iou_threshold", float),
-                              ("init_score_threshold", float),
-                              ("max_age", int), ("ema_alpha", float),
-                              ("num_levels", int))})
-    mo = raw.get("motion", {})
-    noise = NoiseConfig(**{name: float(mo.get(name, getattr(base.noise, name)))
-                           for name in ("process_pos_std", "process_vel_std",
-                                        "process_yaw_std", "process_dim_std",
-                                        "meas_pos_std", "meas_yaw_std",
-                                        "meas_dim_std")})
-    ev = raw.get("eval", {})
-    eval_cfg = EvalConfig(
-        match_distance=float(ev.get("match_distance", base.eval.match_distance)),
-        recall_thresholds=int(ev.get("recall_thresholds",
-                                     base.eval.recall_thresholds)))
+    def build(key, cls, *args, **kwargs):
+        try:
+            return cls(*args, **kwargs)
+        except ValueError as exc:
+            raise ConfigError(path, key, str(exc)) from exc
 
-    ref = raw.get("refiner", {})
-
-    def _grid(section: dict, default: RefinerGridConfig) -> RefinerGridConfig:
-        return RefinerGridConfig(
-            num_levels=int(section.get("num_levels", default.num_levels)),
-            scope_radii=tuple(float(r) for r in section.get(
-                "scope_radii", default.scope_radii)),
-            kernel_sizes=tuple(int(k) for k in section.get(
-                "kernel_sizes", default.kernel_sizes)))
-
+    trk, ref = cfg["tracker"], cfg["refiner"]
+    for grid, spec in ref.items():
+        for key in ("scope_radii", "kernel_sizes"):
+            if len(spec[key]) != spec["num_levels"]:
+                raise ConfigError(path, ("refiner", grid, key), (
+                    f"{len(spec[key])} entries for {spec['num_levels']} levels"))
+    trk["clue_weights"] = build(("tracker", "clue_weights"), ClueWeights, **{
+        f"w_{clue}": w for clue, w in trk["clue_weights"].items()})
+    trk["buffer_ratios"] = build(("tracker", "buffer_ratios"),
+                                 BufferRatioTable, trk["buffer_ratios"])
     return AppConfig(
-        tracker=tracker, noise=noise, eval=eval_cfg,
-        refiner_image=_grid(ref.get("image", {}), base.refiner_image),
-        refiner_bev=_grid(ref.get("bev", {}), base.refiner_bev),
-        fusion_heads=int(ref.get("fusion_heads", base.fusion_heads)),
-        fusion_points=int(ref.get("fusion_points", base.fusion_points)),
-        scale_breakpoints=tuple(float(b) for b in raw.get(
-            "scale_breakpoints", DEFAULT_SCALE_BREAKPOINTS)),
-    )
+        tracker=build(("tracker",), TrackerConfig, **trk),
+        noise=build(("motion",), NoiseConfig, **cfg["motion"]),
+        eval=build(("eval",), EvalConfig, **cfg["eval"]),
+        refiner_image=RefinerGridConfig(**ref["image"]),
+        refiner_bev=RefinerGridConfig(**ref["bev"]),
+        scale_breakpoints=cfg["scale_breakpoints"])

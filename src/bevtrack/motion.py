@@ -9,7 +9,7 @@ P0, Q and R are diagonal and F couples each position only with its own
 velocity, so the covariance is always three (position, velocity) 2x2
 blocks plus the yaw and dim variances. A ``KalmanState`` stores just that,
 and predict/update are elementwise array code; ``cov`` builds the 10x10
-matrix for inspection.
+matrix for inspection. ``state_rects`` gives the rows' BEV rectangles.
 
 Every function works on stacked rows: a ``KalmanState`` may carry leading
 dimensions (``mean (..., 10)``, ``var (..., 10)``, ``cross (..., 3)``), and
@@ -193,6 +193,14 @@ def state_to_box(s: KalmanState) -> Box3D | list[Box3D]:
              for cx, cy, cz, yaw, length, width, height
              in s.mean.reshape(-1, STATE_DIM)[:, :MEAS_DIM].tolist()]
     return boxes[0] if s.mean.ndim == 1 else boxes
+
+
+def state_rects(s: KalmanState) -> np.ndarray:
+    """(N, 5) BEV rectangles (cx, cy, length, width, yaw) of the rows:
+    ``geometry.bev_rects`` of ``state_to_box``, without the boxes."""
+    mean = s.mean.reshape(-1, STATE_DIM)
+    return np.column_stack([mean[:, :2], np.maximum(mean[:, 4:6], MIN_DIM),
+                            wrap_angle(mean[:, _YAW])])
 
 
 def _measurements(z: Box3D | Sequence[Box3D]) -> np.ndarray:

@@ -21,7 +21,7 @@ from . import motion
 from .association import (AppearanceState, ClueWeights, CostMatrix,
                           build_similarity_matrix, solve_assignment,
                           stack_appearance, unstack_appearance)
-from .geometry import Box3D, BufferRatioTable, buffered_iou_matrix
+from .geometry import Box3D, BufferRatioTable, bev_rects, buffered_iou_matrix
 from .motion import KalmanState, NoiseConfig
 
 
@@ -89,11 +89,6 @@ class TrackerConfig:
             raise ValueError("max_age must be >= 0")
         if self.num_levels < 1:
             raise ValueError("num_levels must be >= 1")
-
-    def ratio_for(self, level: int) -> float:
-        if not self.use_buffer:
-            return 0.0
-        return self.buffer_ratios.ratio(level)
 
 
 @dataclass
@@ -198,22 +193,22 @@ class Tracker:
         if self._last_frame_id is not None and frame_id <= self._last_frame_id:
             raise ValueError(f"frame {frame_id} does not follow frame "
                              f"{self._last_frame_id}: frame ids must increase")
-        for det in detections:
-            if det.scale_level >= self.cfg.num_levels:
-                raise ValueError(
-                    f"detection scale level {det.scale_level} outside "
-                    f"[0, {self.cfg.num_levels})")
+        cfg = self.cfg
+        det_levels = np.array([d.scale_level for d in detections],
+                              dtype=np.int64)
+        bad = det_levels[det_levels >= cfg.num_levels]
+        if bad.size:
+            raise ValueError(f"detection scale level {bad[0]} outside "
+                             f"[0, {cfg.num_levels})")
+        det_scores = np.array([d.score for d in detections], dtype=np.float64)
+        det_emb = stack_appearance([d.appearance for d in detections])
         self._last_frame_id = frame_id
         info = StepInfo()
-        cfg = self.cfg
         rows = self.rows
 
         if len(rows):
             kf = motion.predict(rows.kalman(), dt, self.noise)
             rows.mean, rows.var, rows.cross = kf.mean, kf.var, kf.cross
-        det_emb = stack_appearance([d.appearance for d in detections])
-        det_levels = np.array([d.scale_level for d in detections],
-                              dtype=np.int64)
         free_dets = np.ones(len(detections), dtype=bool)
         free_trks = np.ones(len(rows), dtype=bool)
         ids = rows.ids.tolist()
@@ -247,7 +242,7 @@ class Tracker:
             rows.levels[t_sel] = det_levels[d_sel]
             rows.hits[t_sel] += 1
             rows.since_update[t_sel] = 0
-            rows.last_score[t_sel] = [detections[i].score for i in d_sel]
+            rows.last_score[t_sel] = det_scores[d_sel]
         rows.since_update[free_trks] += 1
 
         dead = rows.since_update > cfg.max_age
@@ -256,8 +251,8 @@ class Tracker:
             rows = rows.select(~dead)
 
         matches = info.stage1 + info.stage2
-        born = [di for di in np.flatnonzero(free_dets).tolist()
-                if detections[di].score > cfg.init_score_threshold]
+        born = np.flatnonzero(
+            free_dets & (det_scores > cfg.init_score_threshold)).tolist()
         if born:
             new_ids = list(range(self._next_id, self._next_id + len(born)))
             self._next_id += len(born)
@@ -267,8 +262,7 @@ class Tracker:
             rows = rows.concat(TrackRows(
                 state.mean, state.var, state.cross, det_emb[born],
                 np.array(new_ids, dtype=np.int64), det_levels[born], ones,
-                np.zeros_like(ones), frame_id * ones,
-                np.array([detections[i].score for i in born])))
+                np.zeros_like(ones), frame_id * ones, det_scores[born]))
             info.new_track_ids = new_ids
             matches += zip(new_ids, born)
 
@@ -282,42 +276,40 @@ class Tracker:
         Levels run from largest to smallest; detections of level l may
         only match tracklets of levels l-1, l, l+1 that are still free.
         Without cascading all leftovers meet in one flat assignment.
-        Returns (det_idx, row) pairs.
+        The free detections' and rows' rectangles and buffer ratios are
+        built once; each group slices them. Returns (det_idx, row) pairs.
         """
         det_ids = np.flatnonzero(free_dets)
         trk_ids = np.flatnonzero(free_trks)
         if not len(det_ids) or not len(trk_ids):
             return []
         cfg = self.cfg
-        rows = self.rows
-        boxes = dict(zip(trk_ids.tolist(),
-                         motion.state_to_box(rows.kalman(trk_ids))))
-        if not cfg.use_cascade:
-            return self._solve_iou_group(detections, det_ids, trk_ids, boxes)
-        matched: list[tuple[int, int]] = []
-        free = free_trks.copy()
-        for level in range(cfg.num_levels - 1, -1, -1):
-            sel_dets = det_ids[det_levels[det_ids] == level]
-            sel_trks = np.flatnonzero(free & (np.abs(rows.levels - level) <= 1))
-            pairs = self._solve_iou_group(detections, sel_dets, sel_trks, boxes)
-            for di, ti in pairs:
-                matched.append((di, ti))
-                free[ti] = False
-        return matched
+        det_lv, trk_lv = det_levels[det_ids], self.rows.levels[trk_ids]
+        ratios = np.array([cfg.buffer_ratios.ratio(level) if cfg.use_buffer
+                           else 0.0 for level in range(cfg.num_levels)])
+        det_rects = bev_rects([detections[i].box for i in det_ids.tolist()])
+        trk_rects = motion.state_rects(self.rows.kalman(trk_ids))
 
-    def _solve_iou_group(self, detections, det_ids, trk_ids, boxes):
-        if not len(det_ids) or not len(trk_ids):
-            return []
-        cfg = self.cfg
-        det_ids, trk_ids = det_ids.tolist(), trk_ids.tolist()
-        det_boxes = [detections[i].box for i in det_ids]
-        det_ratios = [cfg.ratio_for(detections[i].scale_level) for i in det_ids]
-        trk_boxes = [boxes[j] for j in trk_ids]
-        trk_ratios = [cfg.ratio_for(level)
-                      for level in self.rows.levels[trk_ids].tolist()]
-        iou = buffered_iou_matrix(det_boxes, trk_boxes, det_ratios, trk_ratios)
-        cost = CostMatrix(values=-iou, gate_mask=iou >= cfg.iou_threshold)
-        return [(det_ids[i], trk_ids[j]) for i, j in solve_assignment(cost)]
+        def solve(d, t):
+            """Matches between positions d of det_ids and t of trk_ids."""
+            if not len(d) or not len(t):
+                return []
+            iou = buffered_iou_matrix(det_rects[d], trk_rects[t],
+                                      ratios[det_lv[d]], ratios[trk_lv[t]])
+            cost = CostMatrix(values=-iou, gate_mask=iou >= cfg.iou_threshold)
+            return [(d[i], t[j]) for i, j in solve_assignment(cost)]
+
+        if not cfg.use_cascade:
+            pairs = solve(np.arange(len(det_ids)), np.arange(len(trk_ids)))
+        else:
+            pairs = []
+            free = np.ones(len(trk_ids), dtype=bool)
+            for level in range(cfg.num_levels - 1, -1, -1):
+                group = solve(np.flatnonzero(det_lv == level), np.flatnonzero(
+                    free & (np.abs(trk_lv - level) <= 1)))
+                free[[t for _, t in group]] = False
+                pairs += group
+        return [(int(det_ids[d]), int(trk_ids[t])) for d, t in pairs]
 
 
 def number_frames(det_frames):

@@ -106,7 +106,8 @@ class TestBuildSimilarityMatrix:
     def test_single_identical_pair(self):
         rng = np.random.default_rng(9)
         s = random_appearance(rng)
-        c = build_similarity_matrix([s], [s], ClueWeights(), 0.5)
+        c = build_similarity_matrix(stack_appearance([s]),
+                                    stack_appearance([s]), ClueWeights(), 0.5)
         assert c.values.shape == (1, 1)
         assert c.values[0, 0] == pytest.approx(-1.0)
         assert c.gate_mask[0, 0]
@@ -114,7 +115,8 @@ class TestBuildSimilarityMatrix:
     def test_empty_inputs(self):
         rng = np.random.default_rng(11)
         trks = [random_appearance(rng) for _ in range(3)]
-        c = build_similarity_matrix([], trks, ClueWeights(), 0.3)
+        c = build_similarity_matrix(stack_appearance([]),
+                                    stack_appearance(trks), ClueWeights(), 0.3)
         assert c.values.shape == (0, 3)
         assert solve_assignment(c) == []
 
@@ -122,43 +124,35 @@ class TestBuildSimilarityMatrix:
         rng = np.random.default_rng(13)
         dets = [random_appearance(rng) for _ in range(3)]
         trks = [random_appearance(rng) for _ in range(3)]
-        w = ClueWeights()
+        # a zero-norm row and a zero-weighted clue
+        trks.append(AppearanceState(np.zeros(8), np.zeros(8), np.zeros(8)))
         theta = 0.1
-        c = build_similarity_matrix(dets, trks, w, theta)
-        for i in range(3):
-            for j in range(3):
-                sim = multi_clue_similarity(dets[i], trks[j], w)
-                assert c.values[i, j] == pytest.approx(-sim, abs=1e-12)
-                assert c.gate_mask[i, j] == (sim >= theta)
+        for w in (ClueWeights(), ClueWeights(0.5, 0.0, 0.25)):
+            c = build_similarity_matrix(stack_appearance(dets),
+                                        stack_appearance(trks), w, theta)
+            for i in range(3):
+                for j in range(4):
+                    sim = multi_clue_similarity(dets[i], trks[j], w)
+                    assert c.values[i, j] == pytest.approx(-sim, abs=1e-12)
+                    assert c.gate_mask[i, j] == (sim >= theta)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(15)
         dets = [random_appearance(rng) for _ in range(4)]
         trks = [random_appearance(rng) for _ in range(5)]
         w = ClueWeights()
-        base = build_similarity_matrix(dets, trks, w, 0.2)
+        base = build_similarity_matrix(stack_appearance(dets),
+                                       stack_appearance(trks), w, 0.2)
         perm_d = [2, 0, 3, 1]
         perm_t = [4, 2, 0, 1, 3]
-        shuffled = build_similarity_matrix([dets[i] for i in perm_d],
-                                           [trks[j] for j in perm_t], w, 0.2)
+        shuffled = build_similarity_matrix(
+            stack_appearance([dets[i] for i in perm_d]),
+            stack_appearance([trks[j] for j in perm_t]), w, 0.2)
         np.testing.assert_allclose(shuffled.values,
                                    base.values[np.ix_(perm_d, perm_t)],
                                    atol=1e-12)
         np.testing.assert_array_equal(shuffled.gate_mask,
                                       base.gate_mask[np.ix_(perm_d, perm_t)])
-
-
-    def test_stacked_arrays_equal_sequences(self):
-        rng = np.random.default_rng(17)
-        dets = [random_appearance(rng) for _ in range(6)]
-        trks = [random_appearance(rng) for _ in range(4)]
-        trks.append(AppearanceState(np.zeros(8), np.zeros(8), np.zeros(8)))
-        w = ClueWeights(0.5, 0.0, 0.25)
-        a = build_similarity_matrix(dets, trks, w, 0.1)
-        b = build_similarity_matrix(stack_appearance(dets),
-                                    stack_appearance(trks), w, 0.1)
-        np.testing.assert_array_equal(a.values, b.values)
-        np.testing.assert_array_equal(a.gate_mask, b.gate_mask)
 
 
 class TestStackAppearance:

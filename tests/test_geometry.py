@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from bevtrack.geometry import (Box3D, BufferRatioTable, bev_iou,
-                               bev_iou_matrix, buffer_box, buffered_iou,
-                               buffered_iou_matrix, footprint_scale_level,
-                               wrap_angle)
+from bevtrack.geometry import (Box3D, BufferRatioTable, bev_iou, bev_rects,
+                               buffer_box, buffered_iou, buffered_iou_matrix,
+                               footprint_scale_level, wrap_angle)
 
 from oracles import rasterized_iou, rasterized_iou_dense
 
@@ -107,12 +106,18 @@ class TestBevIou:
         # every cell must still equal the per-pair IoU exactly
         rng = np.random.default_rng(13)
 
-        def check(boxes_a, boxes_b, mat):
+        def check(boxes_a, boxes_b, ratios_a=None, ratios_b=None):
+            ratios_a = np.zeros(len(boxes_a)) if ratios_a is None else ratios_a
+            ratios_b = np.zeros(len(boxes_b)) if ratios_b is None else ratios_b
+            mat = buffered_iou_matrix(bev_rects(boxes_a), bev_rects(boxes_b),
+                                      ratios_a, ratios_b)
             assert mat.shape == (len(boxes_a), len(boxes_b))
-            for i, a in enumerate(boxes_a):
-                for j, b in enumerate(boxes_b):
+            for i, (a, ra) in enumerate(zip(boxes_a, ratios_a)):
+                for j, (b, rb) in enumerate(zip(boxes_b, ratios_b)):
                     assert 0.0 <= mat[i, j] <= 1.0
-                    assert mat[i, j] == bev_iou(a, b)
+                    assert mat[i, j] == buffered_iou(a, b, ra, rb)
+                    if ra == rb == 0:
+                        assert mat[i, j] == bev_iou(a, b)
 
         boxes_a = [random_box(rng) for _ in range(8)]
         boxes_b = [random_box(rng) for _ in range(5)]
@@ -120,7 +125,7 @@ class TestBevIou:
         same = [random_box(rng)] * 3
         for a, b in ((boxes_a, boxes_b), (spread, spread), (same, same),
                      ([], boxes_b), (boxes_a, [])):
-            check(a, b, bev_iou_matrix(a, b))
+            check(a, b)
 
         # axis-aligned boxes touching edge to edge and corner to corner
         # (along the diagonal, where the circumcircles touch); the clip's
@@ -131,15 +136,12 @@ class TestBevIou:
                 boxes = [Box3D(x, y, 0, length, width, 1, 0) for x, y in (
                     (0.0, 0.0), (length + gap, 0.0), (0.0, width + gap),
                     (length * (1 + gap / diag), width * (1 + gap / diag)))]
-                check(boxes, boxes, bev_iou_matrix(boxes, boxes))
+                check(boxes, boxes)
 
         for r in np.linspace(0.0, 0.5, 6):
             ratios_b = rng.uniform(0.0, r, size=len(spread))
-            mat = buffered_iou_matrix(boxes_a + spread, spread,
-                                      [r] * (len(boxes_a) + len(spread)),
-                                      ratios_b)
-            check([buffer_box(b, r) for b in boxes_a + spread],
-                  [buffer_box(b, rb) for b, rb in zip(spread, ratios_b)], mat)
+            check(boxes_a + spread, spread,
+                  np.full(len(boxes_a) + len(spread), r), ratios_b)
 
     def test_agreement_with_rasterization_oracle(self):
         rng = np.random.default_rng(17)

@@ -228,6 +228,18 @@ class TestGroundTruthLog:
                            match=f"{re.escape(str(path))}:2: {message}"):
             bio.read_ground_truth(path)
 
+    @pytest.mark.parametrize("raw", ['"false"', "[0]", "0", "null"])
+    def test_visible_must_be_boolean(self, tmp_path, raw):
+        path = tmp_path / "gt.jsonl"
+        path.write_text(gt_line("0", "1", "0.0") + "\n"
+                        + gt_line("0", "2", "0.0").replace("true", raw) + "\n")
+        with pytest.raises(bio.DataError, match=re.escape(
+                f"{path}:2: visible must be true or false")):
+            bio.read_ground_truth(path)
+        path.write_text(gt_line("0", "1", "0.0").replace(', "visible": true',
+                                                         "") + "\n")
+        assert bio.read_ground_truth(path)[0].objects[0][2] is True
+
 
 def gt_line(frame_id, gt_id, timestamp):
     return ('{"frame_id": %s, "timestamp": %s, "gt_id": %s, '
@@ -305,6 +317,53 @@ class TestConfig:
 
     def test_none_path_gives_defaults(self):
         assert bio.load_config(None) == bio.AppConfig()
+
+    @pytest.mark.parametrize("text, key, message", [
+        ("tracker: {max_ag: 7}", "tracker.max_ag", "unknown key"),
+        ("refiner: {fusion_heads: 2}", "refiner.fusion_heads", "unknown key"),
+        ("tracker: [1, 2]", "tracker", "must be a mapping"),
+        ("tracker: {clue_weights: 0.5}", "tracker.clue_weights",
+         "must be a mapping"),
+        ("tracker: {max_age: 2.0}", "tracker.max_age", "must be an integer"),
+        ("refiner: {bev: {kernel_sizes: [1, 3, 5, 7, 9.5]}}",
+         "refiner.bev.kernel_sizes", "must be an integer"),
+        ("motion: {meas_pos_std: abc}", "motion.meas_pos_std",
+         "must be a finite number"),
+        ("eval: {match_distance: .inf}", "eval.match_distance",
+         "must be a finite number"),
+        ("scale_breakpoints: [1.0, .nan]", "scale_breakpoints",
+         "must be a finite number"),
+        ("refiner: {bev: {num_levels: 4}}", "refiner.bev.scope_radii",
+         "5 entries for 4 levels"),
+        ("refiner: {image: {kernel_sizes: [1, 3]}}",
+         "refiner.image.kernel_sizes", "2 entries for 3 levels"),
+        ("tracker: {iou_threshold: 2}", "tracker",
+         "iou_threshold must be in"),
+    ])
+    def test_invalid_config_names_file_and_key(self, tmp_path, text, key,
+                                                message):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text + "\n")
+        with pytest.raises(bio.ConfigError,
+                           match=re.escape(f"{path}: {key}: {message}")):
+            bio.load_config(path)
+
+
+class TestCliConfig:
+    @pytest.mark.parametrize("argv", [
+        ["track", "--dets", "dets.jsonl", "--out", "tracks.jsonl"],
+        ["evaluate", "--gt", "gt.jsonl", "--tracks", "tracks.jsonl"],
+        ["refine-demo", "--grid", "8x8x2", "--out", "refined"],
+        ["ablate", "--suites", "basic"]])
+    def test_bad_config_exits_1_naming_the_key(self, tmp_path, capsys, argv):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("refiner:\n  bev: {num_levels: 4}\n"
+                       "  image: {num_levels: 4}\n")
+        argv = [str(tmp_path / a) if a.endswith((".jsonl", "refined")) else a
+                for a in argv]
+        assert main(argv + ["--config", str(cfg)]) == 1
+        assert f"{cfg}: refiner." in capsys.readouterr().err
+        assert not (tmp_path / "refined").exists()
 
 
 class TestCliSimulate:

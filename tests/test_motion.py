@@ -5,9 +5,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bevtrack.geometry import Box3D
+from bevtrack.geometry import Box3D, bev_rects
 from bevtrack.motion import (MIN_DIM, KalmanState, NoiseConfig, init_state,
-                             predict, state_to_box, update)
+                             predict, state_rects, state_to_box, update)
 from oracles import dense_kalman_predict, dense_kalman_update
 
 
@@ -174,6 +174,22 @@ class TestStateToBox:
         mean[4:7] = 1.0
         b = state_to_box(unit_state(mean))
         assert b.yaw == pytest.approx(3.5 - 2 * math.pi)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_state_rects_equal_rects_of_boxes(self, seed):
+        rng = np.random.default_rng(seed)
+        mean = rng.normal(0, 3, size=(40, 10))
+        mean[:, 3] = rng.uniform(-12.0, 12.0, size=40)  # yaw beyond +-pi
+        mean[:, 3][:4] = (math.pi, -math.pi, 3 * math.pi, -5 * math.pi)
+        mean[:, 4:7] = rng.uniform(-0.05, 5.0, size=(40, 3))
+        mean[:, 4:7][:6] = rng.uniform(-1.0, MIN_DIM, size=(6, 3))
+        s = KalmanState(mean, np.ones((40, 10)), np.zeros((40, 3)))
+        got = state_rects(s)
+        assert got.shape == (40, 5)
+        np.testing.assert_array_equal(got, bev_rects(state_to_box(s)))
+        assert (got[:6, 2:4] == MIN_DIM).all()
+        assert state_rects(KalmanState(np.zeros((0, 10)), np.ones((0, 10)),
+                                       np.zeros((0, 3)))).shape == (0, 5)
 
 
 class TestFilterProperties:

@@ -95,6 +95,20 @@ class TestLifecycle:
         with pytest.raises(ValueError):
             trk.step([det(0, 0, level=5)], dt=0.1)
 
+    def test_rejected_level_leaves_state_unchanged(self):
+        trk = Tracker(TrackerConfig(num_levels=5))
+        trk.step([det(0, 0, level=4)], dt=0.1, frame_id=3)
+        before = trk.rows.select(np.arange(len(trk.rows)))
+        with pytest.raises(ValueError, match="scale level 5 outside"):
+            trk.step([det(0, 0, level=2), det(9, 0, level=5)], dt=0.1,
+                     frame_id=4)
+        for name in vars(before):
+            np.testing.assert_array_equal(getattr(trk.rows, name),
+                                          getattr(before, name))
+        assert trk._last_frame_id == 3
+        trk.step([det(0, 0, level=4)], dt=0.1, frame_id=4)  # not a repeat
+        assert [t.id for t in trk.tracklets] == [1]
+
 
 class TestStageOne:
     def test_identical_appearance_match_preserves_id(self):
