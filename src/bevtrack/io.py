@@ -56,14 +56,20 @@ def _reject_constant(name: str):
     raise ValueError(f"non-finite number {name} is not allowed")
 
 
-def _parse_line(raw: str, path, line_no: int) -> dict:
-    try:
-        record = json.loads(raw, parse_constant=_reject_constant)
-    except ValueError as exc:  # JSONDecodeError or a NaN/Infinity constant
-        raise DataError(path, line_no, f"invalid JSON: {exc}") from exc
-    if not isinstance(record, dict):
-        raise DataError(path, line_no, "record must be a JSON object")
-    return record
+def _records(path) -> Iterator[tuple[int, dict]]:
+    """(line number, JSON object) of each non-blank line of a log."""
+    with open(path) as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            raw = raw.strip()
+            if not raw:
+                continue
+            try:
+                record = json.loads(raw, parse_constant=_reject_constant)
+            except ValueError as exc:  # JSONDecodeError or NaN/Infinity
+                raise DataError(path, line_no, f"invalid JSON: {exc}") from exc
+            if not isinstance(record, dict):
+                raise DataError(path, line_no, "record must be a JSON object")
+            yield line_no, record
 
 
 def _require(record: dict, key: str, path, line_no: int):
@@ -124,52 +130,47 @@ def iter_detection_frames(path, breakpoints=DEFAULT_SCALE_BREAKPOINTS,
     """
     current_id: int | None = None
     bucket: list[Detection] = []
-    with open(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            record = _parse_line(raw, path, line_no)
-            frame_id = _number(record, "frame_id", path, line_no)
-            empty = record.get("empty") is True
-            if frame_id != current_id:
-                if current_id is not None:
-                    if frame_id < current_id:
-                        raise DataError(path, line_no, "records must be "
-                                        "grouped by ascending frame_id")
-                    yield current_id, bucket
-                current_id, bucket = frame_id, []
-            elif empty or not bucket:
-                raise DataError(path, line_no, f"frame {frame_id} has an "
-                                "empty-frame marker and other records")
-            if empty:
-                continue
-            box = _box_from_list(_require(record, "box", path, line_no),
-                                 path, line_no)
-            score = _number(record, "score", path, line_no, float)
-            level = record.get("scale_level")
-            if level is None:
-                level = footprint_scale_level(box, breakpoints)
-            else:
-                level = _number(record, "scale_level", path, line_no)
-            timestamp = _number(record, "timestamp", path, line_no, float,
-                                default=0.0)
-            try:
-                det = Detection(
-                    box=box, score=score,
-                    appearance=AppearanceState(
-                        e_img=_require(record, "e_img", path, line_no),
-                        e_bev=_require(record, "e_bev", path, line_no),
-                        e_head=_require(record, "e_head", path, line_no)),
-                    scale_level=level, timestamp=timestamp,
-                    frame_id=frame_id)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise DataError(path, line_no, str(exc)) from exc
-            if num_levels is not None and det.scale_level >= num_levels:
-                raise DataError(path, line_no,
-                                f"scale_level {det.scale_level} outside "
-                                f"[0, {num_levels})")
-            bucket.append(det)
+    for line_no, record in _records(path):
+        frame_id = _number(record, "frame_id", path, line_no)
+        empty = record.get("empty") is True
+        if frame_id != current_id:
+            if current_id is not None:
+                if frame_id < current_id:
+                    raise DataError(path, line_no, "records must be "
+                                    "grouped by ascending frame_id")
+                yield current_id, bucket
+            current_id, bucket = frame_id, []
+        elif empty or not bucket:
+            raise DataError(path, line_no, f"frame {frame_id} has an "
+                            "empty-frame marker and other records")
+        if empty:
+            continue
+        box = _box_from_list(_require(record, "box", path, line_no),
+                             path, line_no)
+        score = _number(record, "score", path, line_no, float)
+        level = record.get("scale_level")
+        if level is None:
+            level = footprint_scale_level(box, breakpoints)
+        else:
+            level = _number(record, "scale_level", path, line_no)
+        timestamp = _number(record, "timestamp", path, line_no, float,
+                            default=0.0)
+        try:
+            det = Detection(
+                box=box, score=score,
+                appearance=AppearanceState(
+                    e_img=_require(record, "e_img", path, line_no),
+                    e_bev=_require(record, "e_bev", path, line_no),
+                    e_head=_require(record, "e_head", path, line_no)),
+                scale_level=level, timestamp=timestamp,
+                frame_id=frame_id)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DataError(path, line_no, str(exc)) from exc
+        if num_levels is not None and det.scale_level >= num_levels:
+            raise DataError(path, line_no,
+                            f"scale_level {det.scale_level} outside "
+                            f"[0, {num_levels})")
+        bucket.append(det)
     if current_id is not None:
         yield current_id, bucket
 
@@ -198,26 +199,21 @@ def read_ground_truth(path) -> list[GroundTruthFrame]:
     frames: dict[int, list] = {}
     stamps: dict[int, float] = {}
     seen: set[tuple[int, int]] = set()
-    with open(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            record = _parse_line(raw, path, line_no)
-            frame_id = _number(record, "frame_id", path, line_no)
-            box = _box_from_list(_require(record, "box", path, line_no),
-                                 path, line_no)
-            gid = _number(record, "gt_id", path, line_no)
-            visible = record.get("visible", True)
-            if type(visible) is not bool:
-                raise DataError(path, line_no, "visible must be true or false")
-            if (frame_id, gid) in seen:
-                raise DataError(path, line_no, f"duplicate gt_id {gid} in "
-                                f"frame {frame_id}")
-            seen.add((frame_id, gid))
-            frames.setdefault(frame_id, []).append((gid, box, visible))
-            stamps[frame_id] = _number(record, "timestamp", path, line_no,
-                                       float, default=0.0)
+    for line_no, record in _records(path):
+        frame_id = _number(record, "frame_id", path, line_no)
+        box = _box_from_list(_require(record, "box", path, line_no),
+                             path, line_no)
+        gid = _number(record, "gt_id", path, line_no)
+        visible = record.get("visible", True)
+        if type(visible) is not bool:
+            raise DataError(path, line_no, "visible must be true or false")
+        if (frame_id, gid) in seen:
+            raise DataError(path, line_no, f"duplicate gt_id {gid} in "
+                            f"frame {frame_id}")
+        seen.add((frame_id, gid))
+        frames.setdefault(frame_id, []).append((gid, box, visible))
+        stamps[frame_id] = _number(record, "timestamp", path, line_no,
+                                   float, default=0.0)
     return [GroundTruthFrame(frame_id=fid, timestamp=stamps[fid],
                              objects=tuple(rows))
             for fid, rows in sorted(frames.items())]
@@ -249,23 +245,18 @@ def read_tracks(path) -> dict[int, list[Pred]]:
     """Track log as {frame_id: [(track_id, box, score), ...]}."""
     out: dict[int, list[Pred]] = {}
     seen = set()
-    with open(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            record = _parse_line(raw, path, line_no)
-            frame_id = _number(record, "frame_id", path, line_no)
-            track_id = _number(record, "track_id", path, line_no)
-            if (frame_id, track_id) in seen:
-                raise DataError(path, line_no,
-                                f"duplicate (frame_id, track_id) "
-                                f"({frame_id}, {track_id})")
-            seen.add((frame_id, track_id))
-            box = _box_from_list(_require(record, "box", path, line_no),
-                                 path, line_no)
-            score = _number(record, "score", path, line_no, float)
-            out.setdefault(frame_id, []).append((track_id, box, score))
+    for line_no, record in _records(path):
+        frame_id = _number(record, "frame_id", path, line_no)
+        track_id = _number(record, "track_id", path, line_no)
+        if (frame_id, track_id) in seen:
+            raise DataError(path, line_no,
+                            f"duplicate (frame_id, track_id) "
+                            f"({frame_id}, {track_id})")
+        seen.add((frame_id, track_id))
+        box = _box_from_list(_require(record, "box", path, line_no),
+                             path, line_no)
+        score = _number(record, "score", path, line_no, float)
+        out.setdefault(frame_id, []).append((track_id, box, score))
     return out
 
 
@@ -370,9 +361,11 @@ def _checked(value, default, path, key: tuple = ()):
         if not isinstance(value, list):
             raise ConfigError(path, key, "must be a list")
         return tuple(_checked(v, default[0], path, key) for v in value)
-    try:  # a scalar: the JSON number rule of _number, on a one-key record
+    try:  # a scalar: the JSON number rule of _number, on a one-key record;
+        if type(default) is float and type(value) is str:  # YAML 1.1 reads
+            value = float(value)  # 1e-6 and -1e9 (no dot) as strings
         return _number({"value": value}, "value", path, 0, type(default))
-    except DataError:
+    except ValueError:  # float() of a non-number, or _number's DataError
         raise ConfigError(path, key, "must be an integer" if type(default)
                           is int else "must be a finite number") from None
 

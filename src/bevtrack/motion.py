@@ -181,26 +181,29 @@ def update(s: KalmanState, z: Box3D | Sequence[Box3D],
     return KalmanState(mean, var, keep[..., _POS] * s.cross)
 
 
+def _floored(s: KalmanState) -> np.ndarray:
+    """(N, 7) measured columns of the means, dims floored at MIN_DIM."""
+    z = s.mean.reshape(-1, STATE_DIM)[:, :MEAS_DIM].copy()
+    z[:, _DIMS] = np.maximum(z[:, _DIMS], MIN_DIM)
+    return z
+
+
 def state_to_box(s: KalmanState) -> Box3D | list[Box3D]:
     """Project the mean onto a box; dims floored at MIN_DIM.
 
     A single state gives one box, stacked rows a list of boxes in row
     order.
     """
-    boxes = [Box3D(cx=cx, cy=cy, cz=cz, length=max(length, MIN_DIM),
-                   width=max(width, MIN_DIM), height=max(height, MIN_DIM),
-                   yaw=yaw)
-             for cx, cy, cz, yaw, length, width, height
-             in s.mean.reshape(-1, STATE_DIM)[:, :MEAS_DIM].tolist()]
+    boxes = [Box3D(cx, cy, cz, length, width, height, yaw)
+             for cx, cy, cz, yaw, length, width, height in _floored(s).tolist()]
     return boxes[0] if s.mean.ndim == 1 else boxes
 
 
 def state_rects(s: KalmanState) -> np.ndarray:
     """(N, 5) BEV rectangles (cx, cy, length, width, yaw) of the rows:
     ``geometry.bev_rects`` of ``state_to_box``, without the boxes."""
-    mean = s.mean.reshape(-1, STATE_DIM)
-    return np.column_stack([mean[:, :2], np.maximum(mean[:, 4:6], MIN_DIM),
-                            wrap_angle(mean[:, _YAW])])
+    z = _floored(s)
+    return np.column_stack([z[:, :2], z[:, 4:6], wrap_angle(z[:, _YAW])])
 
 
 def _measurements(z: Box3D | Sequence[Box3D]) -> np.ndarray:

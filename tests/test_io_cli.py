@@ -315,6 +315,18 @@ class TestConfig:
         assert cfg.eval == EvalConfig(recall_thresholds=10)
         assert cfg.tracker == TrackerConfig(clue_weights=ClueWeights(w_bev=0.5))
 
+    def test_exponent_floats_without_dot(self, tmp_path):
+        """YAML 1.1 reads -1e9 and 1e-6 as strings; they still load as the
+        numbers they spell, as the template's similarity_gate note says."""
+        path = tmp_path / "cfg.yaml"
+        path.write_text("tracker: {similarity_gate: -1e9}\n"
+                        "motion: {meas_pos_std: 1e-6, meas_yaw_std: 1.0e3}\n"
+                        "scale_breakpoints: [1e0, 4, 1.2e+1, 3e1]\n")
+        cfg = bio.load_config(path)
+        assert cfg.tracker.similarity_gate == -1e9
+        assert (cfg.noise.meas_pos_std, cfg.noise.meas_yaw_std) == (1e-6, 1e3)
+        assert cfg.scale_breakpoints == (1.0, 4.0, 12.0, 30.0)
+
     def test_none_path_gives_defaults(self):
         assert bio.load_config(None) == bio.AppConfig()
 
@@ -329,6 +341,11 @@ class TestConfig:
          "refiner.bev.kernel_sizes", "must be an integer"),
         ("motion: {meas_pos_std: abc}", "motion.meas_pos_std",
          "must be a finite number"),
+        ("motion: {meas_pos_std: nan}", "motion.meas_pos_std",
+         "must be a finite number"),
+        ("tracker: {similarity_gate: -1e999}", "tracker.similarity_gate",
+         "must be a finite number"),
+        ("tracker: {max_age: 1e3}", "tracker.max_age", "must be an integer"),
         ("eval: {match_distance: .inf}", "eval.match_distance",
          "must be a finite number"),
         ("scale_breakpoints: [1.0, .nan]", "scale_breakpoints",
