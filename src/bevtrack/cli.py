@@ -12,7 +12,6 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import io as bio
 from . import metrics as bmetrics
@@ -39,18 +38,7 @@ def _load_scenario(args) -> bsim.ScenarioConfig | None:
             return None
         cfg = suites[args.suite]
     else:
-        raw = yaml.safe_load(Path(args.scenario).read_text()) or {}
-        occl = tuple(tuple(e) for e in raw.pop("occlusion_events", ()))
-        overrides = {int(k): bsim.SpawnSpec(**v)
-                     for k, v in raw.pop("spawn_overrides", {}).items()}
-        companions = tuple(tuple(c) for c in raw.pop("companions", ()))
-        for key in ("arena", "speed_range", "turn_rate_range", "score_range",
-                    "fp_score_range", "object_classes"):
-            if key in raw and raw[key] is not None:
-                raw[key] = tuple(raw[key])
-        cfg = bsim.ScenarioConfig(occlusion_events=occl,
-                                  spawn_overrides=overrides,
-                                  companions=companions, **raw)
+        cfg = bio.load_scenario(args.scenario)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     if args.noiseless:
@@ -120,6 +108,28 @@ def _parse_grid_spec(spec: str) -> tuple[int, int, int]:
     return h, w, c
 
 
+def _object_prior(path, line_no: int, rec: dict, rng,
+                  grid: tuple[int, int, int]) -> bref.ObjectPrior:
+    """One --objects record as an ObjectPrior on an H x W x C grid; a
+    record without e_cat takes one from rng. DataError names path:line."""
+    h, w, c = grid
+    center, e_cat = bio._require(rec, "center", path, line_no), rec.get("e_cat")
+    try:
+        prior = bref.ObjectPrior(
+            e_cat=rng.normal(size=3 * c) if e_cat is None else e_cat,
+            center_cell=center, footprint=rec.get("footprint", (1.0, 1.0)))
+    except (TypeError, ValueError) as exc:
+        raise bio.DataError(path, line_no, str(exc)) from exc
+    (r, col), size = prior.center_cell, prior.e_cat.size
+    if size != 3 * c:
+        raise bio.DataError(path, line_no, f"e_cat has {size} entries, "
+                            f"the {h}x{w}x{c} grid needs {3 * c}")
+    if not (0 <= r <= h - 1 and 0 <= col <= w - 1):
+        raise bio.DataError(path, line_no, f"center {[r, col]} outside "
+                            f"the {h}x{w} grid")
+    return prior
+
+
 def cmd_refine_demo(args) -> int:
     try:
         h, w, c = _parse_grid_spec(args.grid)
@@ -135,24 +145,12 @@ def cmd_refine_demo(args) -> int:
 
     priors: list[bref.ObjectPrior] = []
     if args.objects:
-        with open(args.objects) as fh:
-            for line_no, raw in enumerate(fh, start=1):
-                raw = raw.strip()
-                if not raw:
-                    continue
-                try:
-                    rec = json.loads(raw)
-                    e_cat = rec.get("e_cat")
-                    if e_cat is None:
-                        e_cat = rng.normal(size=3 * c)
-                    priors.append(bref.ObjectPrior(
-                        e_cat=e_cat,
-                        center_cell=tuple(rec["center"]),
-                        footprint=tuple(rec.get("footprint", (1.0, 1.0)))))
-                except (KeyError, TypeError, ValueError,
-                        json.JSONDecodeError) as exc:
-                    return _fail(DATA_ERROR,
-                                 f"{args.objects}:{line_no}: {exc}")
+        try:
+            for line_no, rec in bio._records(args.objects):
+                priors.append(_object_prior(args.objects, line_no, rec, rng,
+                                            (h, w, c)))
+        except bio.DataError as exc:
+            return _fail(DATA_ERROR, str(exc))
     else:
         for _ in range(args.num_objects):
             priors.append(bref.ObjectPrior(

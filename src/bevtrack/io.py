@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import (Iterable, Iterator, Sequence, get_args, get_origin,
+                    get_type_hints)
 
 import yaml
 
@@ -25,7 +26,7 @@ from .geometry import (DEFAULT_SCALE_BREAKPOINTS, Box3D, BufferRatioTable,
                        footprint_scale_level)
 from .metrics import EvalConfig, Pred
 from .motion import NoiseConfig
-from .simulator import GroundTruthFrame
+from .simulator import GroundTruthFrame, ScenarioConfig
 from .tracker import Detection, TrackerConfig, number_frames
 
 
@@ -370,16 +371,19 @@ def _checked(value, default, path, key: tuple = ()):
                           is int else "must be a finite number") from None
 
 
+def _read_yaml(path):
+    try:
+        return yaml.safe_load(Path(path).read_text())
+    except yaml.YAMLError as exc:
+        raise ConfigError(path, (), f"invalid YAML: {exc}") from exc
+
+
 def load_config(path=None) -> AppConfig:
     """Load a YAML config; omitted keys keep their defaults. Any invalid
     value is a ConfigError naming the file and the section.key."""
     if path is None:
         return AppConfig()
-    try:
-        raw = yaml.safe_load(Path(path).read_text())
-    except yaml.YAMLError as exc:
-        raise ConfigError(path, (), f"invalid YAML: {exc}") from exc
-    cfg = _checked(raw, yaml.safe_load(DEFAULT_CONFIG_TEXT), path)
+    cfg = _checked(_read_yaml(path), yaml.safe_load(DEFAULT_CONFIG_TEXT), path)
 
     def build(key, cls, *args, **kwargs):
         try:
@@ -404,3 +408,53 @@ def load_config(path=None) -> AppConfig:
         refiner_image=RefinerGridConfig(**ref["image"]),
         refiner_bev=RefinerGridConfig(**ref["bev"]),
         scale_breakpoints=cfg["scale_breakpoints"])
+
+
+# ---------------------------------------------------------------------------
+# scenario files
+
+def _typed(value, hint, path, key: tuple = ()):
+    """value checked against a ScenarioConfig type hint: a dataclass takes
+    a mapping of its fields, a dict a mapping, a tuple a list (of the
+    hint's length unless it ends in ...), str a string, and int or float
+    the scalar rule of _checked."""
+    origin, args = get_origin(hint), get_args(hint)
+    if type(None) in args:  # X | None
+        return None if value is None else _typed(value, args[0], path, key)
+    if is_dataclass(hint) or origin is dict:
+        if not isinstance(value, dict):
+            raise ConfigError(path, key, "must be a mapping")
+        if origin is dict:
+            return {_typed(k, args[0], path, key + (k,)):
+                    _typed(v, args[1], path, key + (k,))
+                    for k, v in value.items()}
+        hints = get_type_hints(hint)
+        for k in value:
+            if k not in hints:
+                raise ConfigError(path, key + (k,), "unknown key")
+        kwargs = {k: _typed(v, hints[k], path, key + (k,))
+                  for k, v in value.items()}
+        try:
+            return hint(**kwargs)
+        except (TypeError, ValueError) as exc:  # a missing field, a range
+            raise ConfigError(path, key, str(exc)) from exc
+    if origin is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(path, key, "must be a list")
+        items = args[:1] * len(value) if args[-1] is Ellipsis else args
+        if len(items) != len(value):
+            raise ConfigError(path, key, f"must have {len(items)} entries")
+        return tuple(_typed(v, h, path, key) for v, h in zip(value, items))
+    if hint is str:
+        if not isinstance(value, str):
+            raise ConfigError(path, key, "must be a string")
+        return value
+    return _checked(value, hint(), path, key)  # int() is 0, float() 0.0
+
+
+def load_scenario(path) -> ScenarioConfig:
+    """Load a scenario YAML; omitted keys keep ScenarioConfig's defaults.
+    Unknown keys, values of the wrong kind and values ScenarioConfig
+    rejects are ConfigErrors naming the file and the key."""
+    raw = _read_yaml(path)
+    return _typed({} if raw is None else raw, ScenarioConfig, path)

@@ -4,7 +4,10 @@ Matching follows the nuScenes convention: per frame, predictions sorted by
 descending confidence greedily take the nearest unmatched ground-truth
 object within a BEV center-distance threshold. Because greedy matching by
 descending score is prefix-stable under confidence filtering, the sweep
-over recall thresholds reuses one base matching.
+over recall thresholds reuses one base matching. Its TPs form one table of
+row-aligned arrays, sorted once by (GT, frame); a threshold keeps rows with
+one boolean mask, and an identity switch (CLEAR MOT) is a pair of
+neighbouring kept rows of one GT whose track ids differ.
 
 AMOTA averages MOTAR over evenly spaced target recall levels, where
 MOTAR = max(0, 1 - (IDS + FP + FN - (1 - r) * P) / (r * P)) evaluated at
@@ -89,82 +92,78 @@ def match_frame(gt: GroundTruthFrame, preds: Sequence[Pred],
     return tps, fps, sorted(free)
 
 
-@dataclass
-class _BaseMatch:
-    """One TP from the all-predictions matching pass."""
-
-    frame_id: int
-    gt_id: int
-    track_id: int
-    score: float
-    dist: float
-
-
-def _count_switches(tp_rows: list[_BaseMatch]) -> int:
-    """Identity switches: a GT's matched track id changing between its
-    consecutive matched frames."""
-    by_gt: dict[int, list[tuple[int, int]]] = {}
-    for row in tp_rows:
-        by_gt.setdefault(row.gt_id, []).append((row.frame_id, row.track_id))
-    switches = 0
-    for rows in by_gt.values():
-        rows.sort()
-        for (_, prev_tid), (_, tid) in zip(rows, rows[1:]):
-            if tid != prev_tid:
-                switches += 1
-    return switches
-
-
 def evaluate(gt_frames: Sequence[GroundTruthFrame],
              tracker_output: dict[int, list[Pred]],
              cfg: EvalConfig | None = None) -> MetricsReport:
     """Score tracker output against ground truth.
 
-    tracker_output maps frame_id to that frame's predictions. Every
+    tracker_output maps frame_id to that frame's predictions. Ground-truth
+    frame ids must be unique, gt_ids unique within a frame, and every
     predicted frame id must exist in the ground truth.
     """
     cfg = cfg or EvalConfig()
-    gt_ids_per_frame = {g.frame_id for g in gt_frames}
+    # ids are any Python int, so they enter the arrays as dense codes
+    gt_code: dict[int, int] = {}
+    visible_codes: list[int] = []
+    frame_ids: set[int] = set()
+    for g in gt_frames:
+        if g.frame_id in frame_ids:
+            raise ValueError(f"frame {g.frame_id} repeated in the ground truth")
+        frame_ids.add(g.frame_id)
+        seen: set[int] = set()
+        for gid, _box, vis in g.objects:
+            if gid in seen:
+                raise ValueError(f"gt_id {gid} repeated in frame {g.frame_id}")
+            seen.add(gid)
+            if vis:
+                visible_codes.append(gt_code.setdefault(gid, len(gt_code)))
+    frame_rank = {f: r for r, f in enumerate(sorted(frame_ids))}
     for frame_id in tracker_output:
-        if frame_id not in gt_ids_per_frame:
+        if frame_id not in frame_rank:
             raise ValueError(f"prediction for unknown frame {frame_id}")
 
-    num_gt = sum(sum(1 for _, _, vis in g.objects if vis) for g in gt_frames)
+    num_gt = len(visible_codes)
     if num_gt == 0:
         raise ValueError("ground truth is empty; recall is undefined")
     num_preds = sum(len(v) for v in tracker_output.values())
 
-    base: list[_BaseMatch] = []
-    visible_frames: dict[int, list[int]] = {}
+    # the TP table of the all-predictions matching, in matching order:
+    # (frame rank, gt code, track code, score, distance)
+    track_code: dict[int, int] = {}
+    rows: list[tuple[int, int, int, float, float]] = []
     for g in gt_frames:
-        for gid, _box, vis in g.objects:
-            if vis:
-                visible_frames.setdefault(gid, []).append(g.frame_id)
         preds = tracker_output.get(g.frame_id, [])
         tps, _fps, _fns = match_frame(g, preds, cfg.match_distance)
-        score_of: dict[int, float] = {}
-        for tid, _box, score in preds:
-            score_of.setdefault(tid, score)  # first occurrence wins
-        for gid, tid, dist in tps:
-            base.append(_BaseMatch(g.frame_id, gid, tid, score_of[tid], dist))
+        # a repeated track id takes its first occurrence's score
+        score_of = {tid: s for tid, _box, s in reversed(preds)}
+        rows.extend((frame_rank[g.frame_id], gt_code[gid],
+                     track_code.setdefault(tid, len(track_code)),
+                     score_of[tid], dist) for gid, tid, dist in tps)
+    cols = list(zip(*rows)) or [()] * 5
+    frame, gt, track = (np.array(c, dtype=np.intp) for c in cols[:3])
+    score, dist = np.array(cols[3]), np.array(cols[4])
+
+    order = np.lexsort((frame, gt))  # by GT, then frame
+    gt_sorted, track_sorted = gt[order], track[order]
+
+    def switches(keep: np.ndarray) -> int:
+        k = keep[order]
+        g, t = gt_sorted[k], track_sorted[k]
+        return int(np.count_nonzero((g[1:] == g[:-1]) & (t[1:] != t[:-1])))
 
     # full-set (no confidence cut) CLEAR numbers
-    tp_total = len(base)
+    tp_total = len(rows)
     fp_total = num_preds - tp_total
     fn_total = num_gt - tp_total
-    ids_total = _count_switches(base)
+    ids_total = switches(np.ones(tp_total, dtype=bool))
     mota = 1.0 - (ids_total + fp_total + fn_total) / num_gt
     recall = tp_total / num_gt
-
-    matched_per_gt: dict[int, int] = {}
-    for row in base:
-        matched_per_gt[row.gt_id] = matched_per_gt.get(row.gt_id, 0) + 1
-    mt = sum(1 for gid, frames in visible_frames.items()
-             if matched_per_gt.get(gid, 0) >= 0.8 * len(frames))
+    matched = np.bincount(gt, minlength=len(gt_code))
+    mt = int(np.count_nonzero(matched >= 0.8 * np.bincount(visible_codes)))
 
     # confidence sweep: target recalls k/n, threshold = score of the
     # ceil(r*P)-th TP in descending-score order
-    tp_scores = np.sort(np.array([row.score for row in base]))[::-1]
+    tp_scores = np.sort(score)[::-1]
     all_scores = np.sort(np.array(
         [s for preds in tracker_output.values() for (_t, _b, s) in preds]))[::-1]
     n_thr = cfg.recall_thresholds
@@ -180,17 +179,17 @@ def evaluate(gt_frames: Sequence[GroundTruthFrame],
                                   "motar": 0.0})
             continue
         thr = tp_scores[need - 1]
-        survivors = [row for row in base if row.score >= thr]
-        tp_k = len(survivors)
+        keep = score >= thr
+        tp_k = int(keep.sum())
         pred_k = int(np.searchsorted(-all_scores, -thr, side="right"))
         fp_k = pred_k - tp_k
         fn_k = num_gt - tp_k
-        ids_k = _count_switches(survivors)
+        ids_k = switches(keep)
         r_ach = tp_k / num_gt
         motar = max(0.0, 1.0 - (ids_k + fp_k + fn_k - (1.0 - r_ach) * num_gt)
                     / (r_ach * num_gt))
         motars.append(motar)
-        amotp_terms.append(float(np.mean([row.dist for row in survivors])))
+        amotp_terms.append(float(np.mean(dist[keep])))
         per_threshold.append({
             "target_recall": target, "reachable": True, "threshold": float(thr),
             "achieved_recall": r_ach, "tp": tp_k, "fp": fp_k, "fn": fn_k,

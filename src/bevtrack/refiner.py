@@ -27,6 +27,7 @@ scoping, combination, and fusion arithmetic, not learned quality.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -63,6 +64,21 @@ class FeatureGrid:
         return self.data.shape  # type: ignore[return-value]
 
 
+def _finite_pair(name: str, value) -> tuple[float, float]:
+    """value as two finite floats (bools and strings refused), else
+    ValueError."""
+    try:
+        a, b = value
+        if all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+               for v in (a, b)):
+            a, b = float(a), float(b)
+            if math.isfinite(a) and math.isfinite(b):
+                return a, b
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be two finite numbers, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ObjectPrior:
     """One predicted object projected onto a grid: concatenated embedding,
@@ -78,6 +94,10 @@ class ObjectPrior:
             raise ValueError("e_cat must be a vector")
         if not np.all(np.isfinite(self.e_cat)):
             raise ValueError("e_cat contains NaN/Inf")
+        object.__setattr__(self, "center_cell",
+                           _finite_pair("center_cell", self.center_cell))
+        object.__setattr__(self, "footprint",
+                           _finite_pair("footprint", self.footprint))
         if min(self.footprint) < 0:
             raise ValueError("footprint extents must be non-negative")
 

@@ -230,3 +230,106 @@ def dense_kalman_update(mean, cov, z, r, min_dim):
     post[4:7] = np.maximum(post[4:7], min_dim)
     ikh = np.eye(10) - gain @ h
     return post, ikh @ cov @ ikh.T + gain @ r_mat @ gain.T
+
+
+# ---------------------------------------------------------------------------
+# tracking metrics with per-threshold row lists (nuScenes AMOTA / CLEAR MOT)
+
+def _greedy_frame_tps(gt, preds, match_distance):
+    """(gt_id, track_id, distance) TPs of one frame: predictions by
+    descending score (ties by ascending track id) take the nearest free
+    visible GT within match_distance; the last GT at equal distance wins."""
+    free = {gid: (box.cx, box.cy) for gid, box, vis in gt.objects if vis}
+    tps = []
+    for track_id, box, _score in sorted(preds, key=lambda p: (-p[2], p[0])):
+        best_gid, best_dist = None, match_distance
+        for gid, (cx, cy) in free.items():
+            d = math.hypot(box.cx - cx, box.cy - cy)
+            if d <= best_dist:
+                best_gid, best_dist = gid, d
+        if best_gid is not None:
+            tps.append((best_gid, track_id, best_dist))
+            del free[best_gid]
+    return tps
+
+
+def _list_switches(rows):
+    """Identity switches of (frame_id, gt_id, track_id, ...) rows: a GT's
+    track id changing between its consecutive matched frames."""
+    by_gt = {}
+    for frame_id, gt_id, track_id, *_ in rows:
+        by_gt.setdefault(gt_id, []).append((frame_id, track_id))
+    switches = 0
+    for pairs in by_gt.values():
+        pairs.sort()
+        switches += sum(1 for (_, a), (_, b) in zip(pairs, pairs[1:])
+                        if a != b)
+    return switches
+
+
+def reference_evaluate(gt_frames, tracker_output, match_distance=2.0,
+                       recall_thresholds=40):
+    """The metrics report as a dict (MetricsReport.as_dict() layout): one
+    all-predictions matching, then for every recall threshold the list of
+    surviving TP rows, regrouped and re-sorted per GT to count switches."""
+    num_gt = sum(1 for g in gt_frames for _, _, vis in g.objects if vis)
+    num_preds = sum(len(v) for v in tracker_output.values())
+    base = []  # (frame_id, gt_id, track_id, score, distance)
+    visible_frames = {}
+    for g in gt_frames:
+        for gid, _box, vis in g.objects:
+            if vis:
+                visible_frames.setdefault(gid, []).append(g.frame_id)
+        preds = tracker_output.get(g.frame_id, [])
+        score_of = {}
+        for tid, _box, score in preds:
+            score_of.setdefault(tid, score)  # first occurrence wins
+        base.extend((g.frame_id, gid, tid, score_of[tid], dist)
+                    for gid, tid, dist in _greedy_frame_tps(g, preds,
+                                                            match_distance))
+    tp_total = len(base)
+    fp_total, fn_total = num_preds - tp_total, num_gt - tp_total
+    ids_total = _list_switches(base)
+    matched = {}
+    for row in base:
+        matched[row[1]] = matched.get(row[1], 0) + 1
+    mt = sum(1 for gid, frames in visible_frames.items()
+             if matched.get(gid, 0) >= 0.8 * len(frames))
+
+    tp_scores = np.sort(np.array([row[3] for row in base]))[::-1]
+    all_scores = np.sort(np.array(
+        [s for preds in tracker_output.values() for (_t, _b, s) in preds]))[::-1]
+    motars, amotp_terms, per_threshold = [], [], []
+    for k in range(1, recall_thresholds + 1):
+        target = k / recall_thresholds
+        need = math.ceil(target * num_gt)
+        if need > tp_total:
+            motars.append(0.0)
+            per_threshold.append({"target_recall": target, "reachable": False,
+                                  "motar": 0.0})
+            continue
+        thr = tp_scores[need - 1]
+        survivors = [row for row in base if row[3] >= thr]
+        tp_k = len(survivors)
+        pred_k = int(np.searchsorted(-all_scores, -thr, side="right"))
+        fp_k, fn_k = pred_k - tp_k, num_gt - tp_k
+        ids_k = _list_switches(survivors)
+        r_ach = tp_k / num_gt
+        motar = max(0.0, 1.0 - (ids_k + fp_k + fn_k - (1.0 - r_ach) * num_gt)
+                    / (r_ach * num_gt))
+        motars.append(motar)
+        amotp_terms.append(float(np.mean([row[4] for row in survivors])))
+        per_threshold.append({
+            "target_recall": target, "reachable": True, "threshold": float(thr),
+            "achieved_recall": r_ach, "tp": tp_k, "fp": fp_k, "fn": fn_k,
+            "ids": ids_k, "motar": motar,
+        })
+    return {
+        "amota": float(np.mean(motars)),
+        "amotp": (float(np.mean(amotp_terms)) if amotp_terms
+                  else match_distance),
+        "mota": 1.0 - (ids_total + fp_total + fn_total) / num_gt,
+        "recall": tp_total / num_gt, "ids": ids_total, "fp": fp_total,
+        "fn": fn_total, "mt": mt, "num_gt": num_gt,
+        "per_threshold": per_threshold,
+    }

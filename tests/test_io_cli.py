@@ -11,7 +11,8 @@ from bevtrack.association import AppearanceState, ClueWeights
 from bevtrack.cli import main
 from bevtrack.geometry import Box3D
 from bevtrack.metrics import EvalConfig, evaluate
-from bevtrack.simulator import ScenarioConfig, generate, standard_suites
+from bevtrack.simulator import (ScenarioConfig, SpawnSpec, generate,
+                                standard_suites)
 from bevtrack.tracker import Detection, TrackerConfig, run_sequence
 
 
@@ -419,6 +420,61 @@ class TestCliSimulate:
         vis = {gid: v for gid, _b, v in gt[2].objects}
         assert vis[0] is False
 
+    @pytest.mark.parametrize("text, key, message", [
+        ("num_objectz: 3", "num_objectz", "unknown key"),
+        ("[1, 2]", "(top level)", "must be a mapping"),
+        ("num_objects: abc", "num_objects", "must be an integer"),
+        ("spawn_overrides: {0: {x: 1}}", "spawn_overrides.0",
+         "missing 3 required positional arguments")])
+    def test_bad_scenario_exits_1_naming_the_key(self, tmp_path, capsys,
+                                                 text, key, message):
+        spec = tmp_path / "scenario.yaml"
+        spec.write_text(text + "\n")
+        out = tmp_path / "sim"
+        assert main(["simulate", "--scenario", str(spec), "--out",
+                     str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {spec}: {key}: ") and message in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_scenario_file_takes_every_field_kind(self, tmp_path):
+        spec = tmp_path / "scenario.yaml"
+        spec.write_text(
+            "seed: 4\nnum_objects: 3\narena: [40, 50.5]\nfn_rate: 1e-1\n"
+            "size_classes: {car: [4, 2, 1.5], bike: [2, 0.8, 1.6]}\n"
+            "object_classes: [car, bike, car]\n"
+            "spawn_overrides: {1: {x: 1, y: 2, heading: 0.5, speed: 3}}\n"
+            "occlusion_events: [[0, 2, 3]]\ncompanions: [[0, 2, 4.5]]\n")
+        assert bio.load_scenario(spec) == ScenarioConfig(
+            seed=4, num_objects=3, arena=(40.0, 50.5), fn_rate=0.1,
+            size_classes={"car": (4.0, 2.0, 1.5), "bike": (2.0, 0.8, 1.6)},
+            object_classes=("car", "bike", "car"),
+            spawn_overrides={1: SpawnSpec(1.0, 2.0, 0.5, 3.0)},
+            occlusion_events=((0, 2, 3),), companions=((0, 2, 4.5),))
+        spec.write_text("")
+        assert bio.load_scenario(spec) == ScenarioConfig()
+
+    @pytest.mark.parametrize("text, key, message", [
+        ("arena: [1, 2, 3]", "arena", "must have 2 entries"),
+        ("occlusion_events: [[0, 1]]", "occlusion_events",
+         "must have 3 entries"),
+        ("object_classes: [1]", "object_classes", "must be a string"),
+        ("spawn_overrides: {a: {x: 1, y: 2, heading: 0, speed: 1}}",
+         "spawn_overrides.a", "must be an integer"),
+        ("spawn_overrides: {0: {x: 1, y: 2, heading: 0, speed: 1, z: 0}}",
+         "spawn_overrides.0.z", "unknown key"),
+        ("frame_dt: .nan", "frame_dt", "must be a finite number"),
+        ("seed: true", "seed", "must be an integer"),
+        ("fn_rate: 2", "(top level)", "fn_rate must be in [0, 1]")])
+    def test_invalid_scenario_names_file_and_key(self, tmp_path, text, key,
+                                                  message):
+        spec = tmp_path / "scenario.yaml"
+        spec.write_text(text + "\n")
+        with pytest.raises(bio.ConfigError,
+                           match=re.escape(f"{spec}: {key}: {message}")):
+            bio.load_scenario(spec)
+
 
 class TestCliTrackEvaluate:
     def _simulate(self, tmp_path, suite="basic", noiseless=True):
@@ -667,6 +723,20 @@ class TestCliRefineDemo:
         code = main(["refine-demo", "--grid", "8x8x2", "--objects", str(objs),
                      "--seed", "0", "--out", str(tmp_path / "demo")])
         assert code == 1
+
+    @pytest.mark.parametrize("line", [
+        '{"center": [NaN, 1]}',
+        '{"center": [5, 5, 9]}',
+        '{"center": [2, 2], "footprint": [1]}'])
+    def test_bad_object_line_exit_1_with_path_line(self, tmp_path, capsys,
+                                                   line):
+        objs = tmp_path / "objs.jsonl"
+        objs.write_text('{"center": [1, 1]}\n\n' + line + "\n")
+        out = tmp_path / "demo"
+        assert main(["refine-demo", "--grid", "8x8x2", "--objects", str(objs),
+                     "--seed", "0", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {objs}:3: ")
+        assert not out.exists()
 
     def test_bad_grid_spec_exit_2(self, tmp_path):
         code = main(["refine-demo", "--grid", "16x16", "--out",

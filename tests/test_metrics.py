@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bevtrack.geometry import Box3D
-from bevtrack.metrics import evaluate, format_report, match_frame
+from bevtrack.metrics import EvalConfig, evaluate, format_report, match_frame
 from bevtrack.simulator import GroundTruthFrame
+
+from oracles import reference_evaluate
 
 
 def box_at(x, y):
@@ -184,3 +188,65 @@ class TestEvaluate:
         for key in ("AMOTA", "AMOTP", "MOTA", "Recall", "IDS", "FP", "FN",
                     "MT"):
             assert key in text
+
+
+class TestEvaluateInputs:
+    def test_repeated_frame_rejected(self):
+        # unchecked, this scores FP -1, MOTA 1.5 and AMOTA 1.5
+        gt = [gt_frame(0, [(0, 0)]), gt_frame(0, [(0, 0)])]
+        with pytest.raises(ValueError, match="frame 0 repeated"):
+            evaluate(gt, {0: [(1, box_at(0, 0), 0.9)]})
+
+    def test_repeated_gt_id_in_frame_rejected(self):
+        # unchecked, perfect tracking scores AMOTA 0.0, recall 0.5, FN 1
+        gt = [GroundTruthFrame(frame_id=3, timestamp=0.3, objects=(
+            (7, box_at(0, 0), True), (7, box_at(10, 0), True)))]
+        tracks = {3: [(1, box_at(0, 0), 0.9), (2, box_at(10, 0), 0.8)]}
+        with pytest.raises(ValueError, match="gt_id 7 repeated in frame 3"):
+            evaluate(gt, tracks)
+
+
+BIG = 2 ** 70
+_ID = st.one_of(st.integers(-3, 3), st.sampled_from([BIG, -BIG, BIG + 1]))
+
+
+@st.composite
+def _scored_sequence(draw):
+    """Ground truth and tracker output with occluded GTs, track ids
+    repeated within a frame, ids of +-2**70 and frames in shuffled order."""
+    gt_ids = draw(st.lists(_ID, min_size=1, max_size=4, unique=True))
+    frame_ids = sorted(draw(st.lists(_ID, min_size=1, max_size=7,
+                                     unique=True)))
+    gt_frames, tracks = [], {}
+    for step, fid in enumerate(frame_ids):
+        objects, preds = [], []
+        for lane, gid in enumerate(gt_ids):
+            x, y = 10.0 * lane, 0.5 * step
+            visible = draw(st.booleans()) or draw(st.booleans())
+            objects.append((gid, box_at(x, y), visible))
+            for _ in range(draw(st.integers(0, 2))):
+                dx = draw(st.sampled_from([0.0, 0.5, 1.0, 2.5]))
+                preds.append((draw(_ID), box_at(x + dx, y),
+                              draw(st.sampled_from([0.2, 0.4, 0.6, 0.8]))))
+        gt_frames.append(GroundTruthFrame(frame_id=fid, timestamp=0.1 * step,
+                                          objects=tuple(objects)))
+        if preds or draw(st.booleans()):
+            tracks[fid] = preds
+    if not any(vis for g in gt_frames for _, _, vis in g.objects):
+        gt_frames[0] = GroundTruthFrame(
+            frame_id=frame_ids[0], timestamp=0.0,
+            objects=tuple((gid, box, True)
+                          for gid, box, _ in gt_frames[0].objects))
+    return draw(st.permutations(gt_frames)), tracks
+
+
+class TestEvaluateAgainstListReference:
+    @settings(max_examples=300, deadline=None)
+    @given(data=_scored_sequence(), thresholds=st.sampled_from([1, 7, 40]))
+    def test_report_equals_reference(self, data, thresholds):
+        gt_frames, tracks = data
+        cfg = EvalConfig(match_distance=2.0, recall_thresholds=thresholds)
+        got = evaluate(gt_frames, tracks, cfg).as_dict()
+        want = reference_evaluate(gt_frames, tracks, 2.0, thresholds)
+        assert got == want
+        assert repr(got) == repr(want)  # same types and the same floats

@@ -25,6 +25,27 @@ def random_prior(rng, dim, grid_shape):
                        footprint=(rng.uniform(1, 3), rng.uniform(1, 3)))
 
 
+class TestObjectPrior:
+    @pytest.mark.parametrize("center, footprint", [
+        ((5.0, 5.0, 9.0), (1.0, 1.0)), ((5.0,), (1.0, 1.0)),
+        ((math.nan, 1.0), (1.0, 1.0)), ((1.0, 1e999), (1.0, 1.0)),
+        ((True, 1.0), (1.0, 1.0)), ("ab", (1.0, 1.0)), (3.0, (1.0, 1.0)),
+        ((1.0, 1.0), (math.nan, 1.0)), ((1.0, 1.0), (1.0,)),
+        ((1.0, 1.0), (1.0, "2")), ((1.0, 1.0), (1.0, 1.0, 1.0))])
+    def test_rejects_anything_but_two_finite_numbers(self, center, footprint):
+        with pytest.raises(ValueError, match="must be two finite numbers"):
+            ObjectPrior(np.zeros(3), center, footprint)
+
+    def test_rejects_negative_footprint(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            ObjectPrior(np.zeros(3), (1.0, 1.0), (-0.5, 1.0))
+
+    def test_pairs_become_float_tuples(self):
+        o = ObjectPrior(np.zeros(3), [np.float64(1.5), 2], np.array([0, 3.0]))
+        assert o.center_cell == (1.5, 2.0) and o.footprint == (0.0, 3.0)
+        assert all(type(v) is float for v in o.center_cell + o.footprint)
+
+
 class TestAssignScaleLevel:
     def test_identity_map_on_one_hot(self):
         maps = make_maps()
