@@ -160,7 +160,6 @@ def solve_assignment(c: CostMatrix) -> list[tuple[int, int]]:
     if values.size == 0 or not gate.any():
         return []
     padded = np.where(gate, values, _INFEASIBLE_COST)
-    rows, cols = linear_sum_assignment(padded)
-    pairs = [(int(i), int(j)) for i, j in zip(rows, cols) if gate[i, j]]
-    pairs.sort()
-    return pairs
+    rows, cols = linear_sum_assignment(padded)  # rows come out ascending
+    keep = gate[rows, cols]
+    return list(zip(rows[keep].tolist(), cols[keep].tolist()))

@@ -76,6 +76,30 @@ class ScenarioConfig:
     companions: tuple[tuple[int, int, float], ...] = ()
 
     def __post_init__(self):
+        n = self.num_objects
+        if n < 0:
+            raise ValueError("num_objects must be >= 0")
+        if self.num_frames < 1:
+            raise ValueError("num_frames must be >= 1")
+        if not self.frame_dt > 0:
+            raise ValueError("frame_dt must be > 0")
+        if not min(self.arena) > 0:
+            raise ValueError("arena extents must be > 0")
+        if self.embedding_dim < 1:
+            raise ValueError("embedding_dim must be >= 1")
+        if not self.size_classes:
+            raise ValueError("size_classes must name at least one class")
+        for cls, dims in self.size_classes.items():
+            if not min(dims) > 0:
+                raise ValueError(f"size_classes.{cls} dims must be > 0")
+        for name in ("speed_range", "turn_rate_range", "score_range",
+                     "fp_score_range"):
+            low, high = getattr(self, name)
+            if low > high:
+                raise ValueError(
+                    f"{name} must be [low, high] with low <= high")
+            if name.endswith("score_range") and (low < 0 or high > 1):
+                raise ValueError(f"{name} must lie in [0, 1]")
         if not 0.0 <= self.fn_rate <= 1.0:
             raise ValueError("fn_rate must be in [0, 1]")
         if self.fp_rate < 0:
@@ -83,6 +107,28 @@ class ScenarioConfig:
         for name in ("pos_std", "yaw_std", "dim_std", "embedding_noise_std"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+        if self.object_classes is not None:
+            if len(self.object_classes) != n:
+                raise ValueError("object_classes must name every object")
+            unknown = sorted(set(self.object_classes) - set(self.size_classes))
+            if unknown:
+                raise ValueError(f"object_classes {unknown} are not in "
+                                 f"size_classes")
+        named = [("occlusion_events", event[0])
+                 for event in self.occlusion_events]
+        named += [("spawn_overrides", obj) for obj in self.spawn_overrides]
+        named += [("companions", obj) for pair in self.companions
+                  for obj in pair[:2]]
+        for name, obj in named:
+            if not 0 <= obj < n:
+                raise ValueError(f"{name} names object {obj}, but "
+                                 f"num_objects is {n}")
+        if any(start < 0 or duration < 0
+               for _, start, duration in self.occlusion_events):
+            raise ValueError("occlusion_events need start >= 0 and "
+                             "duration >= 0")
+        if any(gap < 0 for _, _, gap in self.companions):
+            raise ValueError("companions need gap >= 0")
 
     def noiseless(self) -> "ScenarioConfig":
         """Same trajectories and occlusions, zero observation corruption."""
@@ -122,8 +168,6 @@ def generate(cfg: ScenarioConfig) -> tuple[list[GroundTruthFrame],
     n = cfg.num_objects
     class_names = list(cfg.size_classes)
     if cfg.object_classes is not None:
-        if len(cfg.object_classes) != n:
-            raise ValueError("object_classes must name every object")
         classes = list(cfg.object_classes)
     else:
         classes = [class_names[i % len(class_names)] for i in range(n)]

@@ -212,6 +212,21 @@ class TestSolveAssignment:
             assert got_cost == pytest.approx(want_cost, abs=1e-12)
             assert len(pairs) == len(want_pairs)
 
+    def test_pairs_sorted_plain_ints_and_gated(self):
+        # tall, wide and square matrices: the pairs come out ordered by
+        # detection index as Python ints, and only gated pairs survive
+        rng = np.random.default_rng(23)
+        for trial in range(200):
+            n = int(rng.integers(1, 9))
+            m = int(rng.integers(1, 9))
+            values = rng.normal(size=(n, m))
+            gate = rng.uniform(size=(n, m)) < 0.4
+            pairs = solve_assignment(CostMatrix(values, gate))
+            assert pairs == sorted(pairs)
+            assert all(type(i) is int and type(j) is int for i, j in pairs)
+            assert all(gate[i, j] for i, j in pairs)
+            assert len({j for _, j in pairs}) == len(pairs)
+
     def test_deterministic(self):
         rng = np.random.default_rng(19)
         values = rng.normal(size=(5, 5))

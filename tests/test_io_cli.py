@@ -438,6 +438,41 @@ class TestCliSimulate:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("num_objects: -1", "num_objects must be >= 0"),
+        ("score_range: [0.9, 0.1]", "score_range must be [low, high]"),
+        ("speed_range: [5, 1]", "speed_range must be [low, high]"),
+        ("object_classes: [plane, car, car, car]",
+         "object_classes ['plane'] are not in size_classes"),
+        ("companions: [[0, 9, 1.0]]",
+         "companions names object 9, but num_objects is 4"),
+        ("frame_dt: -1", "frame_dt must be > 0"),
+        ("num_frames: 0", "num_frames must be >= 1"),
+        ("arena: [0, 10]", "arena extents must be > 0"),
+        ("occlusion_events: [[9, 0, 3]]",
+         "occlusion_events names object 9, but num_objects is 4"),
+        ("embedding_dim: 0", "embedding_dim must be >= 1"),
+        ("size_classes: {}", "size_classes must name at least one class"),
+        ("spawn_overrides: {4: {x: 1, y: 2, heading: 0, speed: 1}}",
+         "spawn_overrides names object 4"),
+        ("occlusion_events: [[0, -1, 3]]", "need start >= 0"),
+        ("companions: [[0, 1, -2.0]]", "companions need gap >= 0"),
+        ("size_classes: {car: [0, 1, 1]}",
+         "size_classes.car dims must be > 0"),
+        ("score_range: [0.5, 1.5]", "score_range must lie in [0, 1]"),
+        ("fp_score_range: [-0.1, 0.5]", "fp_score_range must lie in [0, 1]")])
+    def test_out_of_range_scenario_exits_1(self, tmp_path, capsys, text,
+                                           message):
+        spec = tmp_path / "scenario.yaml"
+        spec.write_text(text + "\n")
+        out = tmp_path / "sim"
+        assert main(["simulate", "--scenario", str(spec), "--out",
+                     str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {spec}: (top level): ")
+        assert message in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_scenario_file_takes_every_field_kind(self, tmp_path):
         spec = tmp_path / "scenario.yaml"
         spec.write_text(

@@ -9,7 +9,7 @@ from bevtrack.refiner import (DeformableFusionParams, FeatureGrid, FilterMask,
                               InjectedMaps, ObjectPrior, assign_scale_level,
                               backward_refine, bilinear_sample, combine_masks,
                               object_mask, peak_amplitude, refine_features,
-                              temporal_fuse)
+                              refine_grid, temporal_fuse)
 
 from oracles import _bilinear_point, naive_box_conv, naive_temporal_fuse
 
@@ -232,6 +232,24 @@ class TestRefineFeatures:
             want = np.mean(branches, axis=0)
             got = refine_features(f, masks, kernels).data
             assert np.array_equal(got, want), trial
+
+    @pytest.mark.parametrize("corner", [(0, 0), (0, -1), (-1, 0), (-1, -1)])
+    def test_k1_branch_with_one_corner_cell(self, corner):
+        # the only level-0 (k = 1) mask cell sits in a grid corner, next to
+        # a full-grid k = 5 branch; still bitwise the mean of the branches
+        rng = np.random.default_rng(53)
+        f = FeatureGrid(rng.normal(size=(9, 11, 3)))
+        corner_mask = np.zeros((9, 11))
+        corner_mask[corner] = 0.6
+        wide_mask = rng.uniform(0, 1, size=(9, 11))
+        masks = [FilterMask(0, corner_mask), FilterMask(1, np.zeros((9, 11))),
+                 FilterMask(2, wide_mask)]
+        branches = [f.data, corner_mask[:, :, None] * f.data,
+                    uniform_filter(wide_mask[:, :, None] * f.data,
+                                   size=(5, 5, 1), mode="constant", cval=0.0)]
+        want = np.mean(branches, axis=0)
+        got = refine_features(f, masks, (1, 3, 5)).data
+        assert np.array_equal(got, want)
 
     def test_shape_mismatch_rejected(self):
         f = FeatureGrid(np.zeros((4, 4, 2)))
@@ -530,6 +548,56 @@ class TestBackwardRefine:
         np.testing.assert_array_equal(out_a[0].data, out_b[0].data)
         np.testing.assert_array_equal(out_a[1].data, out_b[1].data)
         assert out_a[2] == out_b[2]
+
+
+class TestRefineGrid:
+    def test_masks_equal_combined_object_masks(self):
+        # refine_grid raises each level's grid to every scope window in
+        # place; that must equal combine_masks over the full-grid
+        # object_mask of each member exactly. Image (3 levels) and BEV (5
+        # levels) maps, centres on the border and in corners, a cluster of
+        # same-level overlapping scopes, and levels without objects.
+        rng = np.random.default_rng(47)
+        c = 4
+        empty_levels = 0
+        for trial in range(24):
+            kind, levels_n = (("image", 3), ("bev", 5))[trial % 2]
+            maps = InjectedMaps.from_seed(500 + trial, 3 * c, levels_n)
+            h, w = int(rng.integers(6, 30)), int(rng.integers(6, 30))
+            centers = [(rng.uniform(0, h - 1), rng.uniform(0, w - 1))
+                       for _ in range(int(rng.integers(0, 8)))]
+            centers += [(0.0, rng.uniform(0, w - 1)), (h - 1.0, w - 1.0),
+                        (rng.uniform(0, h - 1), 0.0), (0.0, 0.0)]
+            priors = [ObjectPrior(rng.normal(size=3 * c), ctr, (2.0, 2.0))
+                      for ctr in centers]
+            r0, c0 = rng.uniform(0, h - 1), rng.uniform(0, w - 1)
+            shared = rng.normal(size=3 * c)  # one level for the cluster
+            priors += [ObjectPrior(shared, (min(r0 + dr, h - 1.0), c0),
+                                   (2.0, 2.0)) for dr in (0.0, 0.4, 1.3)]
+            grid = FeatureGrid(rng.normal(size=(h, w, c)), kind=kind)
+            refined, levels, masks = refine_grid(grid, priors, maps)
+            assert levels == [assign_scale_level(o, maps) for o in priors]
+            want = []
+            for level in range(levels_n):
+                members = [object_mask(o, level, maps, (h, w))
+                           for o, lv in zip(priors, levels) if lv == level]
+                empty_levels += not members
+                want.append(combine_masks(members, level, (h, w)))
+            assert [m.level for m in masks] == list(range(levels_n))
+            for got_mask, want_mask in zip(masks, want):
+                assert np.array_equal(got_mask.data, want_mask.data)
+            assert np.array_equal(
+                refined.data,
+                refine_features(grid, want, maps.kernel_sizes).data)
+        assert empty_levels > 0
+
+    def test_prior_off_grid_rejected(self):
+        maps = make_maps()
+        grid = FeatureGrid(np.zeros((16, 16, 4)))
+        inside = ObjectPrior(np.zeros(12), (3.0, 3.0), (1.0, 1.0))
+        outside = ObjectPrior(np.zeros(12), (3.0, 16.5), (1.0, 1.0))
+        with pytest.raises(ValueError, match="outside 16x16 grid"):
+            refine_grid(grid, [inside, outside], maps)
 
 
 class TestMaskContract:
