@@ -77,27 +77,6 @@ class CostMatrix:
             raise ValueError("values and gate_mask must be equal 2-D shapes")
 
 
-def normalized_inner_product(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity; zero-norm inputs yield 0 instead of NaN."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu < _NORM_EPS or nv < _NORM_EPS:
-        return 0.0
-    return float(np.dot(u, v) / (nu * nv))
-
-
-def multi_clue_similarity(d: AppearanceState, t: AppearanceState,
-                          w: ClueWeights) -> float:
-    """Weighted sum of the three per-clue cosine similarities."""
-    return (w.w_img * normalized_inner_product(d.e_img, t.e_img)
-            + w.w_bev * normalized_inner_product(d.e_bev, t.e_bev)
-            + w.w_head * normalized_inner_product(d.e_head, t.e_head))
-
-
 def stack_appearance(states: Sequence[AppearanceState]) -> np.ndarray:
     """(N, 3, C) rows of (e_img, e_bev, e_head); (0, 3, 0) when empty."""
     if not states:

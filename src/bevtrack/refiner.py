@@ -23,11 +23,15 @@ each, and the sampling stays one operator per head.
 The level masks of a grid are built in one L x H x W array: each object
 raises its level's mask to its Gaussian only inside its scope's bounding
 window. Max is exact, so this equals combining the full-grid object masks
-bit for bit. The masked branches are box-smoothed on one channel-first
-C x H x W copy of the grid, so both filtered axes are contiguous; the
-result is bitwise the same as filtering the H x W x C grid. An unsmoothed
-(k = 1) branch is added only inside the bounding box of its mask's
-non-zero cells, where alone it can change the sum.
+bit for bit. The masked branches are box-smoothed on one H x C x W copy
+of the grid, in which each grid row is one contiguous C x W block. The
+pass along H replicates scipy's running-sum recurrence one whole row per
+step, forming each masked row as it enters a ring of k + 1 rows, so the
+masked grid is never stored; scipy's own pass then runs along the
+contiguous W lines. The result is bitwise that of ``uniform_filter`` on
+the masked H x W x C grid. An unsmoothed (k = 1) branch is added only
+inside the bounding box of its mask's non-zero cells, where alone it can
+change the sum.
 
 Learned components are replaced by seeded injected linear maps and
 ordinary normalized box convolutions: the artifact verifies the masking,
@@ -42,7 +46,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.ndimage import uniform_filter
+from scipy.ndimage import uniform_filter1d
 from scipy.sparse import csr_matrix, get_index_dtype
 
 # Per-level mask scope radii (cells) and smoothing kernel sizes, indexed by
@@ -253,19 +257,41 @@ def combine_masks(masks: Sequence[FilterMask], level: int,
     return FilterMask(level=level, data=np.maximum.reduce([m.data for m in masks]))
 
 
-# Rows per band of the channel-first copy: a band of the H x W x C source
-# and of the C x H x W target stay in cache together.
-_BAND_ROWS = 16
+def _smooth_rows(mask: np.ndarray, stack: np.ndarray, k: int,
+                 out: np.ndarray, ring: np.ndarray) -> None:
+    """Zero-padded box pass of width k along the rows of the masked stack.
 
-
-def _channels_first(data: np.ndarray) -> np.ndarray:
-    """C x H x W copy of an H x W x C grid, copied in bands of rows (1.1
-    against 4.4 ms for one strided transpose of a 128 x 128 x 32 grid on a
-    2-core Xeon VM)."""
-    out = np.empty(data.shape[2:] + data.shape[:2])
-    for r in range(0, data.shape[0], _BAND_ROWS):
-        out[:, r:r + _BAND_ROWS] = data[r:r + _BAND_ROWS].transpose(2, 0, 1)
-    return out
+    stack is H x C x W and mask H x W. Writes into out (H x C x W) exactly
+    ``uniform_filter1d(mask[:, None, :] * stack, k, axis=0,
+    mode="constant")``, sign bits included, one C x W row per step. scipy
+    sums the first window from 0.0, then for each later output adds
+    in[hi] - in[lo] and divides by k; this does the same with whole rows.
+    Padded rows are +0.0 and the sum never becomes -0.0, so a padded row
+    adds nothing to the first sum, and a difference with a padded row acts
+    as adding or subtracting the other row alone. Each masked row is
+    formed as it enters ring, whose first k + 1 rows hold the window and
+    the row about to leave it; the leaving row's slot takes the
+    difference, and the next entering row after it.
+    """
+    h = stack.shape[0]
+    half = k // 2
+    n = k + 1
+    acc = np.zeros(stack.shape[1:])
+    for j in range(min(half + 1, h)):
+        np.multiply(mask[j, None, :], stack[j], out=ring[j % n])
+        acc += ring[j % n]
+    np.divide(acc, k, out=out[0])
+    for i in range(1, h):
+        hi, lo = i + half, i - half - 1
+        if hi < h:
+            row = ring[hi % n]
+            np.multiply(mask[hi, None, :], stack[hi], out=row)
+            if lo >= 0:
+                row = np.subtract(row, ring[lo % n], out=ring[lo % n])
+            acc += row
+        elif lo >= 0:
+            acc -= ring[lo % n]
+        np.divide(acc, k, out=out[i])
 
 
 def refine_features(f: FeatureGrid, masks: Sequence[FilterMask],
@@ -277,15 +303,19 @@ def refine_features(f: FeatureGrid, masks: Sequence[FilterMask],
     All-zero masks contribute no branch, so an object-free grid passes
     through unchanged (residual path).
 
-    The branches work on one channel-first C x H x W copy of the grid, so
-    both smoothed axes are contiguous lines. The box filter runs the same
-    1-D running sums along H and then W whatever the memory layout, so the
-    result is bitwise the same as filtering the H x W x C grid. A k = 1
-    branch is the product alone; outside the bounding box of its mask's
-    non-zero cells that product is +-0, and adding it would leave the sum
-    unchanged, so it is added inside that box only.
+    The branches work on one H x C x W copy of the grid, in which every
+    grid row is one contiguous C x W block. ``_smooth_rows`` runs the pass
+    along H a whole row at a time, with the mask product formed row by row
+    in a ring of k + 1 rows, and scipy's ``uniform_filter1d`` then runs the
+    pass along the contiguous W lines in place. ``uniform_filter`` runs
+    the same two 1-D passes in the same order, so the result is bitwise
+    that of filtering the masked H x W x C grid. A k = 1 branch is the
+    product alone; outside the bounding box of its mask's non-zero cells
+    that product is +-0, and adding it would leave the sum unchanged, so
+    it is added inside that box only. The H x W x C result is written into
+    the spent branch buffer.
     """
-    h, w, _ = f.shape
+    h, w, c = f.shape
     if kernel_sizes is None:
         kernel_sizes = DEFAULT_KERNEL_SIZES.get(len(masks))
         if kernel_sizes is None:
@@ -302,13 +332,12 @@ def refine_features(f: FeatureGrid, masks: Sequence[FilterMask],
     # A running sum adds the branches in the same order as np.mean over
     # the stacked branches, so the result is bitwise the same without
     # holding every branch at once.
-    stack = _channels_first(f.data)
+    stack = np.ascontiguousarray(f.data.transpose(0, 2, 1))
     total = stack.copy()
-    # One buffer serves every smoothed branch, product and filter output
-    # alike: a fresh grid-sized array for each costs more than the product
-    # itself. uniform_filter already runs its second axis in place, and a
-    # 1-D pass reads each line before it writes it, so the first may too.
+    # One buffer serves every smoothed branch: a fresh grid-sized array for
+    # each costs more than the arithmetic on it.
     branch = np.empty_like(stack)
+    ring = np.empty((max(kernel_sizes, default=1) + 1, c, w))
     count = 1
     for mask in masks:
         if not mask.data.any():
@@ -317,17 +346,20 @@ def refine_features(f: FeatureGrid, masks: Sequence[FilterMask],
         if k == 1:
             rows = np.flatnonzero(mask.data.any(axis=1))
             cols = np.flatnonzero(mask.data.any(axis=0))
-            r, c = slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
-            total[:, r, c] += mask.data[r, c] * stack[:, r, c]
+            r, q = slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
+            total[r, :, q] += mask.data[r, None, q] * stack[r, :, q]
         else:
             # normalized k x k box convolution, zero padded
-            np.multiply(mask.data, stack, out=branch)
-            total += uniform_filter(branch, size=(1, k, k), output=branch,
-                                    mode="constant", cval=0.0)
+            _smooth_rows(mask.data, stack, k, branch, ring)
+            # scipy copies each line out before it writes it back, so the
+            # W pass may run in place
+            total += uniform_filter1d(branch, k, axis=2, output=branch,
+                                      mode="constant", cval=0.0)
         count += 1
     total /= count
-    return FeatureGrid(np.ascontiguousarray(total.transpose(1, 2, 0)),
-                       kind=f.kind)
+    out = branch.reshape(h, w, c)
+    np.copyto(out, total.transpose(0, 2, 1))
+    return FeatureGrid(out, kind=f.kind)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 Nothing here shares code with the library paths it checks: IoU is
 re-derived by counting rasterization cells, assignment by permutation
-enumeration, attention and convolution by literal loops.
+enumeration, similarity one pair of vectors at a time, attention and
+convolution by literal loops.
 """
 
 import math
@@ -143,6 +144,34 @@ def brute_force_assignment(values, gate):
     pairs = sorted((i, j) for i, j in best_pairs if gate[i, j])
     cost = math.fsum(values[i, j] for i, j in pairs)
     return pairs, cost
+
+
+# ---------------------------------------------------------------------------
+# multi-clue similarity, one pair at a time
+
+# zero-norm threshold of the library's similarity matrix
+_NORM_EPS = 1e-12
+
+
+def normalized_inner_product(u, v):
+    """Cosine similarity; zero-norm inputs yield 0 instead of NaN."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    if u.shape != v.shape:
+        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
+    nu = np.linalg.norm(u)
+    nv = np.linalg.norm(v)
+    if nu < _NORM_EPS or nv < _NORM_EPS:
+        return 0.0
+    return float(np.dot(u, v) / (nu * nv))
+
+
+def multi_clue_similarity(d, t, w):
+    """Weighted sum of the three per-clue cosine similarities of two
+    appearance states under clue weights w."""
+    return (w.w_img * normalized_inner_product(d.e_img, t.e_img)
+            + w.w_bev * normalized_inner_product(d.e_bev, t.e_bev)
+            + w.w_head * normalized_inner_product(d.e_head, t.e_head))
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from bevtrack.association import (AppearanceState, ClueWeights, CostMatrix,
-                                  build_similarity_matrix,
-                                  multi_clue_similarity,
-                                  normalized_inner_product, solve_assignment,
+                                  build_similarity_matrix, solve_assignment,
                                   stack_appearance, unstack_appearance)
 
-from oracles import brute_force_assignment
+from oracles import (brute_force_assignment, multi_clue_similarity,
+                     normalized_inner_product)
 
 
 def random_appearance(rng, dim=8):

@@ -1,11 +1,14 @@
 """Tier-1 guard against benchmark drift.
 
-Runs one pass of the ``scene200`` and ``scene200-iou`` benchmark workloads
-at the pinned seed through ``perfbench/workloads.py`` of this checkout and
-checks it with the workload's own ``check_pass`` against the committed
-``perfbench/reference.npz``: exact match lists and track ids, boxes within
-1e-9, equal AMOTA and IDS. A change that moves the tracker's outputs fails
-here instead of only in a benchmark run.
+Runs one pass of the ``scene200``, ``scene200-iou`` and ``refine-bev``
+benchmark workloads at the pinned seed through ``perfbench/workloads.py``
+of this checkout and checks it with the workload's own ``check_pass``
+against the committed ``perfbench/reference.npz``: for the tracking
+workloads exact match lists and track ids, boxes within 1e-9, equal AMOTA
+and IDS; for ``refine-bev`` equal per-object levels, and the sums and
+fixed samples of the refined and fused grids within 1e-9 relative. A
+change that moves the tracker's or the refiner's outputs fails here
+instead of only in a benchmark run.
 """
 
 import importlib.util
@@ -16,7 +19,9 @@ import numpy as np
 import pytest
 
 import bevtrack
-from bevtrack import io, metrics, motion, simulator, tracker  # noqa: F401
+# perfbench reaches every module through the package
+from bevtrack import (io, metrics, motion, refiner,  # noqa: F401
+                      simulator, tracker)
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -30,7 +35,7 @@ def _load_workloads():
     return module
 
 
-@pytest.mark.parametrize("name", ["scene200", "scene200-iou"])
+@pytest.mark.parametrize("name", ["scene200", "scene200-iou", "refine-bev"])
 def test_pass_matches_reference(name, tmp_path):
     workloads = _load_workloads()
     wl = workloads.WORKLOADS[name]

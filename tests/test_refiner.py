@@ -3,19 +3,34 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.ndimage import uniform_filter
+from scipy.ndimage import uniform_filter, uniform_filter1d
 
 from bevtrack.refiner import (DeformableFusionParams, FeatureGrid, FilterMask,
                               InjectedMaps, ObjectPrior, assign_scale_level,
                               backward_refine, bilinear_sample, combine_masks,
                               object_mask, peak_amplitude, refine_features,
-                              refine_grid, temporal_fuse)
+                              refine_grid, temporal_fuse, _smooth_rows)
 
 from oracles import _bilinear_point, naive_box_conv, naive_temporal_fuse
 
 
 def make_maps(seed=0, dim=12, levels=3):
     return InjectedMaps.from_seed(seed, dim, levels)
+
+
+def bitwise_equal(a, b):
+    """Equal values and equal sign bits, so -0.0 differs from 0.0."""
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def with_signed_zeros(rng, data, share=0.2):
+    """data with a share of its cells set to 0.0 or -0.0 at random."""
+    data = data.copy()
+    hit = rng.uniform(size=data.shape) < share
+    zeros = np.where(rng.uniform(size=data.shape) < 0.5, -0.0, 0.0)
+    data[hit] = zeros[hit]
+    return data
 
 
 def random_prior(rng, dim, grid_shape):
@@ -251,6 +266,30 @@ class TestRefineFeatures:
         got = refine_features(f, masks, (1, 3, 5)).data
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 17), (17, 1), (4, 3)])
+    def test_grid_smaller_than_kernel(self, shape):
+        # k = 9 reaches past the grid on at least one axis
+        rng = np.random.default_rng(sum(shape))
+        f = FeatureGrid(with_signed_zeros(rng, rng.normal(size=shape + (3,))))
+        masks = [FilterMask(0, rng.uniform(size=shape)),
+                 FilterMask(1, rng.uniform(size=shape))]
+        branches = [f.data, masks[0].data[:, :, None] * f.data,
+                    uniform_filter(masks[1].data[:, :, None] * f.data,
+                                   size=(9, 9, 1), mode="constant", cval=0.0)]
+        want = np.mean(branches, axis=0)
+        assert bitwise_equal(refine_features(f, masks, (1, 9)).data, want)
+
+    def test_inputs_untouched_and_not_shared(self):
+        rng = np.random.default_rng(61)
+        f = FeatureGrid(with_signed_zeros(rng, rng.normal(size=(12, 10, 4))))
+        masks = [FilterMask(level, rng.uniform(size=(12, 10)))
+                 for level in range(3)]
+        before = [f.data.copy()] + [m.data.copy() for m in masks]
+        out = refine_features(f, masks, (1, 3, 5))
+        for arr, old in zip([f.data] + [m.data for m in masks], before):
+            assert bitwise_equal(arr, old)
+            assert not np.shares_memory(out.data, arr)
+
     def test_shape_mismatch_rejected(self):
         f = FeatureGrid(np.zeros((4, 4, 2)))
         with pytest.raises(ValueError):
@@ -262,6 +301,27 @@ class TestRefineFeatures:
         for data in (np.ones((4, 4)), np.zeros((4, 4))):
             with pytest.raises(ValueError, match="kernel size"):
                 refine_features(f, [FilterMask(level, data)], (3,))
+
+
+class TestSmoothRows:
+    @pytest.mark.parametrize("k", [3, 5, 9, 61, 121])
+    def test_bitwise_equal_to_uniform_filter1d(self, k):
+        # scipy's own pass on the stored product is the oracle: values and
+        # sign bits, for stacks shorter and taller than the kernel
+        rng = np.random.default_rng(k)
+        for h in range(1, 41):
+            c, w = int(rng.integers(1, 4)), int(rng.integers(1, 7))
+            stack = with_signed_zeros(
+                rng, rng.normal(size=(h, c, w)) * rng.choice([1e-3, 1, 1e3]))
+            mask = with_signed_zeros(rng, rng.uniform(size=(h, w)), 0.3)
+            out = np.full_like(stack, np.nan)
+            # a ring longer than k + 1 rows, as refine_features passes for
+            # its smaller kernels; stale rows must never be read
+            ring = np.full((k + 4, c, w), np.nan)
+            _smooth_rows(mask, stack, k, out, ring)
+            want = uniform_filter1d(mask[:, None, :] * stack, k, axis=0,
+                                    mode="constant")
+            assert bitwise_equal(out, want), (h, c, w)
 
 
 class TestBilinearSample:
