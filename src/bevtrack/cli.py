@@ -105,6 +105,8 @@ def _parse_grid_spec(spec: str) -> tuple[int, int, int]:
     if len(parts) != 3:
         raise ValueError(f"grid spec must be HxWxC, got {spec!r}")
     h, w, c = (int(p) for p in parts)
+    if min(h, w, c) < 1:
+        raise ValueError(f"grid dimensions must be >= 1, got {spec!r}")
     return h, w, c
 
 

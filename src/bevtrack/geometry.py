@@ -183,9 +183,6 @@ class BufferRatioTable:
                 "largest scale level"
             )
 
-    def __len__(self) -> int:
-        return len(self.ratios)
-
     def ratio(self, level: int) -> float:
         return self.ratios[min(max(level, 0), len(self.ratios) - 1)]
 

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import (Iterable, Iterator, Sequence, get_args, get_origin,
                     get_type_hints)
 
 import yaml
 
+from . import refiner
 from .association import AppearanceState, ClueWeights
 from .geometry import (DEFAULT_SCALE_BREAKPOINTS, Box3D, BufferRatioTable,
                        footprint_scale_level)
@@ -265,24 +266,21 @@ def read_tracks(path) -> dict[int, list[Pred]]:
 # run configuration
 
 @dataclass(frozen=True)
-class RefinerGridConfig:
-    num_levels: int
-    scope_radii: tuple[float, ...]
-    kernel_sizes: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class AppConfig:
     """Everything a run needs: tracker, motion noise, eval, refiner."""
 
     tracker: TrackerConfig = field(default_factory=TrackerConfig)
     noise: NoiseConfig = field(default_factory=NoiseConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
-    refiner_image: RefinerGridConfig = RefinerGridConfig(3, (2.0, 4.0, 8.0),
-                                                         (1, 3, 5))
-    refiner_bev: RefinerGridConfig = RefinerGridConfig(
-        5, (2.0, 4.0, 8.0, 16.0, 24.0), (1, 3, 5, 7, 9))
+    refiner_image: refiner.RefinerGridConfig = refiner.DEFAULT_IMAGE_GRID
+    refiner_bev: refiner.RefinerGridConfig = refiner.DEFAULT_BEV_GRID
     scale_breakpoints: tuple[float, ...] = DEFAULT_SCALE_BREAKPOINTS
+
+    def __post_init__(self):
+        edges = self.scale_breakpoints
+        if any(a >= b for a, b in zip(edges, edges[1:])):
+            raise ValueError("scale_breakpoints: must be strictly increasing, "
+                             f"got {list(edges)}")
 
 
 DEFAULT_CONFIG_TEXT = """\
@@ -386,27 +384,29 @@ def load_config(path=None) -> AppConfig:
     cfg = _checked(_read_yaml(path), yaml.safe_load(DEFAULT_CONFIG_TEXT), path)
 
     def build(key, cls, *args, **kwargs):
+        # a rule message "field: ..." naming a field of cls moves it to the key
         try:
             return cls(*args, **kwargs)
         except ValueError as exc:
-            raise ConfigError(path, key, str(exc)) from exc
+            message = str(exc)
+            name, sep, rest = message.partition(": ")
+            if sep and name in {f.name for f in fields(cls)}:
+                key, message = key + (name,), rest
+            raise ConfigError(path, key, message) from exc
 
-    trk, ref = cfg["tracker"], cfg["refiner"]
-    for grid, spec in ref.items():
-        for key in ("scope_radii", "kernel_sizes"):
-            if len(spec[key]) != spec["num_levels"]:
-                raise ConfigError(path, ("refiner", grid, key), (
-                    f"{len(spec[key])} entries for {spec['num_levels']} levels"))
+    trk = cfg["tracker"]
+    grid = {name: build(("refiner", name), refiner.RefinerGridConfig, **spec)
+            for name, spec in cfg["refiner"].items()}
     trk["clue_weights"] = build(("tracker", "clue_weights"), ClueWeights, **{
         f"w_{clue}": w for clue, w in trk["clue_weights"].items()})
     trk["buffer_ratios"] = build(("tracker", "buffer_ratios"),
                                  BufferRatioTable, trk["buffer_ratios"])
-    return AppConfig(
+    return build(
+        (), AppConfig,
         tracker=build(("tracker",), TrackerConfig, **trk),
         noise=build(("motion",), NoiseConfig, **cfg["motion"]),
         eval=build(("eval",), EvalConfig, **cfg["eval"]),
-        refiner_image=RefinerGridConfig(**ref["image"]),
-        refiner_bev=RefinerGridConfig(**ref["bev"]),
+        refiner_image=grid["image"], refiner_bev=grid["bev"],
         scale_breakpoints=cfg["scale_breakpoints"])
 
 

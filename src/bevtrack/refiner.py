@@ -15,11 +15,6 @@ attention weights folded in: it yields the attention-weighted sum of the
 K sampled points per cell directly, and the samples themselves are never
 stored.
 
-The generators of the offsets and logits are applied to the previous and
-current grids as two halves, so the two grids are never concatenated;
-the value and output projections of all heads are one matrix product
-each, and the sampling stays one operator per head.
-
 The level masks of a grid are built in one L x H x W array: each object
 raises its level's mask to its Gaussian only inside its scope's bounding
 window. Max is exact, so this equals combining the full-grid object masks
@@ -49,12 +44,35 @@ import numpy as np
 from scipy.ndimage import uniform_filter1d
 from scipy.sparse import csr_matrix, get_index_dtype
 
-# Per-level mask scope radii (cells) and smoothing kernel sizes, indexed by
-# level with 0 = smallest object class. Image grids use 3 levels, BEV grids
-# 5 (kernel sets {5,3,1} and {9,7,5,3,1}, largest level gets the largest
-# kernel).
-DEFAULT_SCOPE_RADII = {3: (2.0, 4.0, 8.0), 5: (2.0, 4.0, 8.0, 16.0, 24.0)}
-DEFAULT_KERNEL_SIZES = {3: (1, 3, 5), 5: (1, 3, 5, 7, 9)}
+
+@dataclass(frozen=True)
+class RefinerGridConfig:
+    """Per-level settings of one grid, indexed by level with 0 = smallest
+    object class: the mask scope radius (cells) and the smoothing kernel
+    size. Image grids use 3 levels and BEV grids 5 by default. Each rule's
+    message starts with the field it breaks."""
+
+    num_levels: int
+    scope_radii: tuple[float, ...]
+    kernel_sizes: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.num_levels < 1:
+            raise ValueError("num_levels: must be >= 1")
+        for name in ("scope_radii", "kernel_sizes"):
+            n = len(getattr(self, name))
+            if n != self.num_levels:
+                raise ValueError(
+                    f"{name}: {n} entries for {self.num_levels} levels")
+        if not all(0 < r < math.inf for r in self.scope_radii):
+            raise ValueError("scope_radii: each must be finite and > 0")
+        if any(k < 1 or k % 2 == 0 for k in self.kernel_sizes):
+            raise ValueError("kernel_sizes: each must be odd and >= 1")
+
+
+DEFAULT_IMAGE_GRID = RefinerGridConfig(3, (2.0, 4.0, 8.0), (1, 3, 5))
+DEFAULT_BEV_GRID = RefinerGridConfig(5, (2.0, 4.0, 8.0, 16.0, 24.0),
+                                     (1, 3, 5, 7, 9))
 
 
 @dataclass(frozen=True)
@@ -132,57 +150,48 @@ class FilterMask:
 
 
 @dataclass(frozen=True)
-class InjectedMaps:
-    """Seeded stand-ins for the learned level classifier and weight head.
+class InjectedMaps(RefinerGridConfig):
+    """A grid's level settings plus seeded stand-ins for the learned level
+    classifier and weight head.
 
     level_matrix (L x 3C) maps e_cat to level scores (argmax = level);
     weight_vector (3C) maps e_cat through a sigmoid to the mask peak
     amplitude. Both are reproducible from the seed.
     """
 
-    num_levels: int
     level_matrix: np.ndarray
     weight_vector: np.ndarray
-    scope_radii: tuple[float, ...]
-    kernel_sizes: tuple[int, ...]
-    seed: int = 0
 
     def __post_init__(self):
+        super().__post_init__()
         object.__setattr__(self, "level_matrix",
                            np.asarray(self.level_matrix, dtype=np.float64))
         object.__setattr__(self, "weight_vector",
                            np.asarray(self.weight_vector, dtype=np.float64))
         if self.level_matrix.shape[0] != self.num_levels:
             raise ValueError("level_matrix must have one row per level")
-        if len(self.scope_radii) != self.num_levels:
-            raise ValueError("need one scope radius per level")
-        if len(self.kernel_sizes) != self.num_levels:
-            raise ValueError("need one kernel size per level")
-        if any(k < 1 or k % 2 == 0 for k in self.kernel_sizes):
-            raise ValueError("kernel sizes must be odd and >= 1")
 
     @classmethod
     def from_seed(cls, seed: int, embed_dim: int, num_levels: int,
                   scope_radii: Sequence[float] | None = None,
                   kernel_sizes: Sequence[int] | None = None) -> "InjectedMaps":
-        """Draw level_matrix then weight_vector from one seeded generator."""
-        if scope_radii is None:
-            if num_levels not in DEFAULT_SCOPE_RADII:
-                raise ValueError(f"no default scope radii for L={num_levels}")
-            scope_radii = DEFAULT_SCOPE_RADII[num_levels]
-        if kernel_sizes is None:
-            if num_levels not in DEFAULT_KERNEL_SIZES:
-                raise ValueError(f"no default kernel sizes for L={num_levels}")
-            kernel_sizes = DEFAULT_KERNEL_SIZES[num_levels]
+        """Draw level_matrix then weight_vector from one seeded generator.
+        Settings left out come from the default grid with num_levels
+        levels."""
+        default = {g.num_levels: g for g in (DEFAULT_IMAGE_GRID,
+                                              DEFAULT_BEV_GRID)}.get(num_levels)
+        if default is None and (scope_radii is None or kernel_sizes is None):
+            raise ValueError(f"no default grid settings for L={num_levels}")
+        radii = default.scope_radii if scope_radii is None else scope_radii
+        kernels = default.kernel_sizes if kernel_sizes is None else kernel_sizes
         rng = np.random.default_rng(seed)
         scale = 1.0 / math.sqrt(embed_dim)
         level_matrix = rng.normal(0.0, scale, size=(num_levels, embed_dim))
         weight_vector = rng.normal(0.0, scale, size=embed_dim)
         return cls(num_levels=num_levels, level_matrix=level_matrix,
                    weight_vector=weight_vector,
-                   scope_radii=tuple(float(r) for r in scope_radii),
-                   kernel_sizes=tuple(int(k) for k in kernel_sizes),
-                   seed=seed)
+                   scope_radii=tuple(float(r) for r in radii),
+                   kernel_sizes=tuple(int(k) for k in kernels))
 
 
 def assign_scale_level(o: ObjectPrior, maps: InjectedMaps) -> int:
@@ -295,7 +304,7 @@ def _smooth_rows(mask: np.ndarray, stack: np.ndarray, k: int,
 
 
 def refine_features(f: FeatureGrid, masks: Sequence[FilterMask],
-                    kernel_sizes: Sequence[int] | None = None) -> FeatureGrid:
+                    kernel_sizes: Sequence[int]) -> FeatureGrid:
     """Mask, smooth, and fuse: mean of the original grid and every level
     branch that carries any mask weight.
 
@@ -316,10 +325,6 @@ def refine_features(f: FeatureGrid, masks: Sequence[FilterMask],
     the spent branch buffer.
     """
     h, w, c = f.shape
-    if kernel_sizes is None:
-        kernel_sizes = DEFAULT_KERNEL_SIZES.get(len(masks))
-        if kernel_sizes is None:
-            raise ValueError(f"no default kernel sizes for L={len(masks)}")
     if len(kernel_sizes) != len(masks):
         raise ValueError("need one kernel size per mask level")
     for mask in masks:
@@ -377,7 +382,6 @@ class DeformableFusionParams:
     w_out: np.ndarray
     w_offset: np.ndarray
     w_attention: np.ndarray
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("w_value", "w_out", "w_offset", "w_attention"):
@@ -415,7 +419,7 @@ class DeformableFusionParams:
         w_attention = rng.normal(0.0, 1.0 / math.sqrt(2 * channels),
                                  size=(heads, points, 2 * channels))
         return cls(heads=heads, points=points, w_value=w_value, w_out=w_out,
-                   w_offset=w_offset, w_attention=w_attention, seed=seed)
+                   w_offset=w_offset, w_attention=w_attention)
 
 
 def _bilinear_taps(h: int, w: int, rows: np.ndarray, cols: np.ndarray,

@@ -55,7 +55,6 @@ class Tracklet:
     scale_level: int
     hits: int = 1
     time_since_update: int = 0
-    created_at: int = 0
     last_score: float = 0.0
 
     def predicted_box(self) -> Box3D:
@@ -114,7 +113,6 @@ class TrackRows:
     levels: np.ndarray        # (N,) int64 scale levels
     hits: np.ndarray          # (N,) int64
     since_update: np.ndarray  # (N,) int64 frames since the last match
-    created_at: np.ndarray    # (N,) int64 frame ids
     last_score: np.ndarray    # (N,) float64
 
     @classmethod
@@ -122,7 +120,7 @@ class TrackRows:
         return cls(np.zeros((0, motion.STATE_DIM)),
                    np.zeros((0, motion.STATE_DIM)), np.zeros((0, 3)),
                    np.zeros((0, 3, 0)),
-                   *(np.zeros(0, dtype=np.int64) for _ in range(5)),
+                   *(np.zeros(0, dtype=np.int64) for _ in range(4)),
                    np.zeros(0))
 
     def __len__(self) -> int:
@@ -146,14 +144,12 @@ class TrackRows:
         """Tracklet snapshots of the given rows, default all (the arrays
         are copied)."""
         snap = self.select(np.arange(len(self)) if rows is None else rows)
-        return [Tracklet(tid, snap.kalman(i), app, level, hits, since,
-                         created, score)
-                for i, (tid, app, level, hits, since, created, score)
+        return [Tracklet(tid, snap.kalman(i), app, level, hits, since, score)
+                for i, (tid, app, level, hits, since, score)
                 in enumerate(zip(
                     snap.ids.tolist(), unstack_appearance(snap.emb),
                     snap.levels.tolist(), snap.hits.tolist(),
-                    snap.since_update.tolist(), snap.created_at.tolist(),
-                    snap.last_score.tolist()))]
+                    snap.since_update.tolist(), snap.last_score.tolist()))]
 
 
 class Tracker:
@@ -262,7 +258,7 @@ class Tracker:
             rows = rows.concat(TrackRows(
                 state.mean, state.var, state.cross, det_emb[born],
                 np.array(new_ids, dtype=np.int64), det_levels[born], ones,
-                np.zeros_like(ones), frame_id * ones, det_scores[born]))
+                np.zeros_like(ones), det_scores[born]))
             info.new_track_ids = new_ids
             matches += zip(new_ids, born)
 

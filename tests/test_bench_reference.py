@@ -1,14 +1,16 @@
 """Tier-1 guard against benchmark drift.
 
-Runs one pass of the ``scene200``, ``scene200-iou`` and ``refine-bev``
-benchmark workloads at the pinned seed through ``perfbench/workloads.py``
-of this checkout and checks it with the workload's own ``check_pass``
-against the committed ``perfbench/reference.npz``: for the tracking
-workloads exact match lists and track ids, boxes within 1e-9, equal AMOTA
-and IDS; for ``refine-bev`` equal per-object levels, and the sums and
-fixed samples of the refined and fused grids within 1e-9 relative. A
-change that moves the tracker's or the refiner's outputs fails here
-instead of only in a benchmark run.
+Runs one pass of the ``scene200``, ``scene200-iou``, ``suites`` and
+``refine-bev`` benchmark workloads at the pinned seed through
+``perfbench/workloads.py`` of this checkout and checks it with the
+workload's own ``check_pass`` against the committed
+``perfbench/reference.npz``: for the tracking workloads exact match lists
+and track ids, boxes within 1e-9, equal AMOTA and IDS; for ``refine-bev``
+equal per-object levels, and the sums and fixed samples of the refined and
+fused grids within 1e-9 relative. ``suites`` runs all six standard suites
+at four seeds, so its AMOTA and IDS check the evaluation end to end. A
+change that moves the tracker's, the refiner's or the evaluation's outputs
+fails here instead of only in a benchmark run.
 """
 
 import importlib.util
@@ -35,7 +37,8 @@ def _load_workloads():
     return module
 
 
-@pytest.mark.parametrize("name", ["scene200", "scene200-iou", "refine-bev"])
+@pytest.mark.parametrize("name", ["scene200", "scene200-iou", "refine-bev",
+                                  "suites"])
 def test_pass_matches_reference(name, tmp_path):
     workloads = _load_workloads()
     wl = workloads.WORKLOADS[name]

@@ -357,6 +357,20 @@ class TestConfig:
          "refiner.image.kernel_sizes", "2 entries for 3 levels"),
         ("tracker: {iou_threshold: 2}", "tracker",
          "iou_threshold must be in"),
+        ("refiner: {bev: {kernel_sizes: [1, 3, 5, 7, 8]}}",
+         "refiner.bev.kernel_sizes", "each must be odd and >= 1"),
+        ("refiner: {image: {kernel_sizes: [0, 3, 5]}}",
+         "refiner.image.kernel_sizes", "each must be odd and >= 1"),
+        ("refiner: {bev: {scope_radii: [2.0, -4.0, 8.0, 16.0, 24.0]}}",
+         "refiner.bev.scope_radii", "each must be finite and > 0"),
+        ("refiner: {image: {scope_radii: [2.0, 4.0, 0.0]}}",
+         "refiner.image.scope_radii", "each must be finite and > 0"),
+        ("refiner: {bev: {num_levels: 0}}", "refiner.bev.num_levels",
+         "must be >= 1"),
+        ("scale_breakpoints: [30.0, 1.0]", "scale_breakpoints",
+         "must be strictly increasing, got [30.0, 1.0]"),
+        ("scale_breakpoints: [1.0, 4.0, 4.0, 30.0]", "scale_breakpoints",
+         "must be strictly increasing"),
     ])
     def test_invalid_config_names_file_and_key(self, tmp_path, text, key,
                                                 message):
@@ -382,6 +396,17 @@ class TestCliConfig:
         assert main(argv + ["--config", str(cfg)]) == 1
         assert f"{cfg}: refiner." in capsys.readouterr().err
         assert not (tmp_path / "refined").exists()
+
+    def test_even_kernel_exits_1_with_one_line(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("refiner: {bev: {kernel_sizes: [1, 3, 5, 7, 8]}}\n")
+        out = tmp_path / "refined"
+        assert main(["refine-demo", "--grid", "8x8x2", "--config", str(cfg),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: refiner.bev.kernel_sizes: "
+            "each must be odd and >= 1\n")
+        assert not out.exists()
 
 
 class TestCliSimulate:
@@ -777,6 +802,14 @@ class TestCliRefineDemo:
         code = main(["refine-demo", "--grid", "16x16", "--out",
                      str(tmp_path / "demo")])
         assert code == 2
+
+    @pytest.mark.parametrize("spec", ["0x5x5", "8x8x0", "8x8x-1"])
+    def test_grid_dimension_below_1_exit_2(self, tmp_path, capsys, spec):
+        out = tmp_path / "demo"
+        assert main(["refine-demo", "--grid", spec, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: grid dimensions must be >= 1, got {spec!r}\n")
+        assert not out.exists()
 
 
 class TestCliAblate:

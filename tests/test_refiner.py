@@ -1,15 +1,18 @@
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 from scipy.ndimage import uniform_filter, uniform_filter1d
 
-from bevtrack.refiner import (DeformableFusionParams, FeatureGrid, FilterMask,
-                              InjectedMaps, ObjectPrior, assign_scale_level,
-                              backward_refine, bilinear_sample, combine_masks,
-                              object_mask, peak_amplitude, refine_features,
-                              refine_grid, temporal_fuse, _smooth_rows)
+from bevtrack.refiner import (DEFAULT_BEV_GRID, DEFAULT_IMAGE_GRID,
+                              DeformableFusionParams, FeatureGrid, FilterMask,
+                              InjectedMaps, ObjectPrior, RefinerGridConfig,
+                              assign_scale_level, backward_refine,
+                              bilinear_sample, combine_masks, object_mask,
+                              peak_amplitude, refine_features, refine_grid,
+                              temporal_fuse, _smooth_rows)
 
 from oracles import _bilinear_point, naive_box_conv, naive_temporal_fuse
 
@@ -59,6 +62,39 @@ class TestObjectPrior:
         o = ObjectPrior(np.zeros(3), [np.float64(1.5), 2], np.array([0, 3.0]))
         assert o.center_cell == (1.5, 2.0) and o.footprint == (0.0, 3.0)
         assert all(type(v) is float for v in o.center_cell + o.footprint)
+
+
+class TestInjectedMaps:
+    @pytest.mark.parametrize("levels, radii, kernels, message", [
+        (0, (), (), "num_levels: must be >= 1"),
+        (3, (2.0, 4.0), (1, 3, 5), "scope_radii: 2 entries for 3 levels"),
+        (3, (2.0, 4.0, 8.0), (1, 3, 5, 7),
+         "kernel_sizes: 4 entries for 3 levels"),
+        (3, (2.0, 0.0, 8.0), (1, 3, 5), "scope_radii: each must be finite"),
+        (3, (2.0, -4.0, 8.0), (1, 3, 5), "scope_radii: each must be finite"),
+        (3, (2.0, 4.0, math.inf), (1, 3, 5),
+         "scope_radii: each must be finite"),
+        (3, (2.0, 4.0, 8.0), (1, 3, 4), "kernel_sizes: each must be odd"),
+        (3, (2.0, 4.0, 8.0), (0, 3, 5), "kernel_sizes: each must be odd"),
+        (3, (2.0, 4.0, 8.0), (-1, 3, 5), "kernel_sizes: each must be odd"),
+    ])
+    def test_rejects_bad_grid(self, levels, radii, kernels, message):
+        """InjectedMaps keeps every rule of RefinerGridConfig."""
+        for build in (RefinerGridConfig, lambda n, r, k: InjectedMaps(
+                num_levels=n, scope_radii=r, kernel_sizes=k,
+                level_matrix=np.zeros((n, 6)), weight_vector=np.zeros(6))):
+            with pytest.raises(ValueError, match="^" + re.escape(message)):
+                build(levels, radii, kernels)
+
+    def test_from_seed_defaults_are_the_default_grids(self):
+        for grid in (DEFAULT_IMAGE_GRID, DEFAULT_BEV_GRID):
+            maps = InjectedMaps.from_seed(4, 12, grid.num_levels)
+            assert RefinerGridConfig(maps.num_levels, maps.scope_radii,
+                                     maps.kernel_sizes) == grid
+        assert (DEFAULT_IMAGE_GRID.num_levels,
+                DEFAULT_BEV_GRID.num_levels) == (3, 5)
+        with pytest.raises(ValueError, match="no default grid settings"):
+            InjectedMaps.from_seed(4, 12, 4)
 
 
 class TestAssignScaleLevel:
