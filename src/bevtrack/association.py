@@ -51,14 +51,16 @@ class AppearanceState:
 
 @dataclass(frozen=True)
 class ClueWeights:
-    w_img: float = 1.0 / 3.0
-    w_bev: float = 1.0 / 3.0
-    w_head: float = 1.0 / 3.0
+    """Weights of the image, BEV and head cosine similarity clues."""
+
+    img: float = 1.0 / 3.0
+    bev: float = 1.0 / 3.0
+    head: float = 1.0 / 3.0
 
     def __post_init__(self):
-        if min(self.w_img, self.w_bev, self.w_head) < 0:
+        if min(self.img, self.bev, self.head) < 0:
             raise ValueError("clue weights must be non-negative")
-        if self.w_img + self.w_bev + self.w_head <= 0:
+        if self.img + self.bev + self.head <= 0:
             raise ValueError("clue weights must not all be zero")
 
 
@@ -121,7 +123,7 @@ def build_similarity_matrix(dets: np.ndarray, trks: np.ndarray,
         return CostMatrix(np.zeros((n, m)), np.zeros((n, m), dtype=bool))
     du, tu = _unit_rows(dets), _unit_rows(trks)
     sim = np.zeros((n, m))
-    for clue, weight in enumerate((w.w_img, w.w_bev, w.w_head)):
+    for clue, weight in enumerate((w.img, w.bev, w.head)):
         if weight != 0:
             sim += weight * (du[:, clue] @ tu[:, clue].T)
     return CostMatrix(values=-sim, gate_mask=sim >= sim_gate)

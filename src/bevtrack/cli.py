@@ -64,9 +64,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_track(args) -> int:
     app = bio.load_config(args.config)
-    cfg = replace(app.tracker, use_multi_clue=not args.no_multi_clue,
-                  use_buffer=not args.no_buffer,
-                  use_cascade=not args.no_cascade)
+    trk = app.tracker  # a --no-* flag turns its switch off
+    cfg = replace(
+        trk, use_multi_clue=trk.use_multi_clue and not args.no_multi_clue,
+        use_buffer=trk.use_buffer and not args.no_buffer,
+        use_cascade=trk.use_cascade and not args.no_cascade)
     if args.max_age is not None:
         cfg = replace(cfg, max_age=args.max_age)
     frames = bio.iter_detection_frames(args.dets, app.scale_breakpoints,
@@ -74,7 +76,7 @@ def cmd_track(args) -> int:
     records = ({"frame_id": frame_id, "track_id": tid, "box": box,
                 "score": score, "scale_level": level}
                for frame_id, _m, _i, outs in btrack.track_stream(
-                   frames, cfg, app.noise)
+                   frames, cfg, app.motion)
                for tid, box, score, level in outs)
     try:
         bio.write_track_records(args.out, records)
@@ -116,6 +118,8 @@ def _object_prior(path, line_no: int, rec: dict, rng,
     record without e_cat takes one from rng. DataError names path:line."""
     h, w, c = grid
     center, e_cat = bio._require(rec, "center", path, line_no), rec.get("e_cat")
+    if e_cat is not None:
+        bio._numbers(rec, "e_cat", path, line_no)  # JSON numbers only
     try:
         prior = bref.ObjectPrior(
             e_cat=rng.normal(size=3 * c) if e_cat is None else e_cat,
@@ -137,8 +141,11 @@ def cmd_refine_demo(args) -> int:
         h, w, c = _parse_grid_spec(args.grid)
     except ValueError as exc:
         return _fail(USAGE_ERROR, str(exc))
+    if args.num_objects < 0:
+        return _fail(USAGE_ERROR, f"--num-objects must be >= 0, got "
+                     f"{args.num_objects}")
     app = bio.load_config(args.config)
-    grid_cfg = app.refiner_bev if args.kind == "bev" else app.refiner_image
+    grid_cfg = getattr(app.refiner, args.kind)
     rng = np.random.default_rng(args.seed)
     grid = bref.FeatureGrid(rng.normal(size=(h, w, c)), kind=args.kind)
     maps = bref.InjectedMaps.from_seed(args.seed, 3 * c, grid_cfg.num_levels,
@@ -221,7 +228,7 @@ def run_ablation(suite_names, app: bio.AppConfig, max_age: int) -> list[dict]:
         row = {"multi_clue": mc, "buffer": buff, "cascade": casc,
                "per_suite": {}}
         for name, (gt_frames, det_frames) in data.items():
-            outputs, _ = btrack.run_sequence(det_frames, cfg, app.noise,
+            outputs, _ = btrack.run_sequence(det_frames, cfg, app.motion,
                                              default_dt=suites[name].frame_dt)
             report = bmetrics.evaluate(gt_frames, outputs, app.eval)
             row["per_suite"][name] = {

@@ -164,29 +164,6 @@ class Box3D:
         return cls(cx, cy, cz, length, width, height, yaw)
 
 
-@dataclass(frozen=True)
-class BufferRatioTable:
-    """Per-scale-level footprint buffer ratios, index 0 = smallest level.
-
-    Smaller objects get larger ratios, so the list must be non-increasing.
-    """
-
-    ratios: tuple[float, ...] = (0.50, 0.40, 0.30, 0.20, 0.10)
-
-    def __post_init__(self):
-        object.__setattr__(self, "ratios", tuple(float(r) for r in self.ratios))
-        if any(r < 0 for r in self.ratios):
-            raise ValueError("buffer ratios must be non-negative")
-        if any(a < b for a, b in zip(self.ratios, self.ratios[1:])):
-            raise ValueError(
-                "buffer ratios must be non-increasing from smallest to "
-                "largest scale level"
-            )
-
-    def ratio(self, level: int) -> float:
-        return self.ratios[min(max(level, 0), len(self.ratios) - 1)]
-
-
 def bev_iou(a: Box3D, b: Box3D) -> float:
     """Rotated-rectangle IoU of the two BEV footprints, in [0, 1]."""
     return _rect_iou(a.cx, a.cy, a.length, a.width, a.yaw,

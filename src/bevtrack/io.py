@@ -14,19 +14,18 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, is_dataclass, replace
 from pathlib import Path
 from typing import (Iterable, Iterator, Sequence, get_args, get_origin,
                     get_type_hints)
 
 import yaml
 
-from . import refiner
-from .association import AppearanceState, ClueWeights
-from .geometry import (DEFAULT_SCALE_BREAKPOINTS, Box3D, BufferRatioTable,
-                       footprint_scale_level)
+from .association import AppearanceState
+from .geometry import DEFAULT_SCALE_BREAKPOINTS, Box3D, footprint_scale_level
 from .metrics import EvalConfig, Pred
 from .motion import NoiseConfig
+from .refiner import RefinerConfig
 from .simulator import GroundTruthFrame, ScenarioConfig
 from .tracker import Detection, TrackerConfig, number_frames
 
@@ -45,12 +44,25 @@ def box_to_list(b: Box3D) -> list[float]:
                                b.height, b.yaw)]
 
 
-def _box_from_list(vals, path, line_no) -> Box3D:
-    if not isinstance(vals, list) or len(vals) != 7:
+_JSON_NUMBER_TYPES = frozenset((int, float))  # bool is not one of them
+
+
+def _numbers(record: dict, key: str, path, line_no: int) -> list:
+    """record[key], which must be a list of JSON numbers."""
+    value = _require(record, key, path, line_no)
+    if not (isinstance(value, list)
+            and _JSON_NUMBER_TYPES.issuperset(map(type, value))):
+        raise DataError(path, line_no, f"{key} must be a list of numbers")
+    return value
+
+
+def _box(record: dict, path, line_no: int) -> Box3D:
+    vals = _numbers(record, "box", path, line_no)
+    if len(vals) != 7:
         raise DataError(path, line_no, "box must be a list of 7 reals")
     try:
         return Box3D.from_array(vals)
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, ValueError) as exc:
         raise DataError(path, line_no, f"invalid box: {exc}") from exc
 
 
@@ -132,6 +144,7 @@ def iter_detection_frames(path, breakpoints=DEFAULT_SCALE_BREAKPOINTS,
     """
     current_id: int | None = None
     bucket: list[Detection] = []
+    dim = None  # embedding length of the first detection
     for line_no, record in _records(path):
         frame_id = _number(record, "frame_id", path, line_no)
         empty = record.get("empty") is True
@@ -147,8 +160,7 @@ def iter_detection_frames(path, breakpoints=DEFAULT_SCALE_BREAKPOINTS,
                             "empty-frame marker and other records")
         if empty:
             continue
-        box = _box_from_list(_require(record, "box", path, line_no),
-                             path, line_no)
+        box = _box(record, path, line_no)
         score = _number(record, "score", path, line_no, float)
         level = record.get("scale_level")
         if level is None:
@@ -157,15 +169,17 @@ def iter_detection_frames(path, breakpoints=DEFAULT_SCALE_BREAKPOINTS,
             level = _number(record, "scale_level", path, line_no)
         timestamp = _number(record, "timestamp", path, line_no, float,
                             default=0.0)
+        emb = [_numbers(record, key, path, line_no)
+               for key in ("e_img", "e_bev", "e_head")]
+        dim = len(emb[0]) if dim is None else dim
+        if len(emb[0]) != dim:
+            raise DataError(path, line_no, f"embedding length {len(emb[0])}"
+                            f" differs from the first detection's {dim}")
         try:
-            det = Detection(
-                box=box, score=score,
-                appearance=AppearanceState(
-                    e_img=_require(record, "e_img", path, line_no),
-                    e_bev=_require(record, "e_bev", path, line_no),
-                    e_head=_require(record, "e_head", path, line_no)),
-                scale_level=level, timestamp=timestamp,
-                frame_id=frame_id)
+            det = Detection(box=box, score=score,
+                            appearance=AppearanceState(*emb),
+                            scale_level=level, timestamp=timestamp,
+                            frame_id=frame_id)
         except (TypeError, ValueError, OverflowError) as exc:
             raise DataError(path, line_no, str(exc)) from exc
         if num_levels is not None and det.scale_level >= num_levels:
@@ -203,8 +217,7 @@ def read_ground_truth(path) -> list[GroundTruthFrame]:
     seen: set[tuple[int, int]] = set()
     for line_no, record in _records(path):
         frame_id = _number(record, "frame_id", path, line_no)
-        box = _box_from_list(_require(record, "box", path, line_no),
-                             path, line_no)
+        box = _box(record, path, line_no)
         gid = _number(record, "gt_id", path, line_no)
         visible = record.get("visible", True)
         if type(visible) is not bool:
@@ -255,8 +268,7 @@ def read_tracks(path) -> dict[int, list[Pred]]:
                             f"duplicate (frame_id, track_id) "
                             f"({frame_id}, {track_id})")
         seen.add((frame_id, track_id))
-        box = _box_from_list(_require(record, "box", path, line_no),
-                             path, line_no)
+        box = _box(record, path, line_no)
         score = _number(record, "score", path, line_no, float)
         out.setdefault(frame_id, []).append((track_id, box, score))
     return out
@@ -267,13 +279,14 @@ def read_tracks(path) -> dict[int, list[Pred]]:
 
 @dataclass(frozen=True)
 class AppConfig:
-    """Everything a run needs: tracker, motion noise, eval, refiner."""
+    """Everything a run needs: tracker, motion noise, eval, refiner. Its
+    fields, their type hints and their defaults are the run config file's
+    schema: each key of the file names a field."""
 
     tracker: TrackerConfig = field(default_factory=TrackerConfig)
-    noise: NoiseConfig = field(default_factory=NoiseConfig)
+    motion: NoiseConfig = field(default_factory=NoiseConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
-    refiner_image: refiner.RefinerGridConfig = refiner.DEFAULT_IMAGE_GRID
-    refiner_bev: refiner.RefinerGridConfig = refiner.DEFAULT_BEV_GRID
+    refiner: RefinerConfig = field(default_factory=RefinerConfig)
     scale_breakpoints: tuple[float, ...] = DEFAULT_SCALE_BREAKPOINTS
 
     def __post_init__(self):
@@ -301,6 +314,9 @@ tracker:
                          # (0 = delete immediately)
   ema_alpha: 0.9         # appearance smoothing: alpha*old + (1-alpha)*new
   num_levels: 5          # scale levels used for cascading and buffering
+  use_multi_clue: true   # stage-1 appearance matching (off: --no-multi-clue)
+  use_buffer: true       # footprint buffering (off: --no-buffer)
+  use_cascade: true      # stage 2 cascaded by scale level (off: --no-cascade)
 
 motion:                  # constant-velocity Kalman filter noise (per step)
   process_pos_std: 0.5
@@ -337,36 +353,11 @@ def write_default_config(path) -> None:
 
 
 class ConfigError(ValueError):
-    """Invalid run configuration; names the file and the section.key."""
+    """Invalid run config or scenario file; names the file and the key."""
 
     def __init__(self, path, key: tuple, message: str):
         where = ".".join(map(str, key)) or "(top level)"
         super().__init__(f"{path}: {where}: {message}")
-
-
-def _checked(value, default, path, key: tuple = ()):
-    """value checked against its default in DEFAULT_CONFIG_TEXT: a mapping
-    takes the default's keys only, a list items of its first item's kind."""
-    if isinstance(default, dict):
-        value = {} if value is None else value  # an empty section
-        if not isinstance(value, dict):
-            raise ConfigError(path, key, "must be a mapping")
-        for k in value:
-            if k not in default:
-                raise ConfigError(path, key + (k,), "unknown key")
-        return {k: _checked(value.get(k, d), d, path, key + (k,))
-                for k, d in default.items()}
-    if isinstance(default, list):
-        if not isinstance(value, list):
-            raise ConfigError(path, key, "must be a list")
-        return tuple(_checked(v, default[0], path, key) for v in value)
-    try:  # a scalar: the JSON number rule of _number, on a one-key record;
-        if type(default) is float and type(value) is str:  # YAML 1.1 reads
-            value = float(value)  # 1e-6 and -1e9 (no dot) as strings
-        return _number({"value": value}, "value", path, 0, type(default))
-    except ValueError:  # float() of a non-number, or _number's DataError
-        raise ConfigError(path, key, "must be an integer" if type(default)
-                          is int else "must be a finite number") from None
 
 
 def _read_yaml(path):
@@ -376,51 +367,22 @@ def _read_yaml(path):
         raise ConfigError(path, (), f"invalid YAML: {exc}") from exc
 
 
-def load_config(path=None) -> AppConfig:
-    """Load a YAML config; omitted keys keep their defaults. Any invalid
-    value is a ConfigError naming the file and the section.key."""
-    if path is None:
-        return AppConfig()
-    cfg = _checked(_read_yaml(path), yaml.safe_load(DEFAULT_CONFIG_TEXT), path)
+def _typed(value, hint, path, key: tuple = (), default=None):
+    """value checked against a type hint of AppConfig or ScenarioConfig.
 
-    def build(key, cls, *args, **kwargs):
-        # a rule message "field: ..." naming a field of cls moves it to the key
-        try:
-            return cls(*args, **kwargs)
-        except ValueError as exc:
-            message = str(exc)
-            name, sep, rest = message.partition(": ")
-            if sep and name in {f.name for f in fields(cls)}:
-                key, message = key + (name,), rest
-            raise ConfigError(path, key, message) from exc
-
-    trk = cfg["tracker"]
-    grid = {name: build(("refiner", name), refiner.RefinerGridConfig, **spec)
-            for name, spec in cfg["refiner"].items()}
-    trk["clue_weights"] = build(("tracker", "clue_weights"), ClueWeights, **{
-        f"w_{clue}": w for clue, w in trk["clue_weights"].items()})
-    trk["buffer_ratios"] = build(("tracker", "buffer_ratios"),
-                                 BufferRatioTable, trk["buffer_ratios"])
-    return build(
-        (), AppConfig,
-        tracker=build(("tracker",), TrackerConfig, **trk),
-        noise=build(("motion",), NoiseConfig, **cfg["motion"]),
-        eval=build(("eval",), EvalConfig, **cfg["eval"]),
-        refiner_image=grid["image"], refiner_bev=grid["bev"],
-        scale_breakpoints=cfg["scale_breakpoints"])
-
-
-# ---------------------------------------------------------------------------
-# scenario files
-
-def _typed(value, hint, path, key: tuple = ()):
-    """value checked against a ScenarioConfig type hint: a dataclass takes
-    a mapping of its fields, a dict a mapping, a tuple a list (of the
-    hint's length unless it ends in ...), str a string, and int or float
-    the scalar rule of _checked."""
+    A dataclass takes a mapping of its fields; the given ones replace
+    those of default, and null keeps default. Without a default it is
+    built from the given fields alone. A rule message "field: ..." of a
+    dataclass names key.field, any other message the key. A dict takes a
+    mapping, a tuple a list (of the hint's length unless it ends in ...),
+    str a string, bool true or false, and int or float a number by the
+    rule of _number.
+    """
     origin, args = get_origin(hint), get_args(hint)
     if type(None) in args:  # X | None
         return None if value is None else _typed(value, args[0], path, key)
+    if is_dataclass(hint) and value is None and default is not None:
+        return default
     if is_dataclass(hint) or origin is dict:
         if not isinstance(value, dict):
             raise ConfigError(path, key, "must be a mapping")
@@ -432,12 +394,17 @@ def _typed(value, hint, path, key: tuple = ()):
         for k in value:
             if k not in hints:
                 raise ConfigError(path, key + (k,), "unknown key")
-        kwargs = {k: _typed(v, hints[k], path, key + (k,))
-                  for k, v in value.items()}
+        given = {k: _typed(v, hints[k], path, key + (k,),
+                           getattr(default, k, None))
+                 for k, v in value.items()}
         try:
-            return hint(**kwargs)
-        except (TypeError, ValueError) as exc:  # a missing field, a range
-            raise ConfigError(path, key, str(exc)) from exc
+            return (hint(**given) if default is None
+                    else replace(default, **given))
+        except (TypeError, ValueError) as exc:  # a missing field, a rule
+            name, sep, rest = str(exc).partition(": ")
+            where, message = ((key + (name,), rest) if sep and name in hints
+                              else (key, str(exc)))
+            raise ConfigError(path, where, message) from exc
     if origin is tuple:
         if not isinstance(value, list):
             raise ConfigError(path, key, "must be a list")
@@ -445,16 +412,34 @@ def _typed(value, hint, path, key: tuple = ()):
         if len(items) != len(value):
             raise ConfigError(path, key, f"must have {len(items)} entries")
         return tuple(_typed(v, h, path, key) for v, h in zip(value, items))
-    if hint is str:
-        if not isinstance(value, str):
-            raise ConfigError(path, key, "must be a string")
+    if hint in (str, bool):
+        if type(value) is not hint:
+            raise ConfigError(path, key, "must be a string" if hint is str
+                              else "must be true or false")
         return value
-    return _checked(value, hint(), path, key)  # int() is 0, float() 0.0
+    try:  # YAML 1.1 reads 1e-6 and -1e9 (no dot) as strings
+        if hint is float and type(value) is str:
+            value = float(value)
+        return _number({"value": value}, "value", path, 0, hint)
+    except ValueError:  # float() of a non-number, or _number's DataError
+        raise ConfigError(path, key, "must be an integer" if hint is int
+                          else "must be a finite number") from None
 
+
+def load_config(path=None) -> AppConfig:
+    """Load a YAML run config; omitted keys keep AppConfig's defaults. Any
+    invalid value is a ConfigError naming the file and the section.key."""
+    if path is None:
+        return AppConfig()
+    return _typed(_read_yaml(path), AppConfig, path, default=AppConfig())
+
+
+# ---------------------------------------------------------------------------
+# scenario files
 
 def load_scenario(path) -> ScenarioConfig:
     """Load a scenario YAML; omitted keys keep ScenarioConfig's defaults.
     Unknown keys, values of the wrong kind and values ScenarioConfig
     rejects are ConfigErrors naming the file and the key."""
-    raw = _read_yaml(path)
-    return _typed({} if raw is None else raw, ScenarioConfig, path)
+    return _typed(_read_yaml(path), ScenarioConfig, path,
+                  default=ScenarioConfig())

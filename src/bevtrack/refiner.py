@@ -45,6 +45,11 @@ from scipy.ndimage import uniform_filter1d
 from scipy.sparse import csr_matrix, get_index_dtype
 
 
+def _is_number(value, kind) -> bool:
+    """value is an instance of the numbers ABC kind and not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class RefinerGridConfig:
     """Per-level settings of one grid, indexed by level with 0 = smallest
@@ -57,6 +62,8 @@ class RefinerGridConfig:
     kernel_sizes: tuple[int, ...]
 
     def __post_init__(self):
+        if not _is_number(self.num_levels, numbers.Integral):
+            raise ValueError("num_levels: must be an integer")
         if self.num_levels < 1:
             raise ValueError("num_levels: must be >= 1")
         for name in ("scope_radii", "kernel_sizes"):
@@ -64,6 +71,10 @@ class RefinerGridConfig:
             if n != self.num_levels:
                 raise ValueError(
                     f"{name}: {n} entries for {self.num_levels} levels")
+        if not all(_is_number(r, numbers.Real) for r in self.scope_radii):
+            raise ValueError("scope_radii: each must be a real number")
+        if not all(_is_number(k, numbers.Integral) for k in self.kernel_sizes):
+            raise ValueError("kernel_sizes: each must be an integer")
         if not all(0 < r < math.inf for r in self.scope_radii):
             raise ValueError("scope_radii: each must be finite and > 0")
         if any(k < 1 or k % 2 == 0 for k in self.kernel_sizes):
@@ -73,6 +84,14 @@ class RefinerGridConfig:
 DEFAULT_IMAGE_GRID = RefinerGridConfig(3, (2.0, 4.0, 8.0), (1, 3, 5))
 DEFAULT_BEV_GRID = RefinerGridConfig(5, (2.0, 4.0, 8.0, 16.0, 24.0),
                                      (1, 3, 5, 7, 9))
+
+
+@dataclass(frozen=True)
+class RefinerConfig:
+    """The settings of a run's image and BEV grids."""
+
+    image: RefinerGridConfig = DEFAULT_IMAGE_GRID
+    bev: RefinerGridConfig = DEFAULT_BEV_GRID
 
 
 @dataclass(frozen=True)
@@ -101,8 +120,7 @@ def _finite_pair(name: str, value) -> tuple[float, float]:
     ValueError."""
     try:
         a, b = value
-        if all(isinstance(v, numbers.Real) and not isinstance(v, bool)
-               for v in (a, b)):
+        if all(_is_number(v, numbers.Real) for v in (a, b)):
             a, b = float(a), float(b)
             if math.isfinite(a) and math.isfinite(b):
                 return a, b
@@ -189,9 +207,8 @@ class InjectedMaps(RefinerGridConfig):
         level_matrix = rng.normal(0.0, scale, size=(num_levels, embed_dim))
         weight_vector = rng.normal(0.0, scale, size=embed_dim)
         return cls(num_levels=num_levels, level_matrix=level_matrix,
-                   weight_vector=weight_vector,
-                   scope_radii=tuple(float(r) for r in radii),
-                   kernel_sizes=tuple(int(k) for k in kernels))
+                   weight_vector=weight_vector, scope_radii=tuple(radii),
+                   kernel_sizes=tuple(kernels))
 
 
 def assign_scale_level(o: ObjectPrior, maps: InjectedMaps) -> int:

@@ -21,7 +21,7 @@ from . import motion
 from .association import (AppearanceState, ClueWeights, CostMatrix,
                           build_similarity_matrix, solve_assignment,
                           stack_appearance, unstack_appearance)
-from .geometry import Box3D, BufferRatioTable, bev_rects, buffered_iou_matrix
+from .geometry import Box3D, bev_rects, buffered_iou_matrix
 from .motion import KalmanState, NoiseConfig
 
 
@@ -66,7 +66,9 @@ class TrackerConfig:
     clue_weights: ClueWeights = field(default_factory=ClueWeights)
     similarity_gate: float = 0.3
     iou_threshold: float = 0.1
-    buffer_ratios: BufferRatioTable = field(default_factory=BufferRatioTable)
+    # footprint buffer ratio per scale level, smallest level first; levels
+    # past the table take its last ratio
+    buffer_ratios: tuple[float, ...] = (0.5, 0.4, 0.3, 0.2, 0.1)
     init_score_threshold: float = 0.5
     max_age: int = 0
     ema_alpha: float = 0.9
@@ -88,6 +90,12 @@ class TrackerConfig:
             raise ValueError("max_age must be >= 0")
         if self.num_levels < 1:
             raise ValueError("num_levels must be >= 1")
+        ratios = self.buffer_ratios
+        if not ratios or min(ratios) < 0:
+            raise ValueError("buffer_ratios: must be non-empty and >= 0")
+        if any(a < b for a, b in zip(ratios, ratios[1:])):
+            raise ValueError("buffer_ratios: must be non-increasing from "
+                             "smallest to largest scale level")
 
 
 @dataclass
@@ -281,8 +289,10 @@ class Tracker:
             return []
         cfg = self.cfg
         det_lv, trk_lv = det_levels[det_ids], self.rows.levels[trk_ids]
-        ratios = np.array([cfg.buffer_ratios.ratio(level) if cfg.use_buffer
-                           else 0.0 for level in range(cfg.num_levels)])
+        last = len(cfg.buffer_ratios) - 1
+        ratios = np.array([cfg.buffer_ratios[min(level, last)]
+                           if cfg.use_buffer else 0.0
+                           for level in range(cfg.num_levels)], dtype=float)
         det_rects = bev_rects([detections[i].box for i in det_ids.tolist()])
         trk_rects = motion.state_rects(self.rows.kalman(trk_ids))
 

@@ -169,9 +169,9 @@ def normalized_inner_product(u, v):
 def multi_clue_similarity(d, t, w):
     """Weighted sum of the three per-clue cosine similarities of two
     appearance states under clue weights w."""
-    return (w.w_img * normalized_inner_product(d.e_img, t.e_img)
-            + w.w_bev * normalized_inner_product(d.e_bev, t.e_bev)
-            + w.w_head * normalized_inner_product(d.e_head, t.e_head))
+    return (w.img * normalized_inner_product(d.e_img, t.e_img)
+            + w.bev * normalized_inner_product(d.e_bev, t.e_bev)
+            + w.head * normalized_inner_product(d.e_head, t.e_head))
 
 
 # ---------------------------------------------------------------------------

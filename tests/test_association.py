@@ -90,15 +90,15 @@ class TestMultiClueSimilarity:
             d, t = random_appearance(rng), random_appearance(rng)
             w = ClueWeights(*rng.uniform(0.05, 1.0, size=3))
             want = (
-                w.w_img * np.dot(d.e_img, t.e_img)
+                w.img * np.dot(d.e_img, t.e_img)
                 / (np.linalg.norm(d.e_img) * np.linalg.norm(t.e_img))
-                + w.w_bev * np.dot(d.e_bev, t.e_bev)
+                + w.bev * np.dot(d.e_bev, t.e_bev)
                 / (np.linalg.norm(d.e_bev) * np.linalg.norm(t.e_bev))
-                + w.w_head * np.dot(d.e_head, t.e_head)
+                + w.head * np.dot(d.e_head, t.e_head)
                 / (np.linalg.norm(d.e_head) * np.linalg.norm(t.e_head)))
             got = multi_clue_similarity(d, t, w)
             assert abs(got - want) < 1e-9
-            assert abs(got) <= w.w_img + w.w_bev + w.w_head + 1e-12
+            assert abs(got) <= w.img + w.bev + w.head + 1e-12
 
 
 class TestBuildSimilarityMatrix:

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from bevtrack.geometry import (Box3D, BufferRatioTable, bev_iou, bev_rects,
-                               buffer_box, buffered_iou, buffered_iou_matrix,
+from bevtrack.geometry import (Box3D, bev_iou, bev_rects, buffer_box,
+                               buffered_iou, buffered_iou_matrix,
                                footprint_scale_level, wrap_angle)
 
 from oracles import rasterized_iou, rasterized_iou_dense
@@ -240,23 +240,6 @@ class TestBufferedIou:
         for x, y in zip(seq, seq[1:]):
             assert y >= x - 1e-9
         assert seq[-1] > 0.0
-
-
-class TestBufferRatioTable:
-    def test_default_table(self):
-        t = BufferRatioTable()
-        assert t.ratios == (0.50, 0.40, 0.30, 0.20, 0.10)
-        assert t.ratio(0) == 0.5
-        assert t.ratio(4) == 0.1
-        assert t.ratio(99) == 0.1  # clamped
-
-    def test_rejects_increasing(self):
-        with pytest.raises(ValueError):
-            BufferRatioTable((0.1, 0.2))
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            BufferRatioTable((0.3, -0.1))
 
 
 class TestScaleLevel:

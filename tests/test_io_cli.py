@@ -1,16 +1,20 @@
 import json
 import math
 import re
-from dataclasses import replace
+from dataclasses import is_dataclass, replace
+from typing import get_type_hints
 
 import numpy as np
 import pytest
+import yaml
 
 from bevtrack import io as bio
 from bevtrack.association import AppearanceState, ClueWeights
 from bevtrack.cli import main
 from bevtrack.geometry import Box3D
 from bevtrack.metrics import EvalConfig, evaluate
+from bevtrack.refiner import (DEFAULT_BEV_GRID, DEFAULT_IMAGE_GRID,
+                              RefinerConfig)
 from bevtrack.simulator import (ScenarioConfig, SpawnSpec, generate,
                                 standard_suites)
 from bevtrack.tracker import Detection, TrackerConfig, run_sequence
@@ -254,6 +258,65 @@ def track_line(frame_id, track_id, score):
             '"scale_level": 2}' % (frame_id, track_id, score))
 
 
+class TestLogNumbers:
+    """A number in a log is a JSON number: true and "2" do not pass as 1.0
+    and 2.0, in a box or in an embedding."""
+
+    @pytest.mark.parametrize("raw", ["true", '"2"'])
+    @pytest.mark.parametrize("field", ["box", "e_img", "e_bev", "e_head"])
+    def test_detection_log(self, tmp_path, field, raw):
+        values = {"box": "[0, 0, 0.8, 4, 2, 1.6, 0.0]", "e_img": "[1, 0]",
+                  "e_bev": "[1, 0]", "e_head": "[1, 0]"}
+        line = ('{"frame_id": 0, "box": %(box)s, "score": 0.9, '
+                '"e_img": %(e_img)s, "e_bev": %(e_bev)s, '
+                '"e_head": %(e_head)s}')
+        good = line % values
+        values[field] = values[field].replace("[", f"[{raw}, ", 1)
+        path = tmp_path / "dets.jsonl"
+        path.write_text(good + "\n" + line % values + "\n")
+        with pytest.raises(bio.DataError, match=re.escape(
+                f"{path}:2: {field} must be a list of numbers")):
+            bio.read_detections(path)
+
+    @pytest.mark.parametrize("raw", ["true", '"2"'])
+    @pytest.mark.parametrize("kind", ["gt", "tracks"])
+    def test_ground_truth_and_track_logs(self, tmp_path, kind, raw):
+        line, read = ((gt_line("0", "1", "0.0"), bio.read_ground_truth)
+                      if kind == "gt" else
+                      (track_line("0", "1", "0.9"), bio.read_tracks))
+        path = tmp_path / f"{kind}.jsonl"
+        path.write_text(line.replace('"box": [0,', f'"box": [{raw},') + "\n")
+        with pytest.raises(bio.DataError, match=re.escape(
+                f"{path}:1: box must be a list of numbers")):
+            read(path)
+
+    def test_track_exits_1_on_a_boolean_box_entry(self, tmp_path, capsys):
+        dets = tmp_path / "dets.jsonl"
+        dets.write_text('{"frame_id": 0, "box": [true, "2", 0.8, 4, 2, 1.6, '
+                        '0.0], "score": 0.9, "e_img": [1], "e_bev": [1], '
+                        '"e_head": [1]}\n')
+        assert main(["track", "--dets", str(dets), "--out",
+                     str(tmp_path / "t.jsonl")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {dets}:1: box must be a list of numbers\n")
+
+    def test_embedding_length_must_match_the_first_detection(self, tmp_path,
+                                                             capsys):
+        rec = {"box": [0, 0, 0.8, 4, 2, 1.6, 0.0], "score": 0.9}
+        dets = tmp_path / "dets.jsonl"
+        dets.write_text("".join(
+            json.dumps({"frame_id": f, **rec, "e_img": [1.0] * c,
+                        "e_bev": [1.0] * c, "e_head": [1.0] * c}) + "\n"
+            for f, c in ((0, 2), (1, 3))))
+        message = (f"{dets}:2: embedding length 3 differs from the first "
+                   "detection's 2")
+        with pytest.raises(bio.DataError, match=re.escape(message)):
+            bio.read_detections(dets)
+        assert main(["track", "--dets", str(dets), "--out",
+                     str(tmp_path / "t.jsonl")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestTrackLog:
     @pytest.mark.parametrize("field, raw, message", [
         ("track_id", '"7"', "track_id must be an integer"),
@@ -312,9 +375,37 @@ class TestConfig:
         path.write_text("tracker:\n  clue_weights:\n    bev: 0.5\n"
                         "eval:\n  recall_thresholds: 10\n")
         cfg = bio.load_config(path)
-        assert cfg.tracker.clue_weights == ClueWeights(w_bev=0.5)
+        assert cfg.tracker.clue_weights == ClueWeights(bev=0.5)
         assert cfg.eval == EvalConfig(recall_thresholds=10)
-        assert cfg.tracker == TrackerConfig(clue_weights=ClueWeights(w_bev=0.5))
+        assert cfg.tracker == TrackerConfig(clue_weights=ClueWeights(bev=0.5))
+
+    def test_template_names_every_key_of_the_schema(self):
+        """The init-config template lists exactly the fields of AppConfig
+        and of each dataclass below it."""
+        def walk(section, hint, key):
+            hints = get_type_hints(hint)
+            assert set(section) == set(hints), key
+            for name, sub in hints.items():
+                if is_dataclass(sub):
+                    walk(section[name], sub, key + (name,))
+
+        walk(yaml.safe_load(bio.DEFAULT_CONFIG_TEXT), bio.AppConfig, ())
+
+    def test_partial_nested_override_keeps_other_defaults(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("refiner: {bev: {kernel_sizes: [1, 1, 3, 3, 5]}}\n"
+                        "tracker: {clue_weights: ~}\nmotion: ~\n")
+        cfg = bio.load_config(path)
+        assert cfg == replace(bio.AppConfig(), refiner=RefinerConfig(
+            bev=replace(DEFAULT_BEV_GRID, kernel_sizes=(1, 1, 3, 3, 5))))
+        assert cfg.refiner.image == DEFAULT_IMAGE_GRID
+
+    def test_switches_and_ratio_tables(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("tracker:\n  use_cascade: false\n"
+                        "  buffer_ratios: [0.4]\n")
+        assert bio.load_config(path).tracker == TrackerConfig(
+            use_cascade=False, buffer_ratios=(0.4,))
 
     def test_exponent_floats_without_dot(self, tmp_path):
         """YAML 1.1 reads -1e9 and 1e-6 as strings; they still load as the
@@ -325,7 +416,8 @@ class TestConfig:
                         "scale_breakpoints: [1e0, 4, 1.2e+1, 3e1]\n")
         cfg = bio.load_config(path)
         assert cfg.tracker.similarity_gate == -1e9
-        assert (cfg.noise.meas_pos_std, cfg.noise.meas_yaw_std) == (1e-6, 1e3)
+        assert (cfg.motion.meas_pos_std,
+                cfg.motion.meas_yaw_std) == (1e-6, 1e3)
         assert cfg.scale_breakpoints == (1.0, 4.0, 12.0, 30.0)
 
     def test_none_path_gives_defaults(self):
@@ -371,6 +463,22 @@ class TestConfig:
          "must be strictly increasing, got [30.0, 1.0]"),
         ("scale_breakpoints: [1.0, 4.0, 4.0, 30.0]", "scale_breakpoints",
          "must be strictly increasing"),
+        ("tracker: {buffer_ratios: [0.1, 0.2]}", "tracker.buffer_ratios",
+         "must be non-increasing from smallest to largest scale level"),
+        ("tracker: {buffer_ratios: [0.3, -0.1]}", "tracker.buffer_ratios",
+         "must be non-empty and >= 0"),
+        ("tracker: {buffer_ratios: []}", "tracker.buffer_ratios",
+         "must be non-empty and >= 0"),
+        ("tracker: {buffer_ratios: 0.5}", "tracker.buffer_ratios",
+         "must be a list"),
+        ("tracker: {use_cascade: 0}", "tracker.use_cascade",
+         "must be true or false"),
+        ("tracker: {use_buffer: 'false'}", "tracker.use_buffer",
+         "must be true or false"),
+        ("tracker: {clue_weights: {img: -1}}", "tracker.clue_weights",
+         "clue weights must be non-negative"),
+        ("motion: {meas_pos_std: 0}", "motion",
+         "meas_pos_std must be strictly positive"),
     ])
     def test_invalid_config_names_file_and_key(self, tmp_path, text, key,
                                                 message):
@@ -571,6 +679,34 @@ class TestCliTrackEvaluate:
         assert main(["track", "--dets", str(sim / "dets.jsonl"), "--out",
                      str(t2), "--config", str(cfg), "--no-buffer"]) == 0
         assert t1.read_bytes() == t2.read_bytes()
+
+    def test_yaml_switch_and_flag_each_turn_cascading_off(self, tmp_path):
+        # a level-3 van, then a level-1 motorbike on it with another look:
+        # only a flat stage 2 matches them across two levels
+        def det(frame_id, box, level, axis):
+            return Detection(box=box, score=0.96, appearance=AppearanceState(
+                *[np.eye(2)[axis]] * 3), scale_level=level,
+                timestamp=0.1 * frame_id, frame_id=frame_id)
+
+        dets = tmp_path / "dets.jsonl"
+        bio.write_detections(dets, [
+            [det(0, Box3D(0, 0, 1.1, 4.6, 2.9, 2.2, 0), 3, 0)],
+            [det(1, Box3D(0.4, 0.5, 0.6, 2.4, 0.9, 1.3, 0), 1, 1)]])
+        on, off = tmp_path / "on.yaml", tmp_path / "off.yaml"
+        on.write_text("tracker: {use_cascade: true}\n")
+        off.write_text("tracker: {use_cascade: false}\n")
+        runs = {}
+        for name, cfg, flags in [("default", on, []),
+                                 ("yaml", off, []),
+                                 ("flag", on, ["--no-cascade"]),
+                                 ("both", off, ["--no-cascade"])]:
+            out = tmp_path / f"{name}.jsonl"
+            assert main(["track", "--dets", str(dets), "--out", str(out),
+                         "--config", str(cfg)] + flags) == 0
+            runs[name] = {r["track_id"] for r in map(
+                json.loads, out.read_text().splitlines())}
+        assert runs["default"] == {1, 2}
+        assert runs["yaml"] == runs["flag"] == runs["both"] == {1}
 
     def test_ablation_flags_change_behavior(self, tmp_path):
         sim = self._simulate(tmp_path, suite="small-objects", noiseless=False)
@@ -787,7 +923,9 @@ class TestCliRefineDemo:
     @pytest.mark.parametrize("line", [
         '{"center": [NaN, 1]}',
         '{"center": [5, 5, 9]}',
-        '{"center": [2, 2], "footprint": [1]}'])
+        '{"center": [2, 2], "footprint": [1]}',
+        '{"center": [2, 2], "e_cat": [1, 1, 1, 1, 1, true]}',
+        '{"center": [2, 2], "e_cat": [1, 1, 1, 1, 1, "2"]}'])
     def test_bad_object_line_exit_1_with_path_line(self, tmp_path, capsys,
                                                    line):
         objs = tmp_path / "objs.jsonl"
@@ -802,6 +940,14 @@ class TestCliRefineDemo:
         code = main(["refine-demo", "--grid", "16x16", "--out",
                      str(tmp_path / "demo")])
         assert code == 2
+
+    def test_negative_num_objects_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "demo"
+        assert main(["refine-demo", "--grid", "8x8x2", "--num-objects", "-3",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: --num-objects must be >= 0, got -3\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("spec", ["0x5x5", "8x8x0", "8x8x-1"])
     def test_grid_dimension_below_1_exit_2(self, tmp_path, capsys, spec):

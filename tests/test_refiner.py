@@ -77,6 +77,12 @@ class TestInjectedMaps:
         (3, (2.0, 4.0, 8.0), (1, 3, 4), "kernel_sizes: each must be odd"),
         (3, (2.0, 4.0, 8.0), (0, 3, 5), "kernel_sizes: each must be odd"),
         (3, (2.0, 4.0, 8.0), (-1, 3, 5), "kernel_sizes: each must be odd"),
+        (3, (2.0, 4.0, 8.0), (1, 3.9, 5), "kernel_sizes: each must be an "
+         "integer"),
+        (3, (2.0, 4.0, 8.0), (True, 3, 5), "kernel_sizes: each must be an "
+         "integer"),
+        (3, ("2", 4.0, 8.0), (1, 3, 5), "scope_radii: each must be a real"),
+        (3, (2.0, False, 8.0), (1, 3, 5), "scope_radii: each must be a real"),
     ])
     def test_rejects_bad_grid(self, levels, radii, kernels, message):
         """InjectedMaps keeps every rule of RefinerGridConfig."""
@@ -85,6 +91,26 @@ class TestInjectedMaps:
                 level_matrix=np.zeros((n, 6)), weight_vector=np.zeros(6))):
             with pytest.raises(ValueError, match="^" + re.escape(message)):
                 build(levels, radii, kernels)
+
+    @pytest.mark.parametrize("levels", [3.0, True])
+    def test_rejects_non_integer_level_count(self, levels):
+        with pytest.raises(ValueError,
+                           match="^num_levels: must be an integer"):
+            RefinerGridConfig(levels, (2.0,), (1,))
+
+    @pytest.mark.parametrize("settings, message", [
+        ({"kernel_sizes": (1, 3.9, 5)},
+         "kernel_sizes: each must be an integer"),
+        ({"scope_radii": ("2", 4, 8)}, "scope_radii: each must be a real")])
+    def test_from_seed_passes_settings_through(self, settings, message):
+        """from_seed hands its settings to the grid rules unconverted, so
+        3.9 is not truncated to 3 and "2" is not read as 2.0."""
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            InjectedMaps.from_seed(0, 6, 3, **settings)
+        maps = InjectedMaps.from_seed(0, 6, 3, scope_radii=[2, 4.5, 8],
+                                      kernel_sizes=[1, 3, 5])
+        assert maps.scope_radii == (2, 4.5, 8)
+        assert maps.kernel_sizes == (1, 3, 5)
 
     def test_from_seed_defaults_are_the_default_grids(self):
         for grid in (DEFAULT_IMAGE_GRID, DEFAULT_BEV_GRID):

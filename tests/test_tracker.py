@@ -229,6 +229,44 @@ class TestCascade:
         assert not (s1 & s2)
 
 
+class TestBufferRatios:
+    """TrackerConfig.buffer_ratios: one footprint buffer ratio per scale
+    level, smallest level first."""
+
+    def test_default_table(self):
+        assert TrackerConfig().buffer_ratios == (0.50, 0.40, 0.30, 0.20, 0.10)
+
+    def test_rejects_increasing(self):
+        with pytest.raises(ValueError,
+                           match="^buffer_ratios: must be non-increasing"):
+            TrackerConfig(buffer_ratios=(0.1, 0.2))
+
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError,
+                           match="^buffer_ratios: must be non-empty and >= 0"):
+            TrackerConfig(buffer_ratios=(0.3, -0.1))
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError,
+                           match="^buffer_ratios: must be non-empty and >= 0"):
+            TrackerConfig(buffer_ratios=())
+
+    @pytest.mark.parametrize("ratios, matched", [((0.5, 0.5), True),
+                                                 ((0.5, 0.0), False)])
+    def test_levels_past_the_table_take_its_last_ratio(self, ratios,
+                                                       matched):
+        # level-4 boxes 0.6 m apart overlap only when buffered; a table of
+        # two ratios gives level 4 its second one
+        cfg = TrackerConfig(max_age=0, use_multi_clue=False,
+                            buffer_ratios=ratios, iou_threshold=0.05,
+                            init_score_threshold=0.95)
+        trk = Tracker(cfg)
+        trk.step([det(0, 0, 0.96, axis=0, level=4, frame_id=0)], dt=0.1)
+        matches = trk.step([det(4.6, 0, 0.9, axis=1, level=4, frame_id=1)],
+                           dt=0.1)
+        assert bool(matches) is matched
+
+
 class TestAppearanceBlend:
     """One stage-2 match (orthogonal embeddings fail the stage-1 gate)
     blends the stored embeddings as alpha*old + (1-alpha)*new."""
