@@ -12,8 +12,8 @@ from .geometry import Box3D, bev_iou, buffer_box, buffered_iou, iou_backend
 from .metrics import EvalConfig, MetricsReport, evaluate
 from .motion import KalmanState, NoiseConfig
 from .simulator import ScenarioConfig, generate, standard_suites
-from .tracker import Detection, Tracker, TrackerConfig, Tracklet, \
-    number_frames, run_sequence, track_stream
+from .tracker import Detection, DetectionFrame, Tracker, TrackerConfig, \
+    Tracklet, as_frame, number_frames, run_sequence, track_stream
 
 __version__ = "0.1.0"
 
@@ -21,7 +21,8 @@ __all__ = [
     "AppearanceState", "ClueWeights", "Box3D", "bev_iou", "buffer_box",
     "buffered_iou", "iou_backend", "EvalConfig",
     "MetricsReport", "evaluate", "KalmanState", "NoiseConfig",
-    "ScenarioConfig", "generate", "standard_suites", "Detection", "Tracker",
-    "TrackerConfig", "Tracklet", "number_frames", "run_sequence",
+    "ScenarioConfig", "generate", "standard_suites", "Detection",
+    "DetectionFrame", "Tracker", "TrackerConfig", "Tracklet", "as_frame",
+    "number_frames", "run_sequence",
     "track_stream", "__version__",
 ]

@@ -58,8 +58,9 @@ class ClueWeights:
     head: float = 1.0 / 3.0
 
     def __post_init__(self):
-        if min(self.img, self.bev, self.head) < 0:
-            raise ValueError("clue weights must be non-negative")
+        for name in ("img", "bev", "head"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name}: must be >= 0")
         if self.img + self.bev + self.head <= 0:
             raise ValueError("clue weights must not all be zero")
 

@@ -63,6 +63,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_track(args) -> int:
+    if args.max_age is not None and args.max_age < 0:
+        return _fail(USAGE_ERROR,
+                     f"--max-age must be >= 0, got {args.max_age}")
     app = bio.load_config(args.config)
     trk = app.tracker  # a --no-* flag turns its switch off
     cfg = replace(
@@ -249,6 +252,9 @@ def cmd_ablate(args) -> int:
     if unknown:
         return _fail(USAGE_ERROR,
                      f"unknown suites {unknown}; valid: {sorted(suites)}")
+    if args.max_age < 0:
+        return _fail(USAGE_ERROR,
+                     f"--max-age must be >= 0, got {args.max_age}")
     app = bio.load_config(args.config)
     rows = run_ablation(names, app, args.max_age)
 

@@ -28,6 +28,11 @@ from typing import Sequence
 import numpy as np
 
 
+def is_number(value, kind) -> bool:
+    """value is an instance of the numbers ABC kind and not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def iou_backend() -> str:
     """Name of the IoU kernel; always 'python'."""
     return "python"
@@ -170,10 +175,20 @@ def bev_iou(a: Box3D, b: Box3D) -> float:
                      b.cx, b.cy, b.length, b.width, b.yaw)
 
 
+# columns of a box row that make its footprint rectangle
+RECT_COLUMNS = [0, 1, 3, 4, 6]
+
+
+def box_rows(boxes: Sequence[Box3D]) -> np.ndarray:
+    """(N, 7) rows (cx, cy, cz, length, width, height, yaw) of boxes, the
+    order of a log's box field."""
+    return np.array([(b.cx, b.cy, b.cz, b.length, b.width, b.height, b.yaw)
+                     for b in boxes], dtype=np.float64).reshape(-1, 7)
+
+
 def bev_rects(boxes: Sequence[Box3D]) -> np.ndarray:
     """(N, 5) footprint rectangles (cx, cy, length, width, yaw) of boxes."""
-    return np.array([(b.cx, b.cy, b.length, b.width, b.yaw) for b in boxes],
-                    dtype=np.float64).reshape(-1, 5)
+    return box_rows(boxes)[:, RECT_COLUMNS]
 
 
 def buffer_box(b: Box3D, r: float) -> Box3D:

@@ -6,8 +6,8 @@ serialization is shortest-round-trip, so write-then-read reproduces every
 value exactly.
 
 A frame without detections is one marker record ``{"frame_id": f, "empty":
-true}``: ``iter_detection_frames`` yields ``(f, [])``, ``read_detections``
-skips it.
+true}``: ``iter_detection_frames`` yields it as an empty ``DetectionFrame``,
+``read_detections`` skips it.
 """
 
 from __future__ import annotations
@@ -15,19 +15,22 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, is_dataclass, replace
+from itertools import chain
 from pathlib import Path
 from typing import (Iterable, Iterator, Sequence, get_args, get_origin,
                     get_type_hints)
 
+import numpy as np
 import yaml
 
 from .association import AppearanceState
-from .geometry import DEFAULT_SCALE_BREAKPOINTS, Box3D, footprint_scale_level
+from .geometry import (DEFAULT_SCALE_BREAKPOINTS, Box3D, footprint_scale_level,
+                       wrap_angle)
 from .metrics import EvalConfig, Pred
 from .motion import NoiseConfig
 from .refiner import RefinerConfig
 from .simulator import GroundTruthFrame, ScenarioConfig
-from .tracker import Detection, TrackerConfig, number_frames
+from .tracker import Detection, DetectionFrame, TrackerConfig, number_frames
 
 
 class DataError(ValueError):
@@ -70,6 +73,9 @@ def _reject_constant(name: str):
     raise ValueError(f"non-finite number {name} is not allowed")
 
 
+_decode = json.JSONDecoder(parse_constant=_reject_constant).decode
+
+
 def _records(path) -> Iterator[tuple[int, dict]]:
     """(line number, JSON object) of each non-blank line of a log."""
     with open(path) as fh:
@@ -78,7 +84,7 @@ def _records(path) -> Iterator[tuple[int, dict]]:
             if not raw:
                 continue
             try:
-                record = json.loads(raw, parse_constant=_reject_constant)
+                record = _decode(raw)
             except ValueError as exc:  # JSONDecodeError or NaN/Infinity
                 raise DataError(path, line_no, f"invalid JSON: {exc}") from exc
             if not isinstance(record, dict):
@@ -112,87 +118,180 @@ def _number(record: dict, key: str, path, line_no: int, kind=int,
 # ---------------------------------------------------------------------------
 # detection logs
 
-def write_detections(path, det_frames: Sequence[Sequence[Detection]]) -> None:
+def write_detections(path, det_frames) -> None:
+    """Write frames of Detections or DetectionFrames, numbered by
+    ``number_frames``; a frame's records carry its frame id and
+    timestamp."""
     with open(path, "w") as fh:
-        for frame_id, dets in number_frames(det_frames):
-            if not dets:
+        for frame_id, frame in number_frames(det_frames):
+            if not len(frame):
                 fh.write(json.dumps({"frame_id": frame_id, "empty": True})
                          + "\n")
-            for d in dets:
+                continue
+            head = {"frame_id": frame.frame_id,
+                    "timestamp": float(frame.timestamp)}
+            for box, score, level, (e_img, e_bev, e_head) in zip(
+                    frame.boxes.tolist(), frame.scores.tolist(),
+                    frame.levels.tolist(), frame.emb.tolist()):
                 fh.write(json.dumps({
-                    "frame_id": d.frame_id,
-                    "timestamp": float(d.timestamp),
-                    "box": box_to_list(d.box),
-                    "score": float(d.score),
-                    "scale_level": d.scale_level,
-                    "e_img": [float(v) for v in d.appearance.e_img],
-                    "e_bev": [float(v) for v in d.appearance.e_bev],
-                    "e_head": [float(v) for v in d.appearance.e_head],
-                }) + "\n")
+                    **head, "box": box, "score": score, "scale_level": level,
+                    "e_img": e_img, "e_bev": e_bev, "e_head": e_head}) + "\n")
+
+
+_EMBEDDINGS = ("e_img", "e_bev", "e_head")
+
+
+def _check_detection(record: dict, path, line_no: int, dim: int | None,
+                     breakpoints, num_levels: int | None) -> int:
+    """Check one detection record field by field, in the order of its
+    fields, ``Box3D``, ``AppearanceState`` and ``Detection``; raise its
+    first problem as a DataError. Returns the log's embedding length: dim,
+    or this record's when it is the first detection."""
+    box = _box(record, path, line_no)
+    score = _number(record, "score", path, line_no, float)
+    level = record.get("scale_level")
+    if level is None:
+        level = footprint_scale_level(box, breakpoints)
+    else:
+        level = _number(record, "scale_level", path, line_no)
+    _number(record, "timestamp", path, line_no, float, default=0.0)
+    emb = [_numbers(record, key, path, line_no) for key in _EMBEDDINGS]
+    dim = len(emb[0]) if dim is None else dim
+    if len(emb[0]) != dim:
+        raise DataError(path, line_no, f"embedding length {len(emb[0])}"
+                        f" differs from the first detection's {dim}")
+    try:
+        Detection(box=box, score=score, appearance=AppearanceState(*emb),
+                  scale_level=level)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataError(path, line_no, str(exc)) from exc
+    # a level must index the tracker's levels, and fit int64 in any case
+    end = 2 ** 63 if num_levels is None else num_levels
+    if level >= end:
+        raise DataError(path, line_no, f"scale_level {level} outside "
+                        f"[0, {end})")
+    return dim
+
+
+def _kinds(values, *kinds) -> bool:
+    return frozenset(kinds).issuperset(map(type, values))
+
+
+class _FrameRecords:
+    """The detection records of one frame, built into a DetectionFrame
+    with one pass per field. ``check`` runs the record-by-record checks of
+    ``_check_detection``; the frame's build accepts exactly the records
+    that pass them, and on any problem ``check`` names the first bad
+    record."""
+
+    def __init__(self, path, breakpoints, num_levels: int | None):
+        self.path, self.breakpoints = path, breakpoints
+        self.num_levels = num_levels
+        self.dim = None  # embedding length of the log's first detection
+        self.lines, self.records = [], []
+
+    def frame(self, frame_id: int) -> DetectionFrame:
+        """The records as a DetectionFrame; the next frame starts empty."""
+        if not self.records:
+            return DetectionFrame.empty(frame_id)
+        try:
+            frame = self._build(frame_id)
+        except (KeyError, ValueError, OverflowError):  # missing or bad fields
+            frame = None
+        if frame is None:
+            self.check()
+        self.lines, self.records = [], []
+        return frame
+
+    def _build(self, frame_id: int) -> DetectionFrame | None:
+        recs = self.records
+        boxes = [r["box"] for r in recs]
+        scores = [r["score"] for r in recs]
+        levels = [r.get("scale_level") for r in recs]
+        stamps = [r.get("timestamp", 0.0) for r in recs]
+        embs = [[r[key] for key in _EMBEDDINGS] for r in recs]
+        lists = boxes + [e for triple in embs for e in triple]
+        if not (_kinds(lists, list)
+                and _kinds(chain.from_iterable(lists), int, float)
+                and _kinds(scores, int, float) and _kinds(stamps, int, float)
+                and _kinds(levels, int, type(None))):
+            return None
+        boxes = np.array(boxes, dtype=np.float64)
+        if boxes.shape[1] != 7:
+            return None
+        for i, level in enumerate(levels):
+            if level is None:  # a bad box raises ValueError here
+                levels[i] = footprint_scale_level(Box3D.from_array(boxes[i]),
+                                                  self.breakpoints)
+        scores = np.array(scores, dtype=np.float64)
+        levels = np.array(levels, dtype=np.int64)
+        stamps = np.array(stamps, dtype=np.float64)
+        emb = np.array(embs, dtype=np.float64)  # (N, 3, C), ragged: ValueError
+        dim = emb.shape[2] if self.dim is None else self.dim
+        good = (np.isfinite(boxes).all(axis=1)
+                & (boxes[:, 3:6] > 0).all(axis=1)
+                & (scores >= 0.0) & (scores <= 1.0) & np.isfinite(stamps)
+                & np.isfinite(emb).all(axis=(1, 2)) & (levels >= 0))
+        if self.num_levels is not None:
+            good &= levels < self.num_levels
+        if emb.shape[2] != dim or not good.all():
+            return None
+        self.dim = dim
+        boxes[:, 6] = wrap_angle(boxes[:, 6])
+        return DetectionFrame(frame_id, float(stamps[0]), boxes, scores,
+                              levels, emb)
+
+    def check(self) -> None:
+        """Raise the DataError of the first bad record."""
+        dim = self.dim
+        for line_no, record in zip(self.lines, self.records):
+            dim = _check_detection(record, self.path, line_no, dim,
+                                   self.breakpoints, self.num_levels)
 
 
 def iter_detection_frames(path, breakpoints=DEFAULT_SCALE_BREAKPOINTS,
                           num_levels: int | None = None,
-                          ) -> Iterator[tuple[int, list[Detection]]]:
-    """Stream (frame_id, detections) groups; memory stays per-frame.
+                          ) -> Iterator[tuple[int, DetectionFrame]]:
+    """Stream (frame_id, DetectionFrame) pairs; memory stays per-frame.
 
     Records must be grouped by ascending frame_id. An empty-frame marker
-    yields (frame_id, []) and must be its frame's only record. A missing
+    yields an empty frame and must be its frame's only record. A missing
     scale_level falls back to the footprint-area rule. With num_levels
     given (the tracker's level count), a level outside [0, num_levels) is
-    a DataError.
+    a DataError. A DataError names the first bad line in file order: the
+    records of a frame are checked when the frame ends, or when a later
+    line fails first.
     """
+    pending = _FrameRecords(path, breakpoints, num_levels)
     current_id: int | None = None
-    bucket: list[Detection] = []
-    dim = None  # embedding length of the first detection
-    for line_no, record in _records(path):
-        frame_id = _number(record, "frame_id", path, line_no)
-        empty = record.get("empty") is True
-        if frame_id != current_id:
-            if current_id is not None:
-                if frame_id < current_id:
-                    raise DataError(path, line_no, "records must be "
-                                    "grouped by ascending frame_id")
-                yield current_id, bucket
-            current_id, bucket = frame_id, []
-        elif empty or not bucket:
-            raise DataError(path, line_no, f"frame {frame_id} has an "
-                            "empty-frame marker and other records")
-        if empty:
-            continue
-        box = _box(record, path, line_no)
-        score = _number(record, "score", path, line_no, float)
-        level = record.get("scale_level")
-        if level is None:
-            level = footprint_scale_level(box, breakpoints)
-        else:
-            level = _number(record, "scale_level", path, line_no)
-        timestamp = _number(record, "timestamp", path, line_no, float,
-                            default=0.0)
-        emb = [_numbers(record, key, path, line_no)
-               for key in ("e_img", "e_bev", "e_head")]
-        dim = len(emb[0]) if dim is None else dim
-        if len(emb[0]) != dim:
-            raise DataError(path, line_no, f"embedding length {len(emb[0])}"
-                            f" differs from the first detection's {dim}")
-        try:
-            det = Detection(box=box, score=score,
-                            appearance=AppearanceState(*emb),
-                            scale_level=level, timestamp=timestamp,
-                            frame_id=frame_id)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise DataError(path, line_no, str(exc)) from exc
-        if num_levels is not None and det.scale_level >= num_levels:
-            raise DataError(path, line_no,
-                            f"scale_level {det.scale_level} outside "
-                            f"[0, {num_levels})")
-        bucket.append(det)
-    if current_id is not None:
-        yield current_id, bucket
+    try:
+        for line_no, record in _records(path):
+            frame_id = _number(record, "frame_id", path, line_no)
+            empty = record.get("empty") is True
+            if frame_id != current_id:
+                if current_id is not None:
+                    frame = pending.frame(current_id)
+                    if frame_id < current_id:
+                        raise DataError(path, line_no, "records must be "
+                                        "grouped by ascending frame_id")
+                    yield current_id, frame
+                current_id = frame_id
+            elif empty or not pending.records:
+                raise DataError(path, line_no, f"frame {frame_id} has an "
+                                "empty-frame marker and other records")
+            if not empty:
+                pending.lines.append(line_no)
+                pending.records.append(record)
+        if current_id is not None:
+            yield current_id, pending.frame(current_id)
+    except DataError:
+        pending.check()  # a bad record on an earlier line comes first
+        raise
 
 
-def read_detections(path) -> list[list[Detection]]:
-    return [dets for _fid, dets in iter_detection_frames(path) if dets]
+def read_detections(path) -> list[DetectionFrame]:
+    """The log's non-empty frames."""
+    return [frame for _fid, frame in iter_detection_frames(path) if frame]
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,13 @@ truth rows (occluded objects) are excluded from evaluation.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .geometry import Box3D
+from .geometry import Box3D, is_number
 from .simulator import GroundTruthFrame
 
 Pred = tuple[int, Box3D, float]  # (track_id, box, score)
@@ -36,10 +37,12 @@ class EvalConfig:
     recall_thresholds: int = 40
 
     def __post_init__(self):
-        if self.match_distance <= 0:
-            raise ValueError("match_distance must be positive")
+        if not is_number(self.recall_thresholds, numbers.Integral):
+            raise ValueError("recall_thresholds: must be an integer")
+        if not self.match_distance > 0:
+            raise ValueError("match_distance: must be > 0")
         if self.recall_thresholds < 1:
-            raise ValueError("need at least one recall threshold")
+            raise ValueError("recall_thresholds: must be >= 1")
 
 
 @dataclass

@@ -21,11 +21,10 @@ objects with one call per step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .geometry import Box3D, wrap_angle
+from .geometry import Box3D, box_rows, wrap_angle
 
 STATE_DIM = 10
 MEAS_DIM = 7
@@ -35,6 +34,8 @@ _POS = slice(0, 3)
 _YAW = 3
 _DIMS = slice(4, 7)
 _VEL = slice(7, 10)
+# measurement order of a box row's (cx, cy, cz, length, width, height, yaw)
+_MEAS_FROM_BOX = [0, 1, 2, 6, 3, 4, 5]
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,7 @@ class NoiseConfig:
                      "process_dim_std", "meas_pos_std", "meas_yaw_std",
                      "meas_dim_std"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+                raise ValueError(f"{name}: must be strictly positive")
 
     def process_var(self) -> np.ndarray:
         """(10,) diagonal of the process covariance Q."""
@@ -118,14 +119,15 @@ class KalmanState:
         return cov
 
 
-def init_state(box: Box3D | Sequence[Box3D], noise: NoiseConfig) -> KalmanState:
+def init_state(boxes, noise: NoiseConfig) -> KalmanState:
     """Cold start from first detections: pose/dims set, velocity 0.
 
-    A single box gives a single state, a sequence of boxes one row per
-    box. Velocity variance starts large (10^2 m^2/s^2) so the first
-    updates pin it down quickly.
+    boxes are (..., 7) box rows (``geometry.box_rows`` order), a Box3D or
+    a sequence of them: one row gives a single state, N rows N states.
+    Velocity variance starts large (10^2 m^2/s^2) so the first updates pin
+    it down quickly.
     """
-    z = _measurements(box)
+    z = _measurements(boxes)
     mean = np.zeros(z.shape[:-1] + (STATE_DIM,))
     mean[..., :MEAS_DIM] = z
     var = np.empty_like(mean)
@@ -150,17 +152,17 @@ def predict(s: KalmanState, dt: float, noise: NoiseConfig) -> KalmanState:
     return KalmanState(mean, var, s.cross + dt * s.var[..., _VEL])
 
 
-def update(s: KalmanState, z: Box3D | Sequence[Box3D],
-           noise: NoiseConfig) -> KalmanState:
+def update(s: KalmanState, z, noise: NoiseConfig) -> KalmanState:
     """Kalman correction of every row against its observed box.
 
-    z is one box for a single state, else one box per row (row order).
-    The yaw innovation is wrapped into (-pi, pi] so near-cut measurements
-    do not produce ~2*pi jumps. The innovation covariance is diagonal,
-    s = p + r per measured component, so each gain is k = p / s and the
-    velocities take k_v = c / s from their position's innovation. Then
-    p <- (1 - k) p, c <- (1 - k) c, v <- v - k_v c with 1 - k = r / s; per
-    axis the block determinant scales by r / s, so the covariance stays PSD.
+    z holds one box row per state row, in row order, in any form
+    ``init_state`` takes. The yaw innovation is wrapped into (-pi, pi] so
+    near-cut measurements do not produce ~2*pi jumps. The innovation
+    covariance is diagonal, s = p + r per measured component, so each gain
+    is k = p / s and the velocities take k_v = c / s from their position's
+    innovation. Then p <- (1 - k) p, c <- (1 - k) c, v <- v - k_v c with
+    1 - k = r / s; per axis the block determinant scales by r / s, so the
+    covariance stays PSD.
     """
     z_vec = _measurements(z).reshape(s.rows + (MEAS_DIM,))
     innov = z_vec - s.mean[..., :MEAS_DIM]
@@ -206,9 +208,11 @@ def state_rects(s: KalmanState) -> np.ndarray:
     return np.column_stack([z[:, :2], z[:, 4:6], wrap_angle(z[:, _YAW])])
 
 
-def _measurements(z: Box3D | Sequence[Box3D]) -> np.ndarray:
-    """(7,) measurement vector of one box, (N, 7) of a sequence."""
-    if isinstance(z, Box3D):
-        return np.array([z.cx, z.cy, z.cz, z.yaw, z.length, z.width, z.height])
-    return np.array([(b.cx, b.cy, b.cz, b.yaw, b.length, b.width, b.height)
-                     for b in z], dtype=np.float64).reshape(-1, MEAS_DIM)
+def _measurements(boxes) -> np.ndarray:
+    """(..., 7) measurement rows (cx, cy, cz, yaw, length, width, height)
+    of box rows, of one Box3D or of a sequence of them."""
+    if isinstance(boxes, Box3D):
+        boxes = box_rows([boxes])[0]
+    elif not isinstance(boxes, np.ndarray):
+        boxes = box_rows(boxes)
+    return boxes[..., _MEAS_FROM_BOX]

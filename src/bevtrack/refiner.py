@@ -44,10 +44,7 @@ import numpy as np
 from scipy.ndimage import uniform_filter1d
 from scipy.sparse import csr_matrix, get_index_dtype
 
-
-def _is_number(value, kind) -> bool:
-    """value is an instance of the numbers ABC kind and not a bool."""
-    return isinstance(value, kind) and not isinstance(value, bool)
+from .geometry import is_number
 
 
 @dataclass(frozen=True)
@@ -62,7 +59,7 @@ class RefinerGridConfig:
     kernel_sizes: tuple[int, ...]
 
     def __post_init__(self):
-        if not _is_number(self.num_levels, numbers.Integral):
+        if not is_number(self.num_levels, numbers.Integral):
             raise ValueError("num_levels: must be an integer")
         if self.num_levels < 1:
             raise ValueError("num_levels: must be >= 1")
@@ -71,9 +68,9 @@ class RefinerGridConfig:
             if n != self.num_levels:
                 raise ValueError(
                     f"{name}: {n} entries for {self.num_levels} levels")
-        if not all(_is_number(r, numbers.Real) for r in self.scope_radii):
+        if not all(is_number(r, numbers.Real) for r in self.scope_radii):
             raise ValueError("scope_radii: each must be a real number")
-        if not all(_is_number(k, numbers.Integral) for k in self.kernel_sizes):
+        if not all(is_number(k, numbers.Integral) for k in self.kernel_sizes):
             raise ValueError("kernel_sizes: each must be an integer")
         if not all(0 < r < math.inf for r in self.scope_radii):
             raise ValueError("scope_radii: each must be finite and > 0")
@@ -120,7 +117,7 @@ def _finite_pair(name: str, value) -> tuple[float, float]:
     ValueError."""
     try:
         a, b = value
-        if all(_is_number(v, numbers.Real) for v in (a, b)):
+        if all(is_number(v, numbers.Real) for v in (a, b)):
             a, b = float(a), float(b)
             if math.isfinite(a) and math.isfinite(b):
                 return a, b

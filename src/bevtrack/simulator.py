@@ -101,12 +101,11 @@ class ScenarioConfig:
             if name.endswith("score_range") and (low < 0 or high > 1):
                 raise ValueError(f"{name} must lie in [0, 1]")
         if not 0.0 <= self.fn_rate <= 1.0:
-            raise ValueError("fn_rate must be in [0, 1]")
-        if self.fp_rate < 0:
-            raise ValueError("fp_rate must be >= 0")
-        for name in ("pos_std", "yaw_std", "dim_std", "embedding_noise_std"):
+            raise ValueError("fn_rate: must be in [0, 1]")
+        for name in ("fp_rate", "pos_std", "yaw_std", "dim_std",
+                     "embedding_noise_std"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+                raise ValueError(f"{name}: must be >= 0")
         if self.object_classes is not None:
             if len(self.object_classes) != n:
                 raise ValueError("object_classes must name every object")

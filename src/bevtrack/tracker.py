@@ -13,6 +13,7 @@ Distinct sequences run in parallel with independent instances.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -21,7 +22,8 @@ from . import motion
 from .association import (AppearanceState, ClueWeights, CostMatrix,
                           build_similarity_matrix, solve_assignment,
                           stack_appearance, unstack_appearance)
-from .geometry import Box3D, bev_rects, buffered_iou_matrix
+from .geometry import (RECT_COLUMNS, Box3D, box_rows, buffered_iou_matrix,
+                       is_number)
 from .motion import KalmanState, NoiseConfig
 
 
@@ -43,6 +45,57 @@ class Detection:
             raise ValueError(f"timestamp must be finite, got {self.timestamp}")
         if self.scale_level < 0:
             raise ValueError("scale_level must be non-negative")
+
+
+@dataclass(frozen=True)
+class DetectionFrame:
+    """One frame's detections as row-aligned arrays, in log order.
+
+    ``io`` ingest builds a frame straight from its records and checks the
+    values once per frame; ``as_frame`` builds one from ``Detection``
+    objects. frame_id and timestamp are None when unknown: a frame built
+    from an empty list has neither, an empty-frame marker no timestamp.
+    Indexing and iteration give ``Detection`` objects.
+    """
+
+    frame_id: int | None
+    timestamp: float | None
+    boxes: np.ndarray   # (N, 7) box_rows order; yaw in (-pi, pi]
+    scores: np.ndarray  # (N,) float64 in [0, 1]
+    levels: np.ndarray  # (N,) int64 scale levels >= 0
+    emb: np.ndarray     # (N, 3, C) (e_img, e_bev, e_head) rows
+
+    @classmethod
+    def empty(cls, frame_id: int | None = None) -> "DetectionFrame":
+        return cls(frame_id, None, np.zeros((0, 7)), np.zeros(0),
+                   np.zeros(0, dtype=np.int64), np.zeros((0, 3, 0)))
+
+    def __len__(self) -> int:
+        return len(self.scores)
+
+    def __getitem__(self, i: int) -> Detection:
+        return Detection(Box3D(*self.boxes[i].tolist()), float(self.scores[i]),
+                         AppearanceState(*self.emb[i]), int(self.levels[i]),
+                         self.timestamp, self.frame_id)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
+def as_frame(detections) -> DetectionFrame:
+    """A DetectionFrame as is; a list of one frame's Detections as their
+    rows, with the first one's frame id and timestamp."""
+    if isinstance(detections, DetectionFrame):
+        return detections
+    if not detections:
+        return DetectionFrame.empty()
+    first = detections[0]
+    return DetectionFrame(
+        first.frame_id, first.timestamp,
+        box_rows([d.box for d in detections]),
+        np.array([d.score for d in detections], dtype=np.float64),
+        np.array([d.scale_level for d in detections], dtype=np.int64),
+        stack_appearance([d.appearance for d in detections]))
 
 
 @dataclass
@@ -80,17 +133,19 @@ class TrackerConfig:
     use_cascade: bool = True
 
     def __post_init__(self):
-        if not 0.0 <= self.iou_threshold <= 1.0:
-            raise ValueError("iou_threshold must be in [0, 1]")
-        if not 0.0 <= self.init_score_threshold <= 1.0:
-            raise ValueError("init_score_threshold must be in [0, 1]")
-        if not 0.0 <= self.ema_alpha <= 1.0:
-            raise ValueError("ema_alpha must be in [0, 1]")
+        for name in ("max_age", "num_levels"):
+            if not is_number(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name}: must be an integer")
+        for name in ("iou_threshold", "init_score_threshold", "ema_alpha"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name}: must be in [0, 1]")
         if self.max_age < 0:
-            raise ValueError("max_age must be >= 0")
+            raise ValueError("max_age: must be >= 0")
         if self.num_levels < 1:
-            raise ValueError("num_levels must be >= 1")
+            raise ValueError("num_levels: must be >= 1")
         ratios = self.buffer_ratios
+        if not all(is_number(r, numbers.Real) for r in ratios):
+            raise ValueError("buffer_ratios: each must be a real number")
         if not ratios or min(ratios) < 0:
             raise ValueError("buffer_ratios: must be non-empty and >= 0")
         if any(a < b for a, b in zip(ratios, ratios[1:])):
@@ -175,6 +230,11 @@ class Tracker:
         self.last_info = StepInfo()
         self._next_id = 1
         self._last_frame_id: int | None = None
+        # stage-2 buffer ratio per scale level
+        ratios, last = self.cfg.buffer_ratios, len(self.cfg.buffer_ratios) - 1
+        self._buffer_ratios = np.array(
+            [ratios[min(level, last)] if self.cfg.use_buffer else 0.0
+             for level in range(self.cfg.num_levels)], dtype=float)
 
     @property
     def tracklets(self) -> list[Tracklet]:
@@ -185,27 +245,26 @@ class Tracker:
         """Tracklets updated or created this frame (the ones to report)."""
         return self.rows.records(self.rows.since_update == 0)
 
-    def step(self, detections: list[Detection], dt: float,
+    def step(self, detections: DetectionFrame | list[Detection], dt: float,
              frame_id: int | None = None) -> list[tuple[int, int]]:
-        """Process one frame; returns (track_id, det_idx) matches sorted by
-        detection index (new tracklets included)."""
+        """Process one frame, a DetectionFrame or a list of Detections
+        (converted by ``as_frame``); returns (track_id, det_idx) matches
+        sorted by detection index (new tracklets included)."""
         if not (dt > 0 and math.isfinite(dt)):
             raise ValueError(f"dt must be positive and finite, got {dt}")
+        frame = as_frame(detections)
         if frame_id is None:
-            frame_id = detections[0].frame_id if detections else (
+            frame_id = frame.frame_id if frame.frame_id is not None else (
                 (self._last_frame_id or 0) + 1)
         if self._last_frame_id is not None and frame_id <= self._last_frame_id:
             raise ValueError(f"frame {frame_id} does not follow frame "
                              f"{self._last_frame_id}: frame ids must increase")
         cfg = self.cfg
-        det_levels = np.array([d.scale_level for d in detections],
-                              dtype=np.int64)
+        det_levels, det_scores, det_emb = frame.levels, frame.scores, frame.emb
         bad = det_levels[det_levels >= cfg.num_levels]
         if bad.size:
             raise ValueError(f"detection scale level {bad[0]} outside "
                              f"[0, {cfg.num_levels})")
-        det_scores = np.array([d.score for d in detections], dtype=np.float64)
-        det_emb = stack_appearance([d.appearance for d in detections])
         self._last_frame_id = frame_id
         info = StepInfo()
         rows = self.rows
@@ -213,12 +272,12 @@ class Tracker:
         if len(rows):
             kf = motion.predict(rows.kalman(), dt, self.noise)
             rows.mean, rows.var, rows.cross = kf.mean, kf.var, kf.cross
-        free_dets = np.ones(len(detections), dtype=bool)
+        free_dets = np.ones(len(frame), dtype=bool)
         free_trks = np.ones(len(rows), dtype=bool)
         ids = rows.ids.tolist()
 
         pairs = []
-        if cfg.use_multi_clue and len(detections) and len(rows):
+        if cfg.use_multi_clue and len(frame) and len(rows):
             cost = build_similarity_matrix(det_emb, rows.emb,
                                            cfg.clue_weights,
                                            cfg.similarity_gate)
@@ -227,7 +286,7 @@ class Tracker:
             for di, ti in pairs:
                 free_dets[di] = free_trks[ti] = False
 
-        stage2 = self._match_iou(detections, det_levels, free_dets, free_trks)
+        stage2 = self._match_iou(frame, free_dets, free_trks)
         for di, ti in stage2:
             info.stage2.append((ids[ti], di))
             info.stage2_level_gaps.append(
@@ -237,8 +296,8 @@ class Tracker:
 
         if pairs:
             d_sel, t_sel = (np.array(p, dtype=np.int64) for p in zip(*pairs))
-            kf = motion.update(rows.kalman(t_sel),
-                               [detections[i].box for i in d_sel], self.noise)
+            kf = motion.update(rows.kalman(t_sel), frame.boxes[d_sel],
+                               self.noise)
             rows.mean[t_sel], rows.var[t_sel] = kf.mean, kf.var
             rows.cross[t_sel] = kf.cross
             alpha = cfg.ema_alpha
@@ -260,8 +319,7 @@ class Tracker:
         if born:
             new_ids = list(range(self._next_id, self._next_id + len(born)))
             self._next_id += len(born)
-            state = motion.init_state([detections[i].box for i in born],
-                                      self.noise)
+            state = motion.init_state(frame.boxes[born], self.noise)
             ones = np.ones(len(born), dtype=np.int64)
             rows = rows.concat(TrackRows(
                 state.mean, state.var, state.cross, det_emb[born],
@@ -274,7 +332,7 @@ class Tracker:
         self.last_info = info
         return sorted(matches, key=lambda m: m[1])
 
-    def _match_iou(self, detections, det_levels, free_dets, free_trks):
+    def _match_iou(self, frame: DetectionFrame, free_dets, free_trks):
         """Stage 2: buffered-IoU assignment, cascaded by scale level.
 
         Levels run from largest to smallest; detections of level l may
@@ -287,13 +345,9 @@ class Tracker:
         trk_ids = np.flatnonzero(free_trks)
         if not len(det_ids) or not len(trk_ids):
             return []
-        cfg = self.cfg
-        det_lv, trk_lv = det_levels[det_ids], self.rows.levels[trk_ids]
-        last = len(cfg.buffer_ratios) - 1
-        ratios = np.array([cfg.buffer_ratios[min(level, last)]
-                           if cfg.use_buffer else 0.0
-                           for level in range(cfg.num_levels)], dtype=float)
-        det_rects = bev_rects([detections[i].box for i in det_ids.tolist()])
+        cfg, ratios = self.cfg, self._buffer_ratios
+        det_lv, trk_lv = frame.levels[det_ids], self.rows.levels[trk_ids]
+        det_rects = frame.boxes[det_ids][:, RECT_COLUMNS]
         trk_rects = motion.state_rects(self.rows.kalman(trk_ids))
 
         def solve(d, t):
@@ -319,30 +373,34 @@ class Tracker:
 
 
 def number_frames(det_frames):
-    """(frame_id, detections) per frame: the detections' id, else the
-    previous id + 1, else (a leading empty frame) the frame's index."""
+    """(frame_id, DetectionFrame) per frame of Detection lists or frames,
+    by ``as_frame``: the detections' id, else the previous id + 1, else (a
+    leading empty frame) the frame's index."""
     frame_id = None
     for idx, dets in enumerate(det_frames):
-        if dets:
-            frame_id = dets[0].frame_id
+        frame = as_frame(dets)
+        if len(frame):
+            frame_id = frame.frame_id
         else:
             frame_id = idx if frame_id is None else frame_id + 1
-        yield frame_id, list(dets)
+        yield frame_id, frame
 
 
 def track_stream(frames, cfg: TrackerConfig | None = None,
                  noise: NoiseConfig | None = None, frame_dt: float = 0.1):
-    """One Tracker.step per (frame_id, detections) pair. Yields (frame_id,
-    matches, StepInfo, outputs): (track_id, posterior box, score, level) of
-    the tracklets matched or born this frame, by ascending id.
+    """One Tracker.step per (frame_id, DetectionFrame) pair, as
+    ``number_frames`` and ``io.iter_detection_frames`` give them. Yields
+    (frame_id, matches, StepInfo, outputs): (track_id, posterior box,
+    score, level) of the tracklets matched or born this frame, by
+    ascending id.
 
     A frame whose timestamp passes the clock steps by the difference; any
-    other frame steps by the previous dt (frame_dt at first), and an empty
-    one advances the clock by it."""
+    other frame steps by the previous dt (frame_dt at first), and a frame
+    without a timestamp (an empty one) advances the clock by it."""
     trk = Tracker(cfg, noise)
     clock = dt = None
-    for frame_id, dets in frames:
-        ts = dets[0].timestamp if dets else None
+    for frame_id, frame in frames:
+        ts = frame.timestamp
         if ts is not None and clock is not None and ts > clock:
             dt = ts - clock
         elif dt is None:
@@ -350,7 +408,7 @@ def track_stream(frames, cfg: TrackerConfig | None = None,
         if ts is None and clock is not None:  # an empty frame
             ts = clock + dt
         clock = ts
-        matches = trk.step(dets, dt, frame_id=frame_id)
+        matches = trk.step(frame, dt, frame_id=frame_id)
         rows = trk.rows
         out = rows.since_update == 0  # rows are in birth order: ids ascend
         yield frame_id, matches, trk.last_info, list(zip(

@@ -17,7 +17,8 @@ from bevtrack.refiner import (DEFAULT_BEV_GRID, DEFAULT_IMAGE_GRID,
                               RefinerConfig)
 from bevtrack.simulator import (ScenarioConfig, SpawnSpec, generate,
                                 standard_suites)
-from bevtrack.tracker import Detection, TrackerConfig, run_sequence
+from bevtrack.tracker import (Detection, TrackerConfig, as_frame,
+                              number_frames, run_sequence)
 
 
 def make_dets(n_frames=3, per_frame=2, dim=4):
@@ -144,6 +145,17 @@ class TestDetectionLog:
         with pytest.raises(bio.DataError, match=r":2: scale_level 5 outside"):
             list(bio.iter_detection_frames(path, num_levels=5))
 
+    def test_scale_level_must_fit_int64(self, tmp_path):
+        # without a level count a level still has to fit the frame's int64
+        # array; the tracker would fail on it later without a line number
+        path = tmp_path / "dets.jsonl"
+        rec = {"frame_id": 0, "box": [0, 0, 0.8, 4, 2, 1.6, 0.0],
+               "score": 0.9, "e_img": [1], "e_bev": [1], "e_head": [1]}
+        path.write_text(json.dumps({**rec, "scale_level": 2 ** 63}) + "\n")
+        with pytest.raises(bio.DataError, match=re.escape(
+                f"{path}:1: scale_level {2 ** 63} outside [0, {2 ** 63})")):
+            bio.read_detections(path)
+
     def test_streaming_yields_frames_in_order(self, tmp_path):
         frames = make_dets(n_frames=5)
         path = tmp_path / "dets.jsonl"
@@ -188,6 +200,105 @@ class TestDetectionLog:
         want = re.escape(f"{path}:3: frame 1 has an empty-frame marker")
         with pytest.raises(bio.DataError, match=want):
             bio.read_detections(path)
+
+
+def assert_frames_equal(got, want):
+    """Two DetectionFrames, bitwise: ids, timestamps, dtypes and values."""
+    assert (got.frame_id, got.timestamp) == (want.frame_id, want.timestamp)
+    for name in ("boxes", "scores", "levels", "emb"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+class TestDetectionFrames:
+    """Ingest builds each frame's arrays straight from the records: they
+    equal, bit for bit, the frame built from the Detections written."""
+
+    @pytest.mark.parametrize("suite, seed", [("basic", 0), ("high-fp", 3),
+                                             ("occlusion", 1)])
+    def test_log_frames_equal_frames_of_detections(self, tmp_path, suite,
+                                                   seed):
+        cfg = replace(standard_suites()[suite], seed=seed, fn_rate=0.4,
+                      yaw_std=0.3)
+        _, det_frames = generate(cfg)
+        det_frames[1] = []  # an empty frame in any case
+        path = tmp_path / "dets.jsonl"
+        bio.write_detections(path, det_frames)
+        back = list(bio.iter_detection_frames(path, num_levels=5))
+        want = list(number_frames(det_frames))
+        assert [f for f, _ in back] == [f for f, _ in want]
+        for (_, got), (frame_id, frame) in zip(back, want):
+            if frame:
+                assert_frames_equal(got, frame)
+            else:
+                assert (got.frame_id, len(got)) == (frame_id, 0)
+
+    def test_missing_scale_level_takes_the_footprint_rule(self, tmp_path):
+        # the simulator's levels are the footprint rule's, so a log without
+        # them reads back the same frames
+        _, det_frames = generate(replace(standard_suites()["basic"],
+                                         dim_std=0.3, fp_rate=3.0))
+        path = tmp_path / "dets.jsonl"
+        bio.write_detections(path, det_frames)
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        for rec in lines[::2]:
+            rec.pop("scale_level", None)
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in lines))
+        for (_, got), dets in zip(bio.iter_detection_frames(path),
+                                  det_frames):
+            assert_frames_equal(got, as_frame(dets))
+
+    def test_yaw_outside_the_half_open_interval_is_wrapped(self, tmp_path):
+        yaws = [math.pi, -math.pi, 4.0, -7.5, 3 * math.pi, 1e3, -1e-300]
+        dets = [Detection(box=Box3D(i, 0, 0.8, 4.0, 2.0, 1.6, yaw), score=0.9,
+                          appearance=AppearanceState([1.0], [0.5], [0.25]),
+                          scale_level=2, timestamp=0.5, frame_id=3)
+                for i, yaw in enumerate(yaws)]
+        path = tmp_path / "dets.jsonl"
+        path.write_text("".join(json.dumps({
+            "frame_id": 3, "timestamp": 0.5,
+            "box": [i, 0, 0.8, 4.0, 2.0, 1.6, yaw], "score": 0.9,
+            "scale_level": 2, "e_img": [1.0], "e_bev": [0.5],
+            "e_head": [0.25]}) + "\n" for i, yaw in enumerate(yaws)))
+        (got,) = bio.read_detections(path)
+        assert_frames_equal(got, as_frame(dets))
+        assert (got.boxes[:, 6] > -math.pi).all()
+        assert (got.boxes[:, 6] <= math.pi).all()
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"score": 1.5}, "score must be in [0, 1], got 1.5"),
+        ({"box": [0, 0, 0.8, -4, 2, 1.6, 0]},
+         "invalid box: box dims must be positive, got (-4.0, 2.0, 1.6)"),
+        ({"scale_level": 9}, "scale_level 9 outside [0, 5)"),
+        ({"scale_level": -1}, "scale_level must be non-negative"),
+        ({"e_bev": [1, 1e999]}, "e_bev contains NaN/Inf"),
+        ({"e_head": [1]}, "appearance embeddings must share one dimension"),
+        ({"e_img": [1], "e_bev": [1], "e_head": [1]},
+         "embedding length 1 differs from the first detection's 2")])
+    @pytest.mark.parametrize("later", [
+        None, "{ not json", '{"frame_id": 0, "box": [0, 0, 0.8, 4, 2, 1.6, '
+        '0], "score": "0.9", "e_img": [1, 0], "e_bev": [1, 0], '
+        '"e_head": [1, 0]}', '{"frame_id": 0, "empty": true}',
+        '{"frame_id": -1, "empty": true}'],
+        ids=["alone", "json", "mistyped", "marker", "descending"])
+    def test_bad_record_mid_frame_names_its_own_line(self, tmp_path, bad,
+                                                     message, later):
+        good = {"frame_id": 0, "timestamp": 0.0,
+                "box": [0, 0, 0.8, 4, 2, 1.6, 0.0], "score": 0.9,
+                "scale_level": 1, "e_img": [1, 0], "e_bev": [1, 0],
+                "e_head": [1, 0]}
+        # 1e999 is valid JSON that parses to inf
+        lines = [json.dumps(good), json.dumps(good),
+                 json.dumps({**good, **bad}).replace("Infinity", "1e999"),
+                 json.dumps(good)]
+        if later is not None:
+            lines.append(later)
+        path = tmp_path / "dets.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        want = "^" + re.escape(f"{path}:3: {message}") + "$"
+        with pytest.raises(bio.DataError, match=want):
+            list(bio.iter_detection_frames(path, num_levels=5))
 
 
 class TestGroundTruthLog:
@@ -447,8 +558,8 @@ class TestConfig:
          "5 entries for 4 levels"),
         ("refiner: {image: {kernel_sizes: [1, 3]}}",
          "refiner.image.kernel_sizes", "2 entries for 3 levels"),
-        ("tracker: {iou_threshold: 2}", "tracker",
-         "iou_threshold must be in"),
+        ("tracker: {iou_threshold: 2}", "tracker.iou_threshold",
+         "must be in [0, 1]"),
         ("refiner: {bev: {kernel_sizes: [1, 3, 5, 7, 8]}}",
          "refiner.bev.kernel_sizes", "each must be odd and >= 1"),
         ("refiner: {image: {kernel_sizes: [0, 3, 5]}}",
@@ -475,10 +586,18 @@ class TestConfig:
          "must be true or false"),
         ("tracker: {use_buffer: 'false'}", "tracker.use_buffer",
          "must be true or false"),
-        ("tracker: {clue_weights: {img: -1}}", "tracker.clue_weights",
-         "clue weights must be non-negative"),
-        ("motion: {meas_pos_std: 0}", "motion",
-         "meas_pos_std must be strictly positive"),
+        ("tracker: {clue_weights: {img: -1}}", "tracker.clue_weights.img",
+         "must be >= 0"),
+        ("motion: {meas_pos_std: 0}", "motion.meas_pos_std",
+         "must be strictly positive"),
+        ("tracker: {max_age: -1}", "tracker.max_age", "must be >= 0"),
+        ("tracker: {ema_alpha: 1.5}", "tracker.ema_alpha",
+         "must be in [0, 1]"),
+        ("tracker: {buffer_ratios: [0.5, true]}", "tracker.buffer_ratios",
+         "must be a finite number"),
+        ("eval: {recall_thresholds: 0}", "eval.recall_thresholds",
+         "must be >= 1"),
+        ("eval: {match_distance: -2}", "eval.match_distance", "must be > 0"),
     ])
     def test_invalid_config_names_file_and_key(self, tmp_path, text, key,
                                                 message):
@@ -634,7 +753,9 @@ class TestCliSimulate:
          "spawn_overrides.0.z", "unknown key"),
         ("frame_dt: .nan", "frame_dt", "must be a finite number"),
         ("seed: true", "seed", "must be an integer"),
-        ("fn_rate: 2", "(top level)", "fn_rate must be in [0, 1]")])
+        ("fn_rate: 2", "fn_rate", "must be in [0, 1]"),
+        ("fp_rate: -1", "fp_rate", "must be >= 0"),
+        ("yaw_std: -0.5", "yaw_std", "must be >= 0")])
     def test_invalid_scenario_names_file_and_key(self, tmp_path, text, key,
                                                   message):
         spec = tmp_path / "scenario.yaml"
@@ -736,6 +857,15 @@ class TestCliTrackEvaluate:
         amota_base = evaluate(gt, bio.read_tracks(t_base)).amota
         assert amota_full >= amota_base
         assert amota_full - amota_base > 0.05
+
+    def test_negative_max_age_exit_2(self, tmp_path, capsys):
+        sim = self._simulate(tmp_path)
+        out = tmp_path / "tracks.jsonl"
+        assert main(["track", "--dets", str(sim / "dets.jsonl"), "--out",
+                     str(out), "--max-age", "-1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --max-age must be >= 0, got -1\n")
+        assert not out.exists()
 
     def test_malformed_dets_exit_1_names_line(self, tmp_path, capsys):
         dets = tmp_path / "dets.jsonl"
@@ -972,6 +1102,14 @@ class TestCliAblate:
 
     def test_unknown_suite_exit_2(self, capsys):
         assert main(["ablate", "--suites", "wrong"]) == 2
+
+    def test_negative_max_age_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "rows.json"
+        assert main(["ablate", "--suites", "basic", "--max-age", "-2",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: --max-age must be >= 0, got -2\n")
+        assert not out.exists()
 
 
 class TestCliMisc:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -188,6 +190,21 @@ class TestEvaluate:
         for key in ("AMOTA", "AMOTP", "MOTA", "Recall", "IDS", "FP", "FN",
                     "MT"):
             assert key in text
+
+
+class TestEvalConfig:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"recall_thresholds": True}, "recall_thresholds: must be an integer"),
+        ({"recall_thresholds": 10.0}, "recall_thresholds: must be an integer"),
+        ({"recall_thresholds": 0}, "recall_thresholds: must be >= 1"),
+        ({"match_distance": 0.0}, "match_distance: must be > 0"),
+        ({"match_distance": float("nan")}, "match_distance: must be > 0")])
+    def test_rejects(self, kwargs, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            EvalConfig(**kwargs)
+
+    def test_numpy_integer_passes(self):
+        assert EvalConfig(recall_thresholds=np.int64(7)).recall_thresholds == 7
 
 
 class TestEvaluateInputs:

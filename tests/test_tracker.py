@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from bevtrack.geometry import Box3D
 from bevtrack.metrics import evaluate
 from bevtrack.simulator import ScenarioConfig, SpawnSpec, generate, \
     standard_suites
-from bevtrack.tracker import (Detection, Tracker, TrackerConfig,
+from bevtrack.tracker import (Detection, Tracker, TrackerConfig, as_frame,
                               number_frames, run_sequence, track_stream)
 
 
@@ -251,6 +252,12 @@ class TestBufferRatios:
                            match="^buffer_ratios: must be non-empty and >= 0"):
             TrackerConfig(buffer_ratios=())
 
+    @pytest.mark.parametrize("ratios", [(True, 0.5), (0.5, "0.4"), (None,)])
+    def test_rejects_entries_that_are_not_real(self, ratios):
+        with pytest.raises(ValueError,
+                           match="^buffer_ratios: each must be a real number"):
+            TrackerConfig(buffer_ratios=ratios)
+
     @pytest.mark.parametrize("ratios, matched", [((0.5, 0.5), True),
                                                  ((0.5, 0.0), False)])
     def test_levels_past_the_table_take_its_last_ratio(self, ratios,
@@ -265,6 +272,57 @@ class TestBufferRatios:
         matches = trk.step([det(4.6, 0, 0.9, axis=1, level=4, frame_id=1)],
                            dt=0.1)
         assert bool(matches) is matched
+
+
+class TestTrackerConfigRules:
+    """Each rule's message starts with the field it breaks."""
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"max_age": True}, "max_age: must be an integer"),
+        ({"max_age": 2.0}, "max_age: must be an integer"),
+        ({"num_levels": 2.5}, "num_levels: must be an integer"),
+        ({"num_levels": False}, "num_levels: must be an integer"),
+        ({"max_age": -1}, "max_age: must be >= 0"),
+        ({"num_levels": 0}, "num_levels: must be >= 1"),
+        ({"iou_threshold": 1.5}, "iou_threshold: must be in [0, 1]"),
+        ({"init_score_threshold": -0.1},
+         "init_score_threshold: must be in [0, 1]"),
+        ({"ema_alpha": math.nan}, "ema_alpha: must be in [0, 1]")])
+    def test_rejects(self, kwargs, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            TrackerConfig(**kwargs)
+
+    def test_numpy_integers_pass(self):
+        cfg = TrackerConfig(max_age=np.int64(3), num_levels=np.int32(4),
+                            buffer_ratios=(np.float64(0.5), 0))
+        assert (cfg.max_age, cfg.num_levels) == (3, 4)
+
+
+class TestDetectionFrame:
+    def test_as_frame_rows_and_detections(self):
+        dets = [det(1.5, -2, 0.7, axis=1, level=3, frame_id=4),
+                det(-3, 0.25, 0.95, axis=2, level=0, frame_id=4)]
+        frame = as_frame(dets)
+        assert (frame.frame_id, frame.timestamp, len(frame)) == (4, 0.4, 2)
+        assert frame and not as_frame([])
+        assert as_frame(frame) is frame
+        np.testing.assert_array_equal(frame.boxes[0],
+                                      [1.5, -2, 0.8, 4.0, 2.0, 1.6, 0.0])
+        assert frame.levels.tolist() == [3, 0]
+        assert frame.scores.tolist() == [0.7, 0.95]
+        assert frame.emb.shape == (2, 3, 8)
+        for orig, back in zip(dets, frame):
+            assert (back.box, back.score, back.scale_level, back.frame_id,
+                    back.timestamp) == (orig.box, orig.score,
+                                        orig.scale_level, orig.frame_id,
+                                        orig.timestamp)
+            np.testing.assert_array_equal(back.appearance.e_bev,
+                                          orig.appearance.e_bev)
+
+    def test_empty_frame_has_no_id_or_timestamp(self):
+        frame = as_frame([])
+        assert (frame.frame_id, frame.timestamp, len(frame)) == (None, None, 0)
+        assert frame.boxes.shape == (0, 7) and list(frame) == []
 
 
 class TestAppearanceBlend:
