@@ -163,11 +163,6 @@ class Box3D:
     def footprint_area(self) -> float:
         return self.length * self.width
 
-    @classmethod
-    def from_array(cls, arr: Sequence[float]) -> "Box3D":
-        cx, cy, cz, length, width, height, yaw = (float(v) for v in arr)
-        return cls(cx, cy, cz, length, width, height, yaw)
-
 
 def bev_iou(a: Box3D, b: Box3D) -> float:
     """Rotated-rectangle IoU of the two BEV footprints, in [0, 1]."""
@@ -246,11 +241,13 @@ def buffered_iou_matrix(rects_a: np.ndarray, rects_b: np.ndarray,
 DEFAULT_SCALE_BREAKPOINTS: tuple[float, ...] = (1.0, 4.0, 12.0, 30.0)
 
 
+def footprint_levels(areas, breakpoints: Sequence[float]) -> np.ndarray:
+    """Scale level of each footprint area (m^2): the number of breakpoints
+    at or below it (0 = smallest). breakpoints must be increasing."""
+    return np.searchsorted(breakpoints, areas, side="right")
+
+
 def footprint_scale_level(box: Box3D,
                           breakpoints: Sequence[float] = DEFAULT_SCALE_BREAKPOINTS) -> int:
-    """Scale level from footprint area quantile breakpoints (0 = smallest)."""
-    area = box.footprint_area
-    for level, edge in enumerate(breakpoints):
-        if area < edge:
-            return level
-    return len(breakpoints)
+    """Scale level of the box's footprint area, by ``footprint_levels``."""
+    return int(footprint_levels(box.footprint_area, breakpoints))

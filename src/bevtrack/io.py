@@ -6,7 +6,8 @@ serialization is shortest-round-trip, so write-then-read reproduces every
 value exactly.
 
 A frame without detections is one marker record ``{"frame_id": f, "empty":
-true}``: ``iter_detection_frames`` yields it as an empty ``DetectionFrame``,
+true}``, with ``"timestamp": t`` when the frame has one:
+``iter_detection_frames`` yields it as an empty ``DetectionFrame``,
 ``read_detections`` skips it.
 """
 
@@ -24,8 +25,7 @@ import numpy as np
 import yaml
 
 from .association import AppearanceState
-from .geometry import (DEFAULT_SCALE_BREAKPOINTS, Box3D, footprint_scale_level,
-                       wrap_angle)
+from .geometry import DEFAULT_SCALE_BREAKPOINTS, Box3D, footprint_scale_level
 from .metrics import EvalConfig, Pred
 from .motion import NoiseConfig
 from .refiner import RefinerConfig
@@ -64,7 +64,7 @@ def _box(record: dict, path, line_no: int) -> Box3D:
     if len(vals) != 7:
         raise DataError(path, line_no, "box must be a list of 7 reals")
     try:
-        return Box3D.from_array(vals)
+        return Box3D(*map(float, vals))
     except (OverflowError, ValueError) as exc:
         raise DataError(path, line_no, f"invalid box: {exc}") from exc
 
@@ -121,12 +121,14 @@ def _number(record: dict, key: str, path, line_no: int, kind=int,
 def write_detections(path, det_frames) -> None:
     """Write frames of Detections or DetectionFrames, numbered by
     ``number_frames``; a frame's records carry its frame id and
-    timestamp."""
+    timestamp, and so does the marker of an empty frame that has one."""
     with open(path, "w") as fh:
         for frame_id, frame in number_frames(det_frames):
             if not len(frame):
-                fh.write(json.dumps({"frame_id": frame_id, "empty": True})
-                         + "\n")
+                marker = {"frame_id": frame_id, "empty": True}
+                if frame.timestamp is not None:
+                    marker["timestamp"] = float(frame.timestamp)
+                fh.write(json.dumps(marker) + "\n")
                 continue
             head = {"frame_id": frame.frame_id,
                     "timestamp": float(frame.timestamp)}
@@ -189,18 +191,21 @@ class _FrameRecords:
         self.num_levels = num_levels
         self.dim = None  # embedding length of the log's first detection
         self.lines, self.records = [], []
+        self.timestamp = None  # an empty-frame marker's
 
     def frame(self, frame_id: int) -> DetectionFrame:
         """The records as a DetectionFrame; the next frame starts empty."""
         if not self.records:
-            return DetectionFrame.empty(frame_id)
-        try:
-            frame = self._build(frame_id)
-        except (KeyError, ValueError, OverflowError):  # missing or bad fields
-            frame = None
-        if frame is None:
-            self.check()
-        self.lines, self.records = [], []
+            frame = replace(DetectionFrame.empty(frame_id),
+                            timestamp=self.timestamp)
+        else:
+            try:
+                frame = self._build(frame_id)
+            except (KeyError, ValueError, OverflowError):  # bad fields
+                frame = None
+            if frame is None:
+                self.check()
+        self.lines, self.records, self.timestamp = [], [], None
         return frame
 
     def _build(self, frame_id: int) -> DetectionFrame | None:
@@ -216,30 +221,25 @@ class _FrameRecords:
                 and _kinds(scores, int, float) and _kinds(stamps, int, float)
                 and _kinds(levels, int, type(None))):
             return None
-        boxes = np.array(boxes, dtype=np.float64)
-        if boxes.shape[1] != 7:
-            return None
-        for i, level in enumerate(levels):
-            if level is None:  # a bad box raises ValueError here
-                levels[i] = footprint_scale_level(Box3D.from_array(boxes[i]),
-                                                  self.breakpoints)
-        scores = np.array(scores, dtype=np.float64)
-        levels = np.array(levels, dtype=np.int64)
-        stamps = np.array(stamps, dtype=np.float64)
-        emb = np.array(embs, dtype=np.float64)  # (N, 3, C), ragged: ValueError
-        dim = emb.shape[2] if self.dim is None else self.dim
+        # bad values are this method's to reject, not numpy's to warn of;
+        # a box not of 7 or ragged embeddings raise ValueError
+        with np.errstate(invalid="ignore"):
+            frame = DetectionFrame.from_rows(frame_id, stamps[0], boxes,
+                                             scores, levels, embs,
+                                             self.breakpoints)
+        boxes, scores, levels = frame.boxes, frame.scores, frame.levels
+        dim = frame.emb.shape[2] if self.dim is None else self.dim
         good = (np.isfinite(boxes).all(axis=1)
                 & (boxes[:, 3:6] > 0).all(axis=1)
-                & (scores >= 0.0) & (scores <= 1.0) & np.isfinite(stamps)
-                & np.isfinite(emb).all(axis=(1, 2)) & (levels >= 0))
+                & (scores >= 0.0) & (scores <= 1.0)
+                & np.isfinite(np.array(stamps, dtype=np.float64))
+                & np.isfinite(frame.emb).all(axis=(1, 2)) & (levels >= 0))
         if self.num_levels is not None:
             good &= levels < self.num_levels
-        if emb.shape[2] != dim or not good.all():
+        if frame.emb.shape[2] != dim or not good.all():
             return None
         self.dim = dim
-        boxes[:, 6] = wrap_angle(boxes[:, 6])
-        return DetectionFrame(frame_id, float(stamps[0]), boxes, scores,
-                              levels, emb)
+        return frame
 
     def check(self) -> None:
         """Raise the DataError of the first bad record."""
@@ -255,12 +255,12 @@ def iter_detection_frames(path, breakpoints=DEFAULT_SCALE_BREAKPOINTS,
     """Stream (frame_id, DetectionFrame) pairs; memory stays per-frame.
 
     Records must be grouped by ascending frame_id. An empty-frame marker
-    yields an empty frame and must be its frame's only record. A missing
-    scale_level falls back to the footprint-area rule. With num_levels
-    given (the tracker's level count), a level outside [0, num_levels) is
-    a DataError. A DataError names the first bad line in file order: the
-    records of a frame are checked when the frame ends, or when a later
-    line fails first.
+    yields an empty frame, with the marker's timestamp if it has one, and
+    must be its frame's only record. A missing scale_level falls back to
+    the footprint-area rule. With num_levels given (the tracker's level
+    count), a level outside [0, num_levels) is a DataError. A DataError
+    names the first bad line in file order: the records of a frame are
+    checked when the frame ends, or when a later line fails first.
     """
     pending = _FrameRecords(path, breakpoints, num_levels)
     current_id: int | None = None
@@ -282,6 +282,9 @@ def iter_detection_frames(path, breakpoints=DEFAULT_SCALE_BREAKPOINTS,
             if not empty:
                 pending.lines.append(line_no)
                 pending.records.append(record)
+            elif "timestamp" in record:
+                pending.timestamp = _number(record, "timestamp", path,
+                                            line_no, float)
         if current_id is not None:
             yield current_id, pending.frame(current_id)
     except DataError:

@@ -24,9 +24,8 @@ pass along H replicates scipy's running-sum recurrence one whole row per
 step, forming each masked row as it enters a ring of k + 1 rows, so the
 masked grid is never stored; scipy's own pass then runs along the
 contiguous W lines. The result is bitwise that of ``uniform_filter`` on
-the masked H x W x C grid. An unsmoothed (k = 1) branch is added only
-inside the bounding box of its mask's non-zero cells, where alone it can
-change the sum.
+the masked H x W x C grid. An unsmoothed (k = 1) branch is the mask
+product alone, formed over the whole grid in the branch buffer.
 
 Learned components are replaced by seeded injected linear maps and
 ordinary normalized box convolutions: the artifact verifies the masking,
@@ -333,10 +332,10 @@ def refine_features(f: FeatureGrid, masks: Sequence[FilterMask],
     pass along the contiguous W lines in place. ``uniform_filter`` runs
     the same two 1-D passes in the same order, so the result is bitwise
     that of filtering the masked H x W x C grid. A k = 1 branch is the
-    product alone; outside the bounding box of its mask's non-zero cells
-    that product is +-0, and adding it would leave the sum unchanged, so
-    it is added inside that box only. The H x W x C result is written into
-    the spent branch buffer.
+    product alone. Where its mask is 0 the product is 0 with the sign of
+    the grid cell, and the running sum, which is -0 only where every term
+    is, keeps its bits. The H x W x C result is written into the spent
+    branch buffer.
     """
     h, w, c = f.shape
     if len(kernel_sizes) != len(masks):
@@ -350,11 +349,12 @@ def refine_features(f: FeatureGrid, masks: Sequence[FilterMask],
                              f"(levels 0..{len(kernel_sizes) - 1})")
     # A running sum adds the branches in the same order as np.mean over
     # the stacked branches, so the result is bitwise the same without
-    # holding every branch at once.
+    # holding every branch at once (np.mean starts from +0.0, so where
+    # every branch is -0.0 it gives +0.0 and this sum -0.0).
     stack = np.ascontiguousarray(f.data.transpose(0, 2, 1))
     total = stack.copy()
-    # One buffer serves every smoothed branch: a fresh grid-sized array for
-    # each costs more than the arithmetic on it.
+    # One buffer serves every branch: a fresh grid-sized array for each
+    # costs more than the arithmetic on it.
     branch = np.empty_like(stack)
     ring = np.empty((max(kernel_sizes, default=1) + 1, c, w))
     count = 1
@@ -363,10 +363,7 @@ def refine_features(f: FeatureGrid, masks: Sequence[FilterMask],
             continue
         k = int(kernel_sizes[mask.level])
         if k == 1:
-            rows = np.flatnonzero(mask.data.any(axis=1))
-            cols = np.flatnonzero(mask.data.any(axis=0))
-            r, q = slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
-            total[r, :, q] += mask.data[r, None, q] * stack[r, :, q]
+            total += np.multiply(mask.data[:, None, :], stack, out=branch)
         else:
             # normalized k x k box convolution, zero padded
             _smooth_rows(mask.data, stack, k, branch, ring)

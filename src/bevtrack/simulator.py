@@ -25,9 +25,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .association import AppearanceState
-from .geometry import Box3D, footprint_scale_level, wrap_angle
-from .tracker import Detection
+from .geometry import Box3D, wrap_angle
+from .tracker import DetectionFrame
 
 DEFAULT_SIZE_CLASSES: dict[str, tuple[float, float, float]] = {
     "car": (4.5, 1.9, 1.6),
@@ -78,28 +77,28 @@ class ScenarioConfig:
     def __post_init__(self):
         n = self.num_objects
         if n < 0:
-            raise ValueError("num_objects must be >= 0")
+            raise ValueError("num_objects: must be >= 0")
         if self.num_frames < 1:
-            raise ValueError("num_frames must be >= 1")
+            raise ValueError("num_frames: must be >= 1")
         if not self.frame_dt > 0:
-            raise ValueError("frame_dt must be > 0")
+            raise ValueError("frame_dt: must be > 0")
         if not min(self.arena) > 0:
-            raise ValueError("arena extents must be > 0")
+            raise ValueError("arena: extents must be > 0")
         if self.embedding_dim < 1:
-            raise ValueError("embedding_dim must be >= 1")
+            raise ValueError("embedding_dim: must be >= 1")
         if not self.size_classes:
-            raise ValueError("size_classes must name at least one class")
+            raise ValueError("size_classes: must name at least one class")
         for cls, dims in self.size_classes.items():
             if not min(dims) > 0:
-                raise ValueError(f"size_classes.{cls} dims must be > 0")
+                raise ValueError(f"size_classes: dims of {cls} must be > 0")
         for name in ("speed_range", "turn_rate_range", "score_range",
                      "fp_score_range"):
             low, high = getattr(self, name)
             if low > high:
                 raise ValueError(
-                    f"{name} must be [low, high] with low <= high")
+                    f"{name}: must be [low, high] with low <= high")
             if name.endswith("score_range") and (low < 0 or high > 1):
-                raise ValueError(f"{name} must lie in [0, 1]")
+                raise ValueError(f"{name}: must lie in [0, 1]")
         if not 0.0 <= self.fn_rate <= 1.0:
             raise ValueError("fn_rate: must be in [0, 1]")
         for name in ("fp_rate", "pos_std", "yaw_std", "dim_std",
@@ -108,10 +107,10 @@ class ScenarioConfig:
                 raise ValueError(f"{name}: must be >= 0")
         if self.object_classes is not None:
             if len(self.object_classes) != n:
-                raise ValueError("object_classes must name every object")
+                raise ValueError("object_classes: must name every object")
             unknown = sorted(set(self.object_classes) - set(self.size_classes))
             if unknown:
-                raise ValueError(f"object_classes {unknown} are not in "
+                raise ValueError(f"object_classes: {unknown} are not in "
                                  f"size_classes")
         named = [("occlusion_events", event[0])
                  for event in self.occlusion_events]
@@ -120,14 +119,14 @@ class ScenarioConfig:
                   for obj in pair[:2]]
         for name, obj in named:
             if not 0 <= obj < n:
-                raise ValueError(f"{name} names object {obj}, but "
+                raise ValueError(f"{name}: names object {obj}, but "
                                  f"num_objects is {n}")
         if any(start < 0 or duration < 0
                for _, start, duration in self.occlusion_events):
-            raise ValueError("occlusion_events need start >= 0 and "
+            raise ValueError("occlusion_events: need start >= 0 and "
                              "duration >= 0")
         if any(gap < 0 for _, _, gap in self.companions):
-            raise ValueError("companions need gap >= 0")
+            raise ValueError("companions: need gap >= 0")
 
     def noiseless(self) -> "ScenarioConfig":
         """Same trajectories and occlusions, zero observation corruption."""
@@ -152,17 +151,24 @@ def _anchor_matrix(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     return raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
 
-def _noisy_unit(anchor: np.ndarray, noise: np.ndarray, std: float) -> np.ndarray:
-    v = anchor + std * noise
-    norm = np.linalg.norm(v)
-    if norm < 1e-12:
-        return anchor.copy()
-    return v / norm
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """The norm of each last-axis row of v, taken one row at a time as
+    ``np.linalg.norm`` takes a vector's, so every norm keeps its bits."""
+    rows = v.reshape(-1, v.shape[-1])
+    return np.sqrt([row.dot(row) for row in rows]).reshape(v.shape[:-1])
+
+
+# box row columns (cx, cy, cz, length, width, height, yaw) in the order of
+# the per-object box noise draws (3 pos, yaw, 3 dims)
+_NOISE_COLUMNS = [0, 1, 2, 4, 5, 6, 3]
 
 
 def generate(cfg: ScenarioConfig) -> tuple[list[GroundTruthFrame],
-                                           list[list[Detection]]]:
-    """Simulate one scenario; fully reproducible from cfg.seed."""
+                                           list[DetectionFrame]]:
+    """Simulate one scenario; fully reproducible from cfg.seed. Each frame's
+    detections are one DetectionFrame, true detections in object order
+    before the false positives, with levels from the footprint rule; a
+    frame without any keeps its frame id and timestamp."""
     rng = np.random.default_rng(cfg.seed)
     n = cfg.num_objects
     class_names = list(cfg.size_classes)
@@ -171,18 +177,13 @@ def generate(cfg: ScenarioConfig) -> tuple[list[GroundTruthFrame],
     else:
         classes = [class_names[i % len(class_names)] for i in range(n)]
 
-    # schedule step 1: spawn draws
-    xs = np.empty(n)
-    ys = np.empty(n)
-    headings = np.empty(n)
-    speeds = np.empty(n)
-    turns = np.empty(n)
-    for i in range(n):
-        xs[i] = rng.uniform(-0.4, 0.4) * cfg.arena[0]
-        ys[i] = rng.uniform(-0.4, 0.4) * cfg.arena[1]
-        headings[i] = rng.uniform(-math.pi, math.pi)
-        speeds[i] = rng.uniform(*cfg.speed_range)
-        turns[i] = rng.uniform(*cfg.turn_rate_range)
+    # schedule step 1: spawn draws, one row (x, y, heading, speed, turn
+    # rate) per object
+    xs, ys, headings, speeds, turns = np.array([
+        (rng.uniform(-0.4, 0.4) * cfg.arena[0],
+         rng.uniform(-0.4, 0.4) * cfg.arena[1],
+         rng.uniform(-math.pi, math.pi), rng.uniform(*cfg.speed_range),
+         rng.uniform(*cfg.turn_rate_range)) for _ in range(n)]).reshape(n, 5).T
     for i, spec in sorted(cfg.spawn_overrides.items()):
         xs[i], ys[i] = spec.x, spec.y
         headings[i], speeds[i], turns[i] = spec.heading, spec.speed, spec.turn_rate
@@ -195,18 +196,20 @@ def generate(cfg: ScenarioConfig) -> tuple[list[GroundTruthFrame],
         speeds[follower] = speeds[leader]
         turns[follower] = turns[leader]
 
-    # schedule step 2: appearance anchors
-    anchors = {clue: _anchor_matrix(rng, n, cfg.embedding_dim)
-               for clue in ("img", "bev", "head")}
+    # schedule step 2: appearance anchors, (n, 3, C) in clue order
+    dim = cfg.embedding_dim
+    anchors = np.stack([_anchor_matrix(rng, n, dim) for _clue in range(3)],
+                       axis=1)
 
     occluded: set[tuple[int, int]] = set()
     for obj, start, duration in cfg.occlusion_events:
         for f in range(start, start + duration):
             occluded.add((obj, f))
 
-    dims = np.array([cfg.size_classes[c] for c in classes])
+    dims = np.array([cfg.size_classes[c] for c in classes]).reshape(n, 3)
+    box_std = np.array([cfg.pos_std] * 3 + [cfg.dim_std] * 3 + [cfg.yaw_std])
     gt_frames: list[GroundTruthFrame] = []
-    det_frames: list[list[Detection]] = []
+    det_frames: list[DetectionFrame] = []
     pos = np.stack([xs, ys], axis=1)
     heading = headings.copy()
 
@@ -217,73 +220,51 @@ def generate(cfg: ScenarioConfig) -> tuple[list[GroundTruthFrame],
             step = speeds * cfg.frame_dt
             pos = pos + np.stack([step * np.cos(heading),
                                   step * np.sin(heading)], axis=1)
+        boxes = np.column_stack([pos, dims[:, 2] / 2.0, dims,
+                                 wrap_angle(heading)])
+        visible = [(i, f) not in occluded for i in range(n)]
 
-        rows = []
-        dets: list[Detection] = []
-        for i in range(n):
-            box = Box3D(cx=pos[i, 0], cy=pos[i, 1], cz=dims[i, 2] / 2.0,
-                        length=dims[i, 0], width=dims[i, 1],
-                        height=dims[i, 2], yaw=wrap_angle(heading[i]))
-            visible = (i, f) not in occluded
-            rows.append((i, box, visible))
-
-            # schedule step 3 (draws consumed for every object, visible or
-            # not, so occlusion windows never shift later draws)
-            miss = rng.uniform()
-            box_noise = rng.normal(size=7)
-            emb_noise = {clue: rng.normal(size=cfg.embedding_dim)
-                         for clue in ("img", "bev", "head")}
-            score = rng.uniform(*cfg.score_range)
-            if not visible or miss < cfg.fn_rate:
-                continue
-            noisy_box = Box3D(
-                cx=box.cx + cfg.pos_std * box_noise[0],
-                cy=box.cy + cfg.pos_std * box_noise[1],
-                cz=box.cz + cfg.pos_std * box_noise[2],
-                yaw=wrap_angle(box.yaw + cfg.yaw_std * box_noise[3]),
-                length=max(0.05, box.length + cfg.dim_std * box_noise[4]),
-                width=max(0.05, box.width + cfg.dim_std * box_noise[5]),
-                height=max(0.05, box.height + cfg.dim_std * box_noise[6]),
-            )
-            appearance = AppearanceState(
-                e_img=_noisy_unit(anchors["img"][i], emb_noise["img"],
-                                  cfg.embedding_noise_std),
-                e_bev=_noisy_unit(anchors["bev"][i], emb_noise["bev"],
-                                  cfg.embedding_noise_std),
-                e_head=_noisy_unit(anchors["head"][i], emb_noise["head"],
-                                   cfg.embedding_noise_std),
-            )
-            dets.append(Detection(box=noisy_box, score=float(score),
-                                  appearance=appearance,
-                                  scale_level=footprint_scale_level(noisy_box),
-                                  timestamp=t, frame_id=f))
+        # schedule step 3 (draws consumed for every object, visible or
+        # not, so occlusion windows never shift later draws); one normal
+        # draw of 7 + 3 x C values is the box noise, then the embeddings'
+        draws = [(rng.uniform(), rng.normal(size=7 + 3 * dim),
+                  rng.uniform(*cfg.score_range)) for _ in range(n)]
+        kept = [i for i, (miss, _, _) in enumerate(draws)
+                if visible[i] and miss >= cfg.fn_rate]
+        noise = np.reshape([draws[i][1] for i in kept], (-1, 7 + 3 * dim))
+        scores = [draws[i][2] for i in kept]
+        det_boxes = boxes[kept] + box_std * noise[:, _NOISE_COLUMNS]
+        det_boxes[:, 3:6] = np.maximum(det_boxes[:, 3:6], 0.05)
+        det_anchors = anchors[kept]
+        det_emb = det_anchors + cfg.embedding_noise_std * noise[
+            :, 7:].reshape(-1, 3, dim)
+        norms = _row_norms(det_emb)
+        # a noisy embedding of (near) zero norm falls back to its anchor
+        small = norms < 1e-12
+        det_emb[small], norms[small] = det_anchors[small], 1.0
+        det_emb /= norms[..., None]
 
         # schedule step 4: false positives
-        n_fp = int(rng.poisson(cfg.fp_rate))
-        for _ in range(n_fp):
+        fp_boxes, fp_noise = [], []
+        for _ in range(int(rng.poisson(cfg.fp_rate))):
             fx = rng.uniform(-0.5, 0.5) * cfg.arena[0]
             fy = rng.uniform(-0.5, 0.5) * cfg.arena[1]
             fyaw = rng.uniform(-math.pi, math.pi)
             cls = class_names[int(rng.integers(len(class_names)))]
-            fscore = rng.uniform(*cfg.fp_score_range)
-            emb = {clue: rng.normal(size=cfg.embedding_dim)
-                   for clue in ("img", "bev", "head")}
+            scores.append(rng.uniform(*cfg.fp_score_range))
+            fp_noise.append(rng.normal(size=3 * dim))
             dl, dw, dh = cfg.size_classes[cls]
-            fp_box = Box3D(cx=fx, cy=fy, cz=dh / 2.0, length=dl, width=dw,
-                           height=dh, yaw=fyaw)
-            appearance = AppearanceState(
-                e_img=emb["img"] / np.linalg.norm(emb["img"]),
-                e_bev=emb["bev"] / np.linalg.norm(emb["bev"]),
-                e_head=emb["head"] / np.linalg.norm(emb["head"]),
-            )
-            dets.append(Detection(box=fp_box, score=float(fscore),
-                                  appearance=appearance,
-                                  scale_level=footprint_scale_level(fp_box),
-                                  timestamp=t, frame_id=f))
+            fp_boxes.append((fx, fy, dh / 2.0, dl, dw, dh, fyaw))
+        fp_emb = np.reshape(fp_noise, (-1, 3, dim))
+        fp_emb /= _row_norms(fp_emb)[..., None]
 
-        gt_frames.append(GroundTruthFrame(frame_id=f, timestamp=t,
-                                          objects=tuple(rows)))
-        det_frames.append(dets)
+        gt_frames.append(GroundTruthFrame(frame_id=f, timestamp=t, objects=(
+            tuple((i, Box3D(*box), vis) for i, (box, vis)
+                  in enumerate(zip(boxes.tolist(), visible))))))
+        det_frames.append(DetectionFrame.from_rows(
+            f, t, np.concatenate([det_boxes, np.reshape(fp_boxes, (-1, 7))]),
+            scores, [None] * len(scores),
+            np.concatenate([det_emb, fp_emb])))
     return gt_frames, det_frames
 
 
@@ -369,18 +350,19 @@ def intra_inter_similarity(cfg: ScenarioConfig,
     """Mean same-identity vs cross-identity cosine similarity of the
     generated detection embeddings (diagnostic for the identity signal)."""
     gt_frames, det_frames = generate(cfg)
+    column = ("img", "bev", "head").index(clue)
     by_id: dict[int, list[np.ndarray]] = {}
-    for gtf, dets in zip(gt_frames, det_frames):
+    for gtf, frame in zip(gt_frames, det_frames):
         centers = {gid: (box.cx, box.cy) for gid, box, vis in gtf.objects if vis}
-        for det in dets:
+        for (x, y), emb in zip(frame.boxes[:, :2].tolist(),
+                               frame.emb[:, column]):
             best = None
             for gid, (cx, cy) in centers.items():
-                d = math.hypot(det.box.cx - cx, det.box.cy - cy)
+                d = math.hypot(x - cx, y - cy)
                 if d < 1.0 and (best is None or d < best[1]):
                     best = (gid, d)
             if best is not None:
-                by_id.setdefault(best[0], []).append(
-                    getattr(det.appearance, f"e_{clue}"))
+                by_id.setdefault(best[0], []).append(emb)
     intra: list[float] = []
     inter: list[float] = []
     ids = sorted(by_id)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, fields
+from typing import Sequence
 
 import numpy as np
 
@@ -22,8 +23,9 @@ from . import motion
 from .association import (AppearanceState, ClueWeights, CostMatrix,
                           build_similarity_matrix, solve_assignment,
                           stack_appearance, unstack_appearance)
-from .geometry import (RECT_COLUMNS, Box3D, box_rows, buffered_iou_matrix,
-                       is_number)
+from .geometry import (DEFAULT_SCALE_BREAKPOINTS, RECT_COLUMNS, Box3D,
+                       box_rows, buffered_iou_matrix, footprint_levels,
+                       is_number, wrap_angle)
 from .motion import KalmanState, NoiseConfig
 
 
@@ -49,13 +51,11 @@ class Detection:
 
 @dataclass(frozen=True)
 class DetectionFrame:
-    """One frame's detections as row-aligned arrays, in log order.
-
-    ``io`` ingest builds a frame straight from its records and checks the
-    values once per frame; ``as_frame`` builds one from ``Detection``
-    objects. frame_id and timestamp are None when unknown: a frame built
-    from an empty list has neither, an empty-frame marker no timestamp.
-    Indexing and iteration give ``Detection`` objects.
+    """One frame's detections as row-aligned arrays, in log order, as
+    ``from_rows`` builds them for the simulator, ``io`` ingest and
+    ``as_frame``. frame_id and timestamp are None when unknown: a frame
+    built from an empty list has neither, a bare empty-frame marker no
+    timestamp. Indexing and iteration give ``Detection`` objects.
     """
 
     frame_id: int | None
@@ -64,6 +64,25 @@ class DetectionFrame:
     scores: np.ndarray  # (N,) float64 in [0, 1]
     levels: np.ndarray  # (N,) int64 scale levels >= 0
     emb: np.ndarray     # (N, 3, C) (e_img, e_bev, e_head) rows
+
+    @classmethod
+    def from_rows(cls, frame_id: int | None, timestamp: float | None, boxes,
+                  scores, levels, emb,
+                  breakpoints: Sequence[float] = DEFAULT_SCALE_BREAKPOINTS,
+                  ) -> "DetectionFrame":
+        """A frame of N row-aligned values, cast to float64 and int64:
+        boxes (N, 7) with each yaw wrapped as ``Box3D`` wraps it, scores,
+        levels, of which each None is the footprint level of its box's
+        length * width (``footprint_levels``), and embeddings (N, 3, C)."""
+        boxes = np.array(boxes, dtype=np.float64).reshape(len(boxes), 7)
+        boxes[:, 6] = wrap_angle(boxes[:, 6])
+        levels = np.array(levels, dtype=object)
+        missing = np.equal(levels, None)
+        levels[missing] = footprint_levels(
+            boxes[missing, 3] * boxes[missing, 4], breakpoints)
+        return cls(frame_id, None if timestamp is None else float(timestamp),
+                   boxes, np.array(scores, dtype=np.float64),
+                   levels.astype(np.int64), np.array(emb, dtype=np.float64))
 
     @classmethod
     def empty(cls, frame_id: int | None = None) -> "DetectionFrame":
@@ -90,11 +109,9 @@ def as_frame(detections) -> DetectionFrame:
     if not detections:
         return DetectionFrame.empty()
     first = detections[0]
-    return DetectionFrame(
-        first.frame_id, first.timestamp,
-        box_rows([d.box for d in detections]),
-        np.array([d.score for d in detections], dtype=np.float64),
-        np.array([d.scale_level for d in detections], dtype=np.int64),
+    return DetectionFrame.from_rows(
+        first.frame_id, first.timestamp, box_rows([d.box for d in detections]),
+        [d.score for d in detections], [d.scale_level for d in detections],
         stack_appearance([d.appearance for d in detections]))
 
 
@@ -374,12 +391,12 @@ class Tracker:
 
 def number_frames(det_frames):
     """(frame_id, DetectionFrame) per frame of Detection lists or frames,
-    by ``as_frame``: the detections' id, else the previous id + 1, else (a
-    leading empty frame) the frame's index."""
+    by ``as_frame``: the frame's own id, else the previous id + 1, else (a
+    leading frame without one) the frame's index."""
     frame_id = None
     for idx, dets in enumerate(det_frames):
         frame = as_frame(dets)
-        if len(frame):
+        if frame.frame_id is not None:
             frame_id = frame.frame_id
         else:
             frame_id = idx if frame_id is None else frame_id + 1
@@ -396,7 +413,8 @@ def track_stream(frames, cfg: TrackerConfig | None = None,
 
     A frame whose timestamp passes the clock steps by the difference; any
     other frame steps by the previous dt (frame_dt at first), and a frame
-    without a timestamp (an empty one) advances the clock by it."""
+    without a timestamp (an empty one from a list or a bare marker)
+    advances the clock by it."""
     trk = Tracker(cfg, noise)
     clock = dt = None
     for frame_id, frame in frames:
@@ -405,7 +423,7 @@ def track_stream(frames, cfg: TrackerConfig | None = None,
             dt = ts - clock
         elif dt is None:
             dt = frame_dt
-        if ts is None and clock is not None:  # an empty frame
+        if ts is None and clock is not None:  # an empty frame, no timestamp
             ts = clock + dt
         clock = ts
         matches = trk.step(frame, dt, frame_id=frame_id)

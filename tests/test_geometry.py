@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bevtrack.geometry import (Box3D, bev_iou, bev_rects, buffer_box,
-                               buffered_iou, buffered_iou_matrix,
+from bevtrack.geometry import (DEFAULT_SCALE_BREAKPOINTS, Box3D, bev_iou,
+                               bev_rects, buffer_box, buffered_iou,
+                               buffered_iou_matrix, footprint_levels,
                                footprint_scale_level, wrap_angle)
 
 from oracles import rasterized_iou, rasterized_iou_dense
@@ -250,3 +253,30 @@ class TestScaleLevel:
         assert footprint_scale_level(mk(4.5, 1.9)) == 2    # 8.55 m^2
         assert footprint_scale_level(mk(8.0, 2.5)) == 3    # 20 m^2
         assert footprint_scale_level(mk(12.0, 3.0)) == 4   # 36 m^2
+
+
+def _first_level_below(area, breakpoints):
+    """The footprint rule as stated: the first level whose breakpoint
+    exceeds the area, else one past the last."""
+    for level, edge in enumerate(breakpoints):
+        if area < edge:
+            return level
+    return len(breakpoints)
+
+
+@settings(max_examples=60, deadline=None)
+@given(breakpoints=st.one_of(
+           st.just(DEFAULT_SCALE_BREAKPOINTS),
+           st.lists(st.floats(0.01, 100.0), min_size=1, max_size=5,
+                    unique=True).map(sorted)),
+       extra=st.lists(st.floats(0.001, 200.0), max_size=5))
+def test_footprint_levels_equal_the_scalar_rule(breakpoints, extra):
+    # at, just below and just above every breakpoint, and anywhere
+    edges = np.array(breakpoints)
+    areas = np.concatenate([edges, np.nextafter(edges, 0.0),
+                            np.nextafter(edges, np.inf), extra])
+    want = [_first_level_below(a, breakpoints) for a in areas.tolist()]
+    assert footprint_levels(areas, breakpoints).tolist() == want
+    # a length of the area and a width of 1 give the area exactly
+    assert [footprint_scale_level(Box3D(0, 0, 0, a, 1.0, 1, 0), breakpoints)
+            for a in areas.tolist()] == want

@@ -7,6 +7,8 @@ from typing import get_type_hints
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bevtrack import io as bio
 from bevtrack.association import AppearanceState, ClueWeights
@@ -176,6 +178,38 @@ class TestDetectionLog:
         for (_f, got), orig in zip(back, frames):
             assert [d.box for d in got] == [d.box for d in orig]
 
+    def test_empty_frame_marker_carries_its_timestamp(self, tmp_path):
+        # a generated empty frame keeps its timestamp; a [] frame has none
+        # and writes the bare marker
+        frames = [as_frame(dets) for dets in make_dets(n_frames=4)]
+        frames[1] = replace(frames[1], boxes=np.zeros((0, 7)),
+                            scores=np.zeros(0),
+                            levels=np.zeros(0, dtype=np.int64),
+                            emb=np.zeros((0, 3, 4)))
+        frames[2] = []
+        path = tmp_path / "dets.jsonl"
+        bio.write_detections(path, frames)
+        lines = path.read_text().splitlines()
+        assert lines[2] == '{"frame_id": 1, "empty": true, "timestamp": 0.25}'
+        assert lines[3] == '{"frame_id": 2, "empty": true}'
+        back = list(bio.iter_detection_frames(path))
+        assert [(f, len(d), d.timestamp) for f, d in back] == [
+            (0, 2, 0.0), (1, 0, 0.25), (2, 0, None), (3, 2, 0.75)]
+
+    @pytest.mark.parametrize("raw", ['"0.5"', "true", "null", "1e999",
+                                     "[0.5]", str(2 ** 1024)],
+                             ids=["string", "bool", "null", "inf", "list",
+                                  "beyond-float"])
+    def test_marker_timestamp_must_be_finite(self, tmp_path, raw):
+        path = tmp_path / "dets.jsonl"
+        path.write_text('{"frame_id": 0, "empty": true}\n'
+                        f'{{"frame_id": 1, "empty": true, "timestamp": {raw}}}'
+                        "\n")
+        want = "^" + re.escape(f"{path}:2: timestamp must be a finite "
+                               "number") + "$"
+        with pytest.raises(bio.DataError, match=want):
+            list(bio.iter_detection_frames(path))
+
     def test_read_detections_skips_empty_frames(self, tmp_path):
         frames = make_dets(n_frames=4)
         frames[0] = frames[2] = []
@@ -299,6 +333,39 @@ class TestDetectionFrames:
         want = "^" + re.escape(f"{path}:3: {message}") + "$"
         with pytest.raises(bio.DataError, match=want):
             list(bio.iter_detection_frames(path, num_levels=5))
+
+
+_small_scenarios = st.builds(
+    ScenarioConfig, seed=st.integers(0, 2 ** 32 - 1),
+    num_objects=st.integers(0, 4), num_frames=st.integers(1, 4),
+    embedding_dim=st.integers(1, 5), pos_std=st.floats(0.0, 1.0),
+    yaw_std=st.floats(0.0, 4.0), dim_std=st.floats(0.0, 3.0),
+    fp_rate=st.floats(0.0, 2.0), fn_rate=st.floats(0.0, 1.0),
+    embedding_noise_std=st.floats(0.0, 2.0))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=_small_scenarios)
+def test_generated_frames_equal_their_detections_and_their_log(tmp_path,
+                                                               cfg):
+    """Each frame of generate equals, bit for bit, the frame as_frame builds
+    from its Detections and the frame its written log reads back."""
+    _gt, frames = generate(cfg)
+    path = tmp_path / "dets.jsonl"
+    bio.write_detections(path, frames)
+    back = list(bio.iter_detection_frames(path))
+    assert [f for f, _ in back] == list(range(cfg.num_frames))
+    for f, (frame, (_, got)) in enumerate(zip(frames, back)):
+        assert (frame.frame_id, frame.timestamp) == (f, f * cfg.frame_dt)
+        if frame:
+            assert_frames_equal(as_frame(list(frame)), frame)
+            assert_frames_equal(got, frame)
+        else:
+            assert (got.frame_id, got.timestamp, len(got)) == (
+                f, frame.timestamp, 0)
+    assert [got.frame_id for got in bio.read_detections(path)] == [
+        frame.frame_id for frame in frames if frame]
 
 
 class TestGroundTruthLog:
@@ -707,22 +774,24 @@ class TestCliSimulate:
         ("size_classes: {}", "size_classes must name at least one class"),
         ("spawn_overrides: {4: {x: 1, y: 2, heading: 0, speed: 1}}",
          "spawn_overrides names object 4"),
-        ("occlusion_events: [[0, -1, 3]]", "need start >= 0"),
+        ("occlusion_events: [[0, -1, 3]]", "occlusion_events need start >= 0"),
         ("companions: [[0, 1, -2.0]]", "companions need gap >= 0"),
         ("size_classes: {car: [0, 1, 1]}",
-         "size_classes.car dims must be > 0"),
+         "size_classes dims of car must be > 0"),
         ("score_range: [0.5, 1.5]", "score_range must lie in [0, 1]"),
         ("fp_score_range: [-0.1, 0.5]", "fp_score_range must lie in [0, 1]")])
     def test_out_of_range_scenario_exits_1(self, tmp_path, capsys, text,
                                            message):
+        # message is the key, a space and the start of its rule's text
+        key, rule = message.split(" ", 1)
         spec = tmp_path / "scenario.yaml"
         spec.write_text(text + "\n")
         out = tmp_path / "sim"
         assert main(["simulate", "--scenario", str(spec), "--out",
                      str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {spec}: (top level): ")
-        assert message in err and err.count("\n") == 1
+        assert err.startswith(f"error: {spec}: {key}: {rule}")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     def test_scenario_file_takes_every_field_kind(self, tmp_path):
@@ -981,12 +1050,25 @@ class TestCliLibraryParity:
         scenario = replace(standard_suites()[suite], seed=seed, fn_rate=0.5)
         _gt, dets = generate(scenario)
         assert any(not frame for frame in dets)
-        cli = {max_age: self._cli(tmp_path, dets, max_age)
-               for max_age in (0, 5)}
+        # every frame, empty or not, carries its timestamp in the log, so
+        # the library's frame period reaches no box
         for max_age in (0, 5):
-            assert cli[max_age] == self._lib(dets, max_age, 0.1), max_age
-        # with max_age 0 no tracklet coasts, so frame_dt reaches no box
-        assert cli[0] == self._lib(dets, 0, scenario.frame_dt)
+            cli = self._cli(tmp_path, dets, max_age)
+            for frame_dt in (0.1, scenario.frame_dt):
+                assert cli == self._lib(dets, max_age, frame_dt), (max_age,
+                                                                   frame_dt)
+
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_empty_frame_before_the_second_timestamp(self, tmp_path, seed):
+        # frame 1 is empty and coasting tracklets step across it: without
+        # the marker's timestamp the CLI would step it by 0.1 s, not the
+        # suite's 0.5 s
+        scenario = replace(standard_suites()["occlusion"], seed=seed,
+                           fn_rate=0.5)
+        _gt, dets = generate(scenario)
+        assert dets[0] and not dets[1]
+        assert self._cli(tmp_path, dets, 5) == self._lib(dets, 5,
+                                                         scenario.frame_dt)
 
     def test_empty_frame_repro(self, tmp_path):
         # one object missed in 40 % of frames: with max_age 0 every miss

@@ -328,6 +328,33 @@ class TestRefineFeatures:
         got = refine_features(f, masks, (1, 3, 5)).data
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("smoothed", [False, True])
+    def test_k1_branch_keeps_signed_zeros_outside_its_mask(self, smoothed):
+        # the k = 1 product spans the whole grid; where its mask is 0 it is
+        # 0 with the cell's sign, so each cell of the sum keeps its bits.
+        # np.mean sums from +0.0, so the reference adds the branches to the
+        # grid in order, as refine_features does.
+        rng = np.random.default_rng(67)
+        f = FeatureGrid(with_signed_zeros(rng, rng.normal(size=(12, 10, 3)),
+                                          share=0.4))
+        mask = np.zeros((12, 10))
+        mask[4:7, 3:6] = rng.uniform(0.1, 1.0, size=(3, 3))
+        wide = rng.uniform(size=(12, 10)) if smoothed else np.zeros((12, 10))
+        masks = [FilterMask(0, mask), FilterMask(1, wide)]
+        branches = [f.data, mask[:, :, None] * f.data]
+        if smoothed:
+            branches.append(uniform_filter(wide[:, :, None] * f.data,
+                                           size=(3, 3, 1), mode="constant",
+                                           cval=0.0))
+        want = branches[0].copy()
+        for branch in branches[1:]:
+            want += branch
+        want /= len(branches)
+        got = refine_features(f, masks, (1, 3)).data
+        assert bitwise_equal(got, want)
+        outside = got[(mask == 0)[:, :, None] & (got == 0)]
+        assert smoothed or np.signbit(outside).any()
+
     @pytest.mark.parametrize("shape", [(1, 1), (1, 17), (17, 1), (4, 3)])
     def test_grid_smaller_than_kernel(self, shape):
         # k = 9 reaches past the grid on at least one axis

@@ -11,8 +11,9 @@ from bevtrack.geometry import Box3D
 from bevtrack.metrics import evaluate
 from bevtrack.simulator import ScenarioConfig, SpawnSpec, generate, \
     standard_suites
-from bevtrack.tracker import (Detection, Tracker, TrackerConfig, as_frame,
-                              number_frames, run_sequence, track_stream)
+from bevtrack.tracker import (Detection, DetectionFrame, Tracker,
+                              TrackerConfig, as_frame, number_frames,
+                              run_sequence, track_stream)
 
 
 def unit(dim, axis):
@@ -394,6 +395,16 @@ class TestTrackStream:
         assert [f for f, _ in number_frames(frames)] == [0, 1, 2, 3]
         list(track_stream(number_frames(frames), frame_dt=0.25))
         assert seen == [0.25, 0.25, 0.25, 0.5]
+
+    def test_empty_frame_keeps_its_id_and_timestamp(self, monkeypatch):
+        # an empty DetectionFrame (generate's, or a marker's) numbers and
+        # steps by its own id and timestamp; a [] after it takes id + 1
+        seen = self._record_dt(monkeypatch)
+        frames = self._frames([0.0, 0.5]) + [DetectionFrame.from_rows(
+            5, 2.5, np.zeros((0, 7)), [], [], np.zeros((0, 3, 4))), []]
+        assert [f for f, _ in number_frames(frames)] == [0, 1, 5, 6]
+        list(track_stream(number_frames(frames), frame_dt=0.25))
+        assert seen == [0.25, 0.5, 2.0, 2.0]
 
     def test_outputs_equal_tracklet_snapshots(self):
         # track_stream reads outputs from the rows: same ids, boxes (bitwise),
