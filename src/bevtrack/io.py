@@ -24,13 +24,13 @@ from typing import (Iterable, Iterator, Sequence, get_args, get_origin,
 import numpy as np
 import yaml
 
-from .association import AppearanceState
 from .geometry import DEFAULT_SCALE_BREAKPOINTS, Box3D, footprint_scale_level
 from .metrics import EvalConfig, Pred
 from .motion import NoiseConfig
 from .refiner import RefinerConfig
 from .simulator import GroundTruthFrame, ScenarioConfig
-from .tracker import Detection, DetectionFrame, TrackerConfig, number_frames
+from .tracker import (DetectionFrame, TrackerConfig, first_bad_row,
+                      number_frames)
 
 
 class DataError(ValueError):
@@ -119,9 +119,9 @@ def _number(record: dict, key: str, path, line_no: int, kind=int,
 # detection logs
 
 def write_detections(path, det_frames) -> None:
-    """Write frames of Detections or DetectionFrames, numbered by
-    ``number_frames``; a frame's records carry its frame id and
-    timestamp, and so does the marker of an empty frame that has one."""
+    """Write frames of Detections or DetectionFrames, numbered (and their
+    ids checked) by ``number_frames``; a frame's records carry its number
+    and timestamp, and so does the marker of an empty frame that has one."""
     with open(path, "w") as fh:
         for frame_id, frame in number_frames(det_frames):
             if not len(frame):
@@ -130,7 +130,7 @@ def write_detections(path, det_frames) -> None:
                     marker["timestamp"] = float(frame.timestamp)
                 fh.write(json.dumps(marker) + "\n")
                 continue
-            head = {"frame_id": frame.frame_id,
+            head = {"frame_id": frame_id,
                     "timestamp": float(frame.timestamp)}
             for box, score, level, (e_img, e_bev, e_head) in zip(
                     frame.boxes.tolist(), frame.scores.tolist(),
@@ -146,9 +146,9 @@ _EMBEDDINGS = ("e_img", "e_bev", "e_head")
 def _check_detection(record: dict, path, line_no: int, dim: int | None,
                      breakpoints, num_levels: int | None) -> int:
     """Check one detection record field by field, in the order of its
-    fields, ``Box3D``, ``AppearanceState`` and ``Detection``; raise its
-    first problem as a DataError. Returns the log's embedding length: dim,
-    or this record's when it is the first detection."""
+    fields, with ``first_bad_row`` for the value rules; raise its first
+    problem as a DataError. Returns the log's embedding length: dim, or
+    this record's when it is the first detection."""
     box = _box(record, path, line_no)
     score = _number(record, "score", path, line_no, float)
     level = record.get("scale_level")
@@ -162,11 +162,16 @@ def _check_detection(record: dict, path, line_no: int, dim: int | None,
     if len(emb[0]) != dim:
         raise DataError(path, line_no, f"embedding length {len(emb[0])}"
                         f" differs from the first detection's {dim}")
+    if len(set(map(len, emb))) != 1:
+        raise DataError(path, line_no,
+                        "appearance embeddings must share one dimension")
     try:
-        Detection(box=box, score=score, appearance=AppearanceState(*emb),
-                  scale_level=level)
-    except (TypeError, ValueError, OverflowError) as exc:
+        bad = first_bad_row(np.array([box_to_list(box)]), np.array([score]),
+                            np.array([level]), np.array([emb], dtype=float))
+    except OverflowError as exc:  # an embedding int beyond the float range
         raise DataError(path, line_no, str(exc)) from exc
+    if bad is not None:
+        raise DataError(path, line_no, bad[1])
     # a level must index the tracker's levels, and fit int64 in any case
     end = 2 ** 63 if num_levels is None else num_levels
     if level >= end:
@@ -221,22 +226,14 @@ class _FrameRecords:
                 and _kinds(scores, int, float) and _kinds(stamps, int, float)
                 and _kinds(levels, int, type(None))):
             return None
-        # bad values are this method's to reject, not numpy's to warn of;
-        # a box not of 7 or ragged embeddings raise ValueError
-        with np.errstate(invalid="ignore"):
-            frame = DetectionFrame.from_rows(frame_id, stamps[0], boxes,
-                                             scores, levels, embs,
-                                             self.breakpoints)
-        boxes, scores, levels = frame.boxes, frame.scores, frame.levels
+        # a bad value, a box not of 7 or ragged embeddings raise ValueError
+        frame = DetectionFrame.from_rows(frame_id, stamps[0], boxes, scores,
+                                         levels, embs, self.breakpoints)
         dim = frame.emb.shape[2] if self.dim is None else self.dim
-        good = (np.isfinite(boxes).all(axis=1)
-                & (boxes[:, 3:6] > 0).all(axis=1)
-                & (scores >= 0.0) & (scores <= 1.0)
-                & np.isfinite(np.array(stamps, dtype=np.float64))
-                & np.isfinite(frame.emb).all(axis=(1, 2)) & (levels >= 0))
-        if self.num_levels is not None:
-            good &= levels < self.num_levels
-        if frame.emb.shape[2] != dim or not good.all():
+        if (frame.emb.shape[2] != dim
+                or not np.isfinite(np.array(stamps, dtype=np.float64)).all()
+                or self.num_levels is not None
+                and (frame.levels >= self.num_levels).any()):
             return None
         self.dim = dim
         return frame

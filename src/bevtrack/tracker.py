@@ -31,22 +31,33 @@ from .motion import KalmanState, NoiseConfig
 
 @dataclass(frozen=True)
 class Detection:
-    """One frame observation: box, confidence, embeddings, scale level."""
+    """The unchecked row view ``frame[i]`` gives; as_frame checks a list."""
 
     box: Box3D
     score: float
     appearance: AppearanceState
     scale_level: int
     timestamp: float = 0.0
-    frame_id: int = 0
+    frame_id: int | None = None
 
-    def __post_init__(self):
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"score must be in [0, 1], got {self.score}")
-        if not math.isfinite(self.timestamp):
-            raise ValueError(f"timestamp must be finite, got {self.timestamp}")
-        if self.scale_level < 0:
-            raise ValueError("scale_level must be non-negative")
+
+def first_bad_row(boxes, scores, levels, emb) -> tuple[int, str] | None:
+    """(row, message) of the first bad row, else None. Rules, in record
+    order: box finite, dims > 0; e_* finite; score in [0, 1]; level >= 0."""
+    ok = np.array([np.isfinite(boxes).all(axis=1),
+                   (boxes[:, 3:6] > 0).all(axis=1),
+                   *np.isfinite(emb).all(axis=2).T,
+                   (scores >= 0.0) & (scores <= 1.0), levels >= 0], dtype=bool)
+    if ok.all():
+        return None
+    row = int(np.argmin(ok.all(axis=0)))
+    box = boxes[row].tolist()
+    return row, (
+        f"box fields must be finite, got ({', '.join(map(str, box))})",
+        f"box dims must be positive, got ({box[3]}, {box[4]}, {box[5]})",
+        *(f"{key} contains NaN/Inf" for key in ("e_img", "e_bev", "e_head")),
+        f"score must be in [0, 1], got {float(scores[row])}",
+        "scale_level must be non-negative")[int(np.argmin(ok[:, row]))]
 
 
 @dataclass(frozen=True)
@@ -55,7 +66,9 @@ class DetectionFrame:
     ``from_rows`` builds them for the simulator, ``io`` ingest and
     ``as_frame``. frame_id and timestamp are None when unknown: a frame
     built from an empty list has neither, a bare empty-frame marker no
-    timestamp. Indexing and iteration give ``Detection`` objects.
+    timestamp. Every frame checks, however built, that its rows align and
+    pass ``first_bad_row``, and that its timestamp is finite or None.
+    Indexing and iteration give ``Detection`` objects.
     """
 
     frame_id: int | None
@@ -64,6 +77,19 @@ class DetectionFrame:
     scores: np.ndarray  # (N,) float64 in [0, 1]
     levels: np.ndarray  # (N,) int64 scale levels >= 0
     emb: np.ndarray     # (N, 3, C) (e_img, e_bev, e_head) rows
+
+    def __post_init__(self):
+        n, shapes = len(self.scores), tuple(map(np.shape, (
+            self.boxes, self.scores, self.levels, self.emb)))
+        if shapes[:3] != ((n, 7), (n,), (n,)) or shapes[3][:2] != (n, 3) \
+                or len(shapes[3]) != 3:
+            raise ValueError("detection rows must have shapes (N, 7), (N,), "
+                             f"(N,) and (N, 3, C), got {shapes}")
+        if self.timestamp is not None and not math.isfinite(self.timestamp):
+            raise ValueError(f"timestamp must be finite, got {self.timestamp}")
+        bad = first_bad_row(self.boxes, self.scores, self.levels, self.emb)
+        if bad is not None:
+            raise ValueError("detection {}: {}".format(*bad))
 
     @classmethod
     def from_rows(cls, frame_id: int | None, timestamp: float | None, boxes,
@@ -75,11 +101,12 @@ class DetectionFrame:
         levels, of which each None is the footprint level of its box's
         length * width (``footprint_levels``), and embeddings (N, 3, C)."""
         boxes = np.array(boxes, dtype=np.float64).reshape(len(boxes), 7)
-        boxes[:, 6] = wrap_angle(boxes[:, 6])
         levels = np.array(levels, dtype=object)
         missing = np.equal(levels, None)
-        levels[missing] = footprint_levels(
-            boxes[missing, 3] * boxes[missing, 4], breakpoints)
+        with np.errstate(all="ignore"):  # bad rows are __post_init__'s to name
+            boxes[:, 6] = wrap_angle(boxes[:, 6])
+            levels[missing] = footprint_levels(
+                boxes[missing, 3] * boxes[missing, 4], breakpoints)
         return cls(frame_id, None if timestamp is None else float(timestamp),
                    boxes, np.array(scores, dtype=np.float64),
                    levels.astype(np.int64), np.array(emb, dtype=np.float64))
@@ -270,12 +297,8 @@ class Tracker:
         if not (dt > 0 and math.isfinite(dt)):
             raise ValueError(f"dt must be positive and finite, got {dt}")
         frame = as_frame(detections)
-        if frame_id is None:
-            frame_id = frame.frame_id if frame.frame_id is not None else (
-                (self._last_frame_id or 0) + 1)
-        if self._last_frame_id is not None and frame_id <= self._last_frame_id:
-            raise ValueError(f"frame {frame_id} does not follow frame "
-                             f"{self._last_frame_id}: frame ids must increase")
+        frame_id = _next_frame_id(frame.frame_id if frame_id is None
+                                  else frame_id, self._last_frame_id, 1)
         cfg = self.cfg
         det_levels, det_scores, det_emb = frame.levels, frame.scores, frame.emb
         bad = det_levels[det_levels >= cfg.num_levels]
@@ -389,17 +412,22 @@ class Tracker:
         return [(int(det_ids[d]), int(trk_ids[t])) for d, t in pairs]
 
 
+def _next_frame_id(own: int | None, last: int | None, first: int) -> int:
+    frame_id = own if own is not None else first if last is None else last + 1
+    if last is not None and frame_id <= last:
+        raise ValueError(f"frame {frame_id} does not follow frame {last}: "
+                         "frame ids must increase")
+    return frame_id
+
+
 def number_frames(det_frames):
     """(frame_id, DetectionFrame) per frame of Detection lists or frames,
     by ``as_frame``: the frame's own id, else the previous id + 1, else (a
-    leading frame without one) the frame's index."""
+    leading frame without one) the frame's index. Ids must increase."""
     frame_id = None
     for idx, dets in enumerate(det_frames):
         frame = as_frame(dets)
-        if frame.frame_id is not None:
-            frame_id = frame.frame_id
-        else:
-            frame_id = idx if frame_id is None else frame_id + 1
+        frame_id = _next_frame_id(frame.frame_id, frame_id, idx)
         yield frame_id, frame
 
 

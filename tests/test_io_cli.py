@@ -13,14 +13,14 @@ from hypothesis import strategies as st
 from bevtrack import io as bio
 from bevtrack.association import AppearanceState, ClueWeights
 from bevtrack.cli import main
-from bevtrack.geometry import Box3D
+from bevtrack.geometry import DEFAULT_SCALE_BREAKPOINTS, Box3D
 from bevtrack.metrics import EvalConfig, evaluate
 from bevtrack.refiner import (DEFAULT_BEV_GRID, DEFAULT_IMAGE_GRID,
                               RefinerConfig)
 from bevtrack.simulator import (ScenarioConfig, SpawnSpec, generate,
                                 standard_suites)
-from bevtrack.tracker import (Detection, TrackerConfig, as_frame,
-                              number_frames, run_sequence)
+from bevtrack.tracker import (Detection, DetectionFrame, TrackerConfig,
+                              as_frame, number_frames, run_sequence)
 
 
 def make_dets(n_frames=3, per_frame=2, dim=4):
@@ -218,6 +218,30 @@ class TestDetectionLog:
         back = bio.read_detections(path)
         assert [d[0].frame_id for d in back] == [1, 3]
 
+    def test_frames_are_written_under_their_numbers(self, tmp_path):
+        # a frame without an id is written as the previous id + 1, and a
+        # Detection made without one has none
+        frames = [as_frame(dets) for dets in make_dets(n_frames=3)]
+        frames = [replace(frames[0], frame_id=3),
+                  replace(frames[1], frame_id=None),
+                  [replace(d, frame_id=None) for d in frames[2]]]
+        assert frames[2][0].frame_id is None
+        path = tmp_path / "dets.jsonl"
+        bio.write_detections(path, frames)
+        assert [fid for fid, _ in bio.iter_detection_frames(path)] == [3, 4, 5]
+
+    def test_frame_id_must_increase(self, tmp_path):
+        # two frames with id 5 would read back as one frame of four
+        frames = [replace(as_frame(dets), frame_id=5)
+                  for dets in make_dets(n_frames=2)]
+        path = tmp_path / "dets.jsonl"
+        with pytest.raises(ValueError, match="^" + re.escape(
+                "frame 5 does not follow frame 5: frame ids must increase")
+                + "$"):
+            bio.write_detections(path, frames)
+        assert [json.loads(line)["frame_id"]
+                for line in path.read_text().splitlines()] == [5, 5]
+
     @pytest.mark.parametrize("first,second", [("marker", "marker"),
                                               ("marker", "detection"),
                                               ("detection", "marker")])
@@ -309,7 +333,8 @@ class TestDetectionFrames:
         ({"e_bev": [1, 1e999]}, "e_bev contains NaN/Inf"),
         ({"e_head": [1]}, "appearance embeddings must share one dimension"),
         ({"e_img": [1], "e_bev": [1], "e_head": [1]},
-         "embedding length 1 differs from the first detection's 2")])
+         "embedding length 1 differs from the first detection's 2"),
+        ({"timestamp": 1e999}, "timestamp must be a finite number")])
     @pytest.mark.parametrize("later", [
         None, "{ not json", '{"frame_id": 0, "box": [0, 0, 0.8, 4, 2, 1.6, '
         '0], "score": "0.9", "e_img": [1, 0], "e_bev": [1, 0], '
@@ -366,6 +391,125 @@ def test_generated_frames_equal_their_detections_and_their_log(tmp_path,
                 f, frame.timestamp, 0)
     assert [got.frame_id for got in bio.read_detections(path)] == [
         frame.frame_id for frame in frames if frame]
+
+
+# a raw JSON text that replaces one number of a record: wrong kinds,
+# non-finite, beyond the float or int64 range, and out of a rule's range
+_RAW_NUMBERS = ["true", '"2"', "[0.5]", "[[1]]", "1e999", "-1e999",
+                str(2 ** 1024), str(2 ** 63), str(-2 ** 63 - 1), "-1", "0",
+                "2"]
+_RAW = "\u0000raw"  # a placeholder string no generated log contains
+
+
+def _mutate(record: dict, data) -> str:
+    """One record's JSON line with one drawn mutation."""
+    kind = data.draw(st.sampled_from(
+        ["number"] * 4 + ["ragged", "no level", "yaw"]))
+    if kind == "ragged":
+        key = data.draw(st.sampled_from(["e_img", "e_bev", "e_head"]))
+        record[key] = (record[key][:-1] if data.draw(st.booleans())
+                       else record[key] + [0.5])
+    elif kind == "no level":
+        del record["scale_level"]
+    elif kind == "yaw":
+        yaw = record["box"][6]
+        record["box"][6] = data.draw(st.sampled_from(
+            [math.pi, -math.pi, 4.0, -7.5, 1e3, yaw + 6 * math.pi]))
+    elif kind == "number":
+        key = data.draw(st.sampled_from(["score", "timestamp", "scale_level",
+                                         "box", "e_img", "e_bev", "e_head"]))
+        if not isinstance(record[key], list):
+            record[key] = _RAW
+        elif record[key]:
+            record[key][data.draw(st.integers(0, len(record[key]) - 1))] = _RAW
+        raw = data.draw(st.sampled_from(_RAW_NUMBERS))
+        return json.dumps(record).replace(json.dumps(_RAW), raw)
+    return json.dumps(record)
+
+
+def _check_every_record(path, num_levels):
+    """The record-by-record check of every detection record of a log."""
+    dim = None
+    for line_no, record in bio._records(path):
+        if record.get("empty") is not True:
+            dim = bio._check_detection(record, path, line_no, dim,
+                                       DEFAULT_SCALE_BREAKPOINTS, num_levels)
+
+
+def _frames_from_rows(path):
+    """(frame_id, DetectionFrame.from_rows of the frame's parsed rows)."""
+    frames: dict[int, list] = {}
+    for _line_no, record in bio._records(path):
+        frames.setdefault(record["frame_id"], []).append(record)
+    for frame_id, records in frames.items():
+        dets = [r for r in records if r.get("empty") is not True]
+        stamp = (dets[0].get("timestamp", 0.0) if dets
+                 else records[0].get("timestamp"))  # a marker's
+        yield frame_id, DetectionFrame.from_rows(
+            frame_id, stamp, [r["box"] for r in dets],
+            [r["score"] for r in dets],
+            [r.get("scale_level") for r in dets],
+            [[r[k] for k in ("e_img", "e_bev", "e_head")] for r in dets]
+            or np.zeros((0, 3, 0)))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=_small_scenarios, num_levels=st.sampled_from([None, 5]),
+       data=st.data())
+def test_ingest_paths_agree_on_generated_logs(tmp_path, cfg, num_levels,
+                                              data):
+    """With one mutation in a generated log, ingest yields frames exactly
+    when the record-by-record check passes every record; the frames equal
+    from_rows of the parsed rows, and an error is the record path's."""
+    _gt, frames = generate(cfg)
+    path = tmp_path / "dets.jsonl"
+    bio.write_detections(path, frames)
+    lines = path.read_text().splitlines()
+    dets = [i for i, line in enumerate(lines) if '"empty"' not in line]
+    if dets:
+        i = data.draw(st.sampled_from(dets))
+        lines[i] = _mutate(json.loads(lines[i]), data)
+    path.write_text("".join(line + "\n" for line in lines))
+    try:
+        _check_every_record(path, num_levels)
+        want = None
+    except bio.DataError as exc:
+        want = str(exc)
+    try:
+        got = list(bio.iter_detection_frames(path, num_levels=num_levels))
+    except bio.DataError as exc:
+        assert str(exc) == want
+    else:
+        assert want is None
+        expected = list(_frames_from_rows(path))
+        assert [f for f, _ in got] == [f for f, _ in expected]
+        for (_, frame), (_, rows) in zip(got, expected):
+            assert_frames_equal(frame, rows)
+
+
+_sparse_scenarios = st.builds(
+    lambda cfg, fn_rate, num_frames: replace(cfg, fn_rate=fn_rate,
+                                             num_frames=num_frames),
+    _small_scenarios, st.floats(0.5, 1.0), st.integers(2, 8))
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=_sparse_scenarios, max_age=st.integers(1, 4))
+def test_cli_track_equals_run_sequence_on_generated_scenes(tmp_path, cfg,
+                                                           max_age):
+    """bevtrack track on a generated log equals run_sequence at the
+    scenario's frame period, empty frames included."""
+    _gt, frames = generate(cfg)
+    path, tracks = tmp_path / "dets.jsonl", tmp_path / "tracks.jsonl"
+    bio.write_detections(path, frames)
+    assert main(["track", "--dets", str(path), "--out", str(tracks),
+                 "--max-age", str(max_age)]) == 0
+    outputs, _ = run_sequence(frames, TrackerConfig(max_age=max_age),
+                              default_dt=cfg.frame_dt)
+    assert bio.read_tracks(tracks) == {f: preds for f, preds
+                                       in outputs.items() if preds}
 
 
 class TestGroundTruthLog:

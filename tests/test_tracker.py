@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import re
 
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from bevtrack.association import AppearanceState
 from bevtrack.geometry import Box3D
+from bevtrack.io import write_detections
 from bevtrack.metrics import evaluate
 from bevtrack.simulator import ScenarioConfig, SpawnSpec, generate, \
     standard_suites
@@ -324,6 +327,132 @@ class TestDetectionFrame:
         frame = as_frame([])
         assert (frame.frame_id, frame.timestamp, len(frame)) == (None, None, 0)
         assert frame.boxes.shape == (0, 7) and list(frame) == []
+
+
+def unchecked(cls, **values):
+    """An instance of a frozen dataclass that skips its own checks, as a
+    stand-in for rows that never went through Box3D or AppearanceState."""
+    obj = object.__new__(cls)
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def frame_rows():
+    """(boxes, scores, levels, emb) of three good detections."""
+    boxes = np.array([[6.0 * i, 0, 0.8, 4.0, 2.0, 1.6, 0.1]
+                      for i in range(3)])
+    emb = np.stack([np.stack([unit(4, i)] * 3) for i in range(3)])
+    return boxes, np.array([0.8, 0.9, 0.7]), np.array([2, 2, 2]), emb
+
+
+def row_detections(rows, frame_id):
+    """rows as a Detection list; the boxes and embeddings are taken as
+    they are, unchecked."""
+    boxes, scores, levels, emb = rows
+    box_fields = [f.name for f in dataclasses.fields(Box3D)]
+    return [Detection(
+        box=unchecked(Box3D, **dict(zip(box_fields, box))), score=score,
+        appearance=unchecked(AppearanceState, e_img=e[0], e_bev=e[1],
+                             e_head=e[2]),
+        scale_level=level, timestamp=0.1 * frame_id, frame_id=frame_id)
+        for box, score, level, e in zip(boxes.tolist(), scores.tolist(),
+                                        levels.tolist(), emb)]
+
+
+# each case breaks row 1 of frame_rows: the edit, and the rule it names
+_BAD_ROWS = {
+    "level -1": (lambda b, s, l, e: l.__setitem__(1, -1),
+                 "scale_level must be non-negative"),
+    "score 2.0": (lambda b, s, l, e: s.__setitem__(1, 2.0),
+                  "score must be in [0, 1], got 2.0"),
+    "NaN embedding": (lambda b, s, l, e: e.__setitem__((1, 1, 3), math.nan),
+                      "e_bev contains NaN/Inf"),
+    "negative length": (lambda b, s, l, e: b.__setitem__((1, 3), -4.0),
+                        "box dims must be positive, got (-4.0, 2.0, 1.6)"),
+    "NaN centre, score 0.3": (
+        lambda b, s, l, e: (b.__setitem__((1, 0), math.nan),
+                            s.__setitem__(1, 0.3)),
+        "box fields must be finite, got (nan, 0.0, 0.8, 4.0, 2.0, 1.6, "),
+    "infinite yaw": (lambda b, s, l, e: b.__setitem__((1, 6), math.inf),
+                     "box fields must be finite, got (6.0, 0.0, 0.8, 4.0, "
+                     "2.0, 1.6, "),
+}
+
+
+@pytest.mark.filterwarnings("error")
+class TestDetectionRules:
+    """A frame is checked when it is built, whichever way: a bad row is a
+    ValueError naming the row and the rule, with no numpy warning, before
+    any tracker state changes."""
+
+    @staticmethod
+    def _bad(case):
+        rows = frame_rows()
+        edit, rule = _BAD_ROWS[case]
+        edit(*rows)
+        return rows, "^" + re.escape(f"detection 1: {rule}")
+
+    @pytest.mark.parametrize("case", _BAD_ROWS)
+    def test_from_rows_and_as_frame(self, case):
+        rows, want = self._bad(case)
+        with pytest.raises(ValueError, match=want):
+            DetectionFrame.from_rows(1, 0.1, *rows)
+        with pytest.raises(ValueError, match=want):
+            as_frame(row_detections(rows, 1))
+
+    @pytest.mark.parametrize("case", _BAD_ROWS)
+    def test_step_leaves_state_unchanged(self, case):
+        rows, want = self._bad(case)
+        trk = Tracker(TrackerConfig(max_age=3))
+        trk.step(row_detections(frame_rows(), 0), dt=0.1)
+        before = trk.rows.select(np.arange(len(trk.rows)))
+        with pytest.raises(ValueError, match=want):
+            trk.step(row_detections(rows, 1), dt=0.1)
+        for name in vars(before):
+            np.testing.assert_array_equal(getattr(trk.rows, name),
+                                          getattr(before, name))
+        assert trk._last_frame_id == 0
+
+    @pytest.mark.parametrize("case", _BAD_ROWS)
+    def test_run_sequence_and_write_detections(self, case, tmp_path):
+        rows, want = self._bad(case)
+        frames = [row_detections(frame_rows(), 0), row_detections(rows, 1)]
+        with pytest.raises(ValueError, match=want):
+            run_sequence(frames)
+        path = tmp_path / "dets.jsonl"
+        with pytest.raises(ValueError, match=want):
+            write_detections(path, frames)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [r["frame_id"] for r in records] == [0, 0, 0]
+
+    def test_replace_and_direct_construction_are_checked(self):
+        frame = DetectionFrame.from_rows(4, 0.4, *frame_rows())
+        with pytest.raises(ValueError, match=re.escape(
+                "detection 2: score must be in [0, 1], got -0.5")):
+            dataclasses.replace(frame, scores=np.array([0.8, 0.9, -0.5]))
+        with pytest.raises(ValueError, match="^timestamp must be finite"):
+            dataclasses.replace(frame, timestamp=math.inf)
+        with pytest.raises(ValueError, match=re.escape(
+                "detection rows must have shapes (N, 7), (N,), (N,) and "
+                "(N, 3, C), got ((3, 7), (3,), (2,), (3, 3, 4))")):
+            DetectionFrame(4, 0.4, frame.boxes, frame.scores,
+                           frame.levels[:2], frame.emb)
+        with pytest.raises(ValueError, match="must have shapes"):
+            dataclasses.replace(frame, emb=frame.emb[:, :2])
+        assert dataclasses.replace(frame, timestamp=None).timestamp is None
+        assert len(DetectionFrame.empty(7)) == 0
+
+    def test_detections_without_ids_are_numbered(self):
+        # a Detection made without a frame id has none, so number_frames
+        # numbers its frame instead of calling every frame 0
+        frames = [[Detection(d.box, d.score, d.appearance, d.scale_level,
+                             timestamp=0.1 * f)
+                   for d in row_detections(frame_rows(), f)]
+                  for f in range(3)]
+        assert frames[2][0].frame_id is None
+        outputs, _ = run_sequence(frames)
+        assert list(outputs) == [0, 1, 2]
 
 
 class TestAppearanceBlend:
