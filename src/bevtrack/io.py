@@ -121,7 +121,9 @@ def _number(record: dict, key: str, path, line_no: int, kind=int,
 def write_detections(path, det_frames) -> None:
     """Write frames of Detections or DetectionFrames, numbered (and their
     ids checked) by ``number_frames``; a frame's records carry its number
-    and timestamp, and so does the marker of an empty frame that has one."""
+    and timestamp, and so does the marker of an empty frame that has one.
+    A frame with detections but no timestamp raises ValueError before any
+    of its records is written."""
     with open(path, "w") as fh:
         for frame_id, frame in number_frames(det_frames):
             if not len(frame):
@@ -130,6 +132,9 @@ def write_detections(path, det_frames) -> None:
                     marker["timestamp"] = float(frame.timestamp)
                 fh.write(json.dumps(marker) + "\n")
                 continue
+            if frame.timestamp is None:
+                raise ValueError(f"frame {frame_id} has detections but no "
+                                 "timestamp")
             head = {"frame_id": frame_id,
                     "timestamp": float(frame.timestamp)}
             for box, score, level, (e_img, e_bev, e_head) in zip(

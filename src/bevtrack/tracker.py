@@ -378,8 +378,10 @@ class Tracker:
         Levels run from largest to smallest; detections of level l may
         only match tracklets of levels l-1, l, l+1 that are still free.
         Without cascading all leftovers meet in one flat assignment.
-        The free detections' and rows' rectangles and buffer ratios are
-        built once; each group slices them. Returns (det_idx, row) pairs.
+        One ``buffered_iou_matrix`` call per step covers every free
+        detection against every free row: a cell depends only on its two
+        rectangles and ratios, not on the cascade, so each group slices
+        its block out of that matrix. Returns (det_idx, row) pairs.
         """
         det_ids = np.flatnonzero(free_dets)
         trk_ids = np.flatnonzero(free_trks)
@@ -387,16 +389,17 @@ class Tracker:
             return []
         cfg, ratios = self.cfg, self._buffer_ratios
         det_lv, trk_lv = frame.levels[det_ids], self.rows.levels[trk_ids]
-        det_rects = frame.boxes[det_ids][:, RECT_COLUMNS]
-        trk_rects = motion.state_rects(self.rows.kalman(trk_ids))
+        iou = buffered_iou_matrix(frame.boxes[det_ids][:, RECT_COLUMNS],
+                                  motion.state_rects(self.rows.kalman(trk_ids)),
+                                  ratios[det_lv], ratios[trk_lv])
 
         def solve(d, t):
             """Matches between positions d of det_ids and t of trk_ids."""
             if not len(d) or not len(t):
                 return []
-            iou = buffered_iou_matrix(det_rects[d], trk_rects[t],
-                                      ratios[det_lv[d]], ratios[trk_lv[t]])
-            cost = CostMatrix(values=-iou, gate_mask=iou >= cfg.iou_threshold)
+            block = iou[np.ix_(d, t)]
+            cost = CostMatrix(values=-block,
+                              gate_mask=block >= cfg.iou_threshold)
             return [(d[i], t[j]) for i, j in solve_assignment(cost)]
 
         if not cfg.use_cascade:

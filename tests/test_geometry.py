@@ -1,11 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bevtrack.geometry import (DEFAULT_SCALE_BREAKPOINTS, Box3D, bev_iou,
+from bevtrack.geometry import (_BATCH_MIN_PAIRS, DEFAULT_SCALE_BREAKPOINTS,
+                               Box3D, _candidate_pairs, _iou_pairs,
+                               _rect_iou, bev_iou,
                                bev_rects, buffer_box, buffered_iou,
                                buffered_iou_matrix, footprint_levels,
                                footprint_scale_level, wrap_angle)
@@ -20,6 +23,18 @@ def random_box(rng, span=4.0):
         length=rng.uniform(0.4, 6.0), width=rng.uniform(0.4, 3.0),
         height=rng.uniform(0.5, 3.0), yaw=rng.uniform(-math.pi, math.pi),
     )
+
+
+def dense_circle_pairs(rects_a, rects_b):
+    """(rows, cols) of the circumcircle test over every pair, with b's
+    edge margin (geometry module doc)."""
+    ra = 0.5 * np.hypot(rects_a[:, 2], rects_a[:, 3])
+    rb = 0.5 * np.hypot(rects_b[:, 2], rects_b[:, 3])
+    rb += 2.0 * 1e-9 / np.minimum(rects_b[:, 2], rects_b[:, 3])
+    dx = rects_a[:, 0, None] - rects_b[None, :, 0]
+    dy = rects_a[:, 1, None] - rects_b[None, :, 1]
+    reach = ra[:, None] + rb[None, :]
+    return np.nonzero(dx * dx + dy * dy <= reach * reach)
 
 
 def as_tuple(b):
@@ -106,7 +121,8 @@ class TestBevIou:
 
     def test_range_and_matrix_consistency(self):
         # the matrix clips only pairs that pass the circumcircle pre-filter;
-        # every cell must still equal the per-pair IoU exactly
+        # every cell must still equal the per-pair IoU exactly, and the
+        # sweep must find exactly the pairs of the dense circle test
         rng = np.random.default_rng(13)
 
         def check(boxes_a, boxes_b, ratios_a=None, ratios_b=None):
@@ -115,6 +131,14 @@ class TestBevIou:
             mat = buffered_iou_matrix(bev_rects(boxes_a), bev_rects(boxes_b),
                                       ratios_a, ratios_b)
             assert mat.shape == (len(boxes_a), len(boxes_b))
+            rects_a = bev_rects(boxes_a)
+            rects_b = bev_rects(boxes_b)
+            rects_a[:, 2:4] *= (1.0 + np.asarray(ratios_a))[:, None]
+            rects_b[:, 2:4] *= (1.0 + np.asarray(ratios_b))[:, None]
+            assert (sorted(zip(*map(np.ndarray.tolist,
+                                    _candidate_pairs(rects_a, rects_b))))
+                    == sorted(zip(*map(np.ndarray.tolist,
+                                       dense_circle_pairs(rects_a, rects_b)))))
             for i, (a, ra) in enumerate(zip(boxes_a, ratios_a)):
                 for j, (b, rb) in enumerate(zip(boxes_b, ratios_b)):
                     assert 0.0 <= mat[i, j] <= 1.0
@@ -146,6 +170,48 @@ class TestBevIou:
             check(boxes_a + spread, spread,
                   np.full(len(boxes_a) + len(spread), r), ratios_b)
 
+        # 1e6 m from the origin, where a coordinate's rounding step (about
+        # 1e-10 m) outgrows a 1e-4 m box's reach slack
+        far = [replace(b, cx=b.cx + 1e6, cy=b.cy - 1e6) for b in spread]
+        check(far, far)
+        for offset in (0.0, 1e6, 1e6 + 0.3):
+            for length, width in ((4.0, 2.0), (1e-4, 1e-4), (1e-4, 3e-4)):
+                boxes = [Box3D(x + offset, y + offset, 0, length, width, 1, 0)
+                         for x, y in ((0.0, 0.0), (length, 0.0),
+                                      (0.0, width), (length, width))]
+                check(boxes, boxes)
+
+        # centres exactly the matrix's reach apart (circumradii plus b's
+        # edge margin, module doc), in many directions, near the origin and
+        # 1e6 m from it; rounding puts some just inside the circle test and
+        # some just outside, and the sweep's window must hold every one
+        # that passes
+        for offset in (0.0, 1e6, -1e6 + 0.7):
+            for la, wa, lb, wb in ((4.0, 2.0, 4.0, 2.0), (1e-4, 1e-4, 1e-4, 3e-4),
+                                   (4.0, 2.0, 1e-4, 1e-4)):
+                reach = float(0.5 * np.hypot(la, wa) + (
+                    0.5 * np.hypot(lb, wb) + 2e-9 / min(lb, wb)))
+                centre = [Box3D(offset, offset, 0, la, wa, 1, 0.0)]
+                ring = [Box3D(offset + reach * math.cos(theta) * (1 + k * 1e-16),
+                              offset + reach * math.sin(theta), 0, lb, wb, 1,
+                              theta)
+                        for theta in np.linspace(-math.pi, math.pi, 17)
+                        for k in range(-3, 4)]
+                check(centre, ring)
+
+        # b one and two steps of float spacing past a's centre plus the
+        # reach on the x axis: the rounding of ax - bx puts some of these
+        # inside the circle test
+        for _ in range(200):
+            la, wa, lb, wb = rng.uniform(0.3, 6.0, 4)
+            reach = float(0.5 * np.hypot(la, wa) + (
+                0.5 * np.hypot(lb, wb) + 2e-9 / min(lb, wb)))
+            ax = rng.uniform(-3.0, 3.0) * 10.0 ** rng.integers(-6, 1)
+            past = np.nextafter(ax + reach, math.inf)
+            check([Box3D(ax, 0, 0, la, wa, 1, 0)],
+                  [Box3D(bx, 0, 0, lb, wb, 1, 0)
+                   for bx in (past, np.nextafter(past, math.inf))])
+
     def test_agreement_with_rasterization_oracle(self):
         rng = np.random.default_rng(17)
         worst = 0.0
@@ -165,6 +231,75 @@ class TestBevIou:
             fast = rasterized_iou(a, b, cell=0.02)
             dense = rasterized_iou_dense(a, b, cell=0.02)
             assert fast == pytest.approx(dense, abs=1e-12)
+
+
+_FAMILIES = ("identical", "edge", "corner", "parallel", "tiny", "free")
+
+
+def _rect_pair(rng, family: str, far: bool):
+    """One (a, b) pair of footprint rectangles (cx, cy, length, width, yaw)
+    of a family of the clip's hard cases, its numbers drawn from rng:
+    identical boxes; edge or corner contact at gaps from 0 to 1e-6 m, the
+    inside test's tolerance band among them, with yaws 1e-13 apart;
+    near-parallel or quarter-turned yaws; 1e-4 m boxes; or a free pair.
+    Yaws include +-pi; far puts both centres 1e6 m out."""
+    def dims():
+        if family == "tiny":
+            return list(rng.uniform(1e-4, 3e-4, 2))
+        # round dims put vertices exactly on the tolerance band's edges
+        return list(rng.choice([rng.uniform(0.3, 6.0), 0.6, 1.0, 2.0, 4.0],
+                               2))
+
+    yaw = rng.choice([rng.uniform(-math.pi, math.pi), 0.0, math.pi / 2,
+                      math.pi, -math.pi])
+    a = [*rng.uniform(-20.0, 20.0, 2), *dims(), yaw]
+    if family == "identical":
+        b = list(a)
+    elif family in ("edge", "corner"):
+        # b beside a along a's length axis, and past its width too for a
+        # corner
+        lb, wb = dims()
+        gap = rng.choice([0.0, 1e-12, 1e-9, 1e-6, 1e-9 / lb, 1e-9 / a[2]])
+        along = 0.5 * (a[2] + lb) + gap
+        side = (0.5 * (a[3] + wb) + gap if family == "corner"
+                else rng.uniform(-0.5, 0.5) * (a[3] + wb))
+        c, s = math.cos(yaw), math.sin(yaw)
+        b = [a[0] + c * along - s * side, a[1] + s * along + c * side,
+             lb, wb, yaw + rng.choice([0.0, 1e-13, -1e-13, 1e-12])]
+    else:
+        reach = 3e-4 if family == "tiny" else 4.0
+        b = [*(np.array(a[:2]) + rng.uniform(-reach, reach, 2)), *dims(),
+             rng.uniform(-math.pi, math.pi)]
+        if family == "parallel":
+            b[4] = wrap_angle(yaw + rng.choice(
+                [1e-12, -1e-9, 1e-6, math.pi / 2, math.pi]))
+    if far:
+        a[:2] = a[0] + 1e6, a[1] - 1e6
+        b[:2] = b[0] + 1e6, b[1] - 1e6
+    return [float(v) for v in a], [float(v) for v in b]
+
+
+class TestBatchedIou:
+    @settings(max_examples=80, deadline=None)
+    @given(kinds=st.lists(st.tuples(st.sampled_from(_FAMILIES), st.booleans()),
+                          min_size=1, max_size=8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_iou_pairs_equals_scalar_kernel_bit_for_bit(self, kinds, seed):
+        # eight pairs of each drawn kind: 8 to 64 pairs per example
+        rng = np.random.default_rng(seed)
+        pairs = [_rect_pair(rng, family, far) for family, far in kinds
+                 for _ in range(8)]
+        n = len(pairs)
+        rects_a = np.array([a for a, _ in pairs])
+        rects_b = np.array([b for _, b in pairs][::-1])
+        want = np.array([_rect_iou(*a, *b) for a, b in pairs])
+        # below the crossover the scalar loop runs, from it the array clip
+        for size in (min(n, _BATCH_MIN_PAIRS - 1), max(n, _BATCH_MIN_PAIRS)):
+            rows = np.resize(np.arange(n), size)
+            got = _iou_pairs(rects_a, rects_b, rows, n - 1 - rows)
+            assert got.dtype == np.float64
+            assert (got.view(np.int64).tolist()
+                    == want[rows].view(np.int64).tolist())
 
 
 class TestBufferBox:

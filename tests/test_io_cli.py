@@ -242,6 +242,18 @@ class TestDetectionLog:
         assert [json.loads(line)["frame_id"]
                 for line in path.read_text().splitlines()] == [5, 5]
 
+    def test_frame_with_detections_needs_a_timestamp(self, tmp_path):
+        # a record's timestamp is the frame's; the refusal comes before
+        # any record of that frame is written
+        frames = [as_frame(dets) for dets in make_dets(n_frames=2)]
+        frames[1] = replace(frames[1], timestamp=None)
+        path = tmp_path / "dets.jsonl"
+        with pytest.raises(ValueError, match="^" + re.escape(
+                "frame 1 has detections but no timestamp") + "$"):
+            bio.write_detections(path, frames)
+        assert [json.loads(line)["frame_id"]
+                for line in path.read_text().splitlines()] == [0, 0]
+
     @pytest.mark.parametrize("first,second", [("marker", "marker"),
                                               ("marker", "detection"),
                                               ("detection", "marker")])
