@@ -9,23 +9,30 @@ fuses the refined previous-frame grid into the current one.
 The fusion projects values before sampling them, as multi-scale deformable
 attention does, so each head samples C/heads channels instead of C.
 Bilinear sampling with zero padding is linear in the grid, so it commutes
-with the per-cell projection and the order changes only rounding. The
-sampling is one sparse operator of bilinear taps with each cell's
-attention weights folded in: it yields the attention-weighted sum of the
-K sampled points per cell directly, and the samples themselves are never
-stored.
+with the per-cell projection and the order changes only rounding. Each
+head's values are projected once into the interior of a zero-bordered
+grid. The sampling is one sparse operator of bilinear taps with each
+cell's attention weights folded in: it yields the attention-weighted sum
+of the K sampled points per cell directly, and the samples themselves are
+never stored.
 
 The level masks of a grid are built in one L x H x W array: each object
 raises its level's mask to its Gaussian only inside its scope's bounding
 window. Max is exact, so this equals combining the full-grid object masks
-bit for bit. The masked branches are box-smoothed on one H x C x W copy
-of the grid, in which each grid row is one contiguous C x W block. The
-pass along H replicates scipy's running-sum recurrence one whole row per
-step, forming each masked row as it enters a ring of k + 1 rows, so the
-masked grid is never stored; scipy's own pass then runs along the
-contiguous W lines. The result is bitwise that of ``uniform_filter`` on
-the masked H x W x C grid. An unsmoothed (k = 1) branch is the mask
-product alone, formed over the whole grid in the branch buffer.
+bit for bit. The masked branches are box-smoothed on the grid read as its
+H x C x W transpose, a view in which each grid row is one C x W block.
+The pass along H replicates scipy's running-sum recurrence one whole row
+per step, forming each masked row as it enters a ring of k + 1 rows, so
+the masked grid is never stored; scipy's own pass then runs along the W
+lines of a tile of rows. The result is bitwise that of ``uniform_filter``
+on the masked H x W x C grid. An unsmoothed (k = 1) branch is the mask
+product alone, formed one tile at a time.
+
+Both steps run over tiles of ``_TILE_ROWS`` grid rows: the smoothed
+branches carry their ring and running sum from one tile to the next, and
+the fusion forms a tile's offsets, attention, taps and output at a time.
+Past the grids a call returns and the fusion's bordered values, nothing a
+call allocates is larger than a tile.
 
 Learned components are replaced by seeded injected linear maps and
 ordinary normalized box convolutions: the artifact verifies the masking,
@@ -44,6 +51,9 @@ from scipy.ndimage import uniform_filter1d
 from scipy.sparse import csr_matrix, get_index_dtype
 
 from .geometry import is_number
+
+# Grid rows in one tile of refine_features and temporal_fuse.
+_TILE_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -279,41 +289,42 @@ def combine_masks(masks: Sequence[FilterMask], level: int,
     return FilterMask(level=level, data=np.maximum.reduce([m.data for m in masks]))
 
 
-def _smooth_rows(mask: np.ndarray, stack: np.ndarray, k: int,
-                 out: np.ndarray, ring: np.ndarray) -> None:
-    """Zero-padded box pass of width k along the rows of the masked stack.
+def _box_row_sums(mask: np.ndarray, rows: np.ndarray, k: int,
+                  ring: np.ndarray):
+    """Running sums of a zero-padded box pass of width k along the rows of
+    the masked stack, yielded one output row at a time.
 
-    stack is H x C x W and mask H x W. Writes into out (H x C x W) exactly
-    ``uniform_filter1d(mask[:, None, :] * stack, k, axis=0,
-    mode="constant")``, sign bits included, one C x W row per step. scipy
-    sums the first window from 0.0, then for each later output adds
-    in[hi] - in[lo] and divides by k; this does the same with whole rows.
-    Padded rows are +0.0 and the sum never becomes -0.0, so a padded row
-    adds nothing to the first sum, and a difference with a padded row acts
-    as adding or subtracting the other row alone. Each masked row is
-    formed as it enters ring, whose first k + 1 rows hold the window and
-    the row about to leave it; the leaving row's slot takes the
-    difference, and the next entering row after it.
+    rows is H x C x W (any strides) and mask H x W. The i-th sum yielded,
+    divided by k, is row i of ``uniform_filter1d(mask[:, None, :] * rows,
+    k, axis=0, mode="constant")`` exactly, sign bits included. scipy sums
+    the first window from 0.0, then for each later output adds in[hi] -
+    in[lo] and divides by k; this does the same with whole rows. Padded
+    rows are +0.0 and the sum never becomes -0.0, so a padded row adds
+    nothing to the first sum, and a difference with a padded row acts as
+    adding or subtracting the other row alone. Each masked row is formed as
+    it enters ring, whose first k + 1 C x W rows hold the window and the
+    row about to leave it; the leaving row's slot takes the difference, and
+    the next entering row after it. The sum yielded is one C x W array,
+    updated in place for the next row, so a caller takes each row before it
+    asks for the next.
     """
-    h = stack.shape[0]
+    h = rows.shape[0]
     half = k // 2
     n = k + 1
-    acc = np.zeros(stack.shape[1:])
+    acc = np.zeros(rows.shape[1:])
     for j in range(min(half + 1, h)):
-        np.multiply(mask[j, None, :], stack[j], out=ring[j % n])
-        acc += ring[j % n]
-    np.divide(acc, k, out=out[0])
+        acc += np.multiply(mask[j, None, :], rows[j], out=ring[j % n])
+    yield acc
     for i in range(1, h):
         hi, lo = i + half, i - half - 1
         if hi < h:
-            row = ring[hi % n]
-            np.multiply(mask[hi, None, :], stack[hi], out=row)
+            row = np.multiply(mask[hi, None, :], rows[hi], out=ring[hi % n])
             if lo >= 0:
                 row = np.subtract(row, ring[lo % n], out=ring[lo % n])
             acc += row
         elif lo >= 0:
             acc -= ring[lo % n]
-        np.divide(acc, k, out=out[i])
+        yield acc
 
 
 def refine_features(f: FeatureGrid, masks: Sequence[FilterMask],
@@ -325,17 +336,18 @@ def refine_features(f: FeatureGrid, masks: Sequence[FilterMask],
     All-zero masks contribute no branch, so an object-free grid passes
     through unchanged (residual path).
 
-    The branches work on one H x C x W copy of the grid, in which every
-    grid row is one contiguous C x W block. ``_smooth_rows`` runs the pass
-    along H a whole row at a time, with the mask product formed row by row
-    in a ring of k + 1 rows, and scipy's ``uniform_filter1d`` then runs the
-    pass along the contiguous W lines in place. ``uniform_filter`` runs
-    the same two 1-D passes in the same order, so the result is bitwise
-    that of filtering the masked H x W x C grid. A k = 1 branch is the
-    product alone. Where its mask is 0 the product is 0 with the sign of
-    the grid cell, and the running sum, which is -0 only where every term
-    is, keeps its bits. The H x W x C result is written into the spent
-    branch buffer.
+    The grid is read as its H x C x W transpose, a view in which every
+    grid row is one C x W block, and the result is built one tile of
+    ``_TILE_ROWS`` rows at a time. Each smoothed branch keeps the state of
+    its pass along H (``_box_row_sums``) from tile to tile, and scipy's
+    ``uniform_filter1d`` then runs the pass along W on the tile's rows.
+    ``uniform_filter`` runs the same two 1-D passes in the same order, so
+    each branch is bitwise that of filtering the masked H x W x C grid. A
+    k = 1 branch is the product alone. Where its mask is +0 the product is 0
+    with the sign of the grid cell, and the running sum, which is -0 only
+    where every term is, keeps its bits; so a tile whose mask rows are all
+    +0 adds nothing and is skipped. Within a tile the branches are added
+    in mask order, and the tile's mean is written into the result's rows.
     """
     h, w, c = f.shape
     if len(kernel_sizes) != len(masks):
@@ -347,34 +359,43 @@ def refine_features(f: FeatureGrid, masks: Sequence[FilterMask],
         if not 0 <= mask.level < len(kernel_sizes):
             raise ValueError(f"mask level {mask.level} has no kernel size "
                              f"(levels 0..{len(kernel_sizes) - 1})")
+    rows = f.data.transpose(0, 2, 1)
+    branches = []
+    for mask in masks:
+        if mask.data.any():
+            k = int(kernel_sizes[mask.level])
+            sums = None if k == 1 else _box_row_sums(
+                mask.data, rows, k, np.empty((k + 1, c, w)))
+            branches.append((mask.data, k, sums))
     # A running sum adds the branches in the same order as np.mean over
     # the stacked branches, so the result is bitwise the same without
     # holding every branch at once (np.mean starts from +0.0, so where
     # every branch is -0.0 it gives +0.0 and this sum -0.0).
-    stack = np.ascontiguousarray(f.data.transpose(0, 2, 1))
-    total = stack.copy()
-    # One buffer serves every branch: a fresh grid-sized array for each
-    # costs more than the arithmetic on it.
-    branch = np.empty_like(stack)
-    ring = np.empty((max(kernel_sizes, default=1) + 1, c, w))
-    count = 1
-    for mask in masks:
-        if not mask.data.any():
-            continue
-        k = int(kernel_sizes[mask.level])
-        if k == 1:
-            total += np.multiply(mask.data[:, None, :], stack, out=branch)
-        else:
+    count = 1 + len(branches)
+    out = np.empty((h, w, c))
+    tile = min(_TILE_ROWS, h)
+    total_buf = np.empty((tile, c, w))
+    branch_buf = np.empty((tile, c, w))
+    for top in range(0, h, tile):
+        part = slice(top, min(top + tile, h))
+        n = part.stop - top
+        total, branch = total_buf[:n], branch_buf[:n]
+        np.copyto(total, rows[part])
+        for data, k, sums in branches:
+            if sums is None:
+                # +0.0 is the one float whose bits are all zero
+                if data[part].view(np.uint64).any():
+                    total += np.multiply(data[part, None, :], rows[part],
+                                         out=branch)
+                continue
             # normalized k x k box convolution, zero padded
-            _smooth_rows(mask.data, stack, k, branch, ring)
+            for r in range(n):
+                np.divide(next(sums), k, out=branch[r])
             # scipy copies each line out before it writes it back, so the
             # W pass may run in place
             total += uniform_filter1d(branch, k, axis=2, output=branch,
                                       mode="constant", cval=0.0)
-        count += 1
-    total /= count
-    out = branch.reshape(h, w, c)
-    np.copyto(out, total.transpose(0, 2, 1))
+        np.divide(total, count, out=out[part].transpose(0, 2, 1))
     return FeatureGrid(out, kind=f.kind)
 
 
@@ -471,6 +492,34 @@ def _bilinear_taps(h: int, w: int, rows: np.ndarray, cols: np.ndarray,
     return flat_index, weight
 
 
+def _tap_operator(h: int, w: int, rows: np.ndarray, cols: np.ndarray,
+                  weights: np.ndarray | None = None) -> csr_matrix:
+    """The bilinear taps of fractional cells as one sparse operator on the
+    flattened (H+2) x (W+2) zero-bordered grid.
+
+    Without weights every sample of rows/cols (any common shape S) is its
+    own operator row; with weights (shape S) the taps of the last sample
+    axis share a row and carry the weights folded in, so the operator
+    forms the weighted sum without storing the samples. A row sums its
+    taps sample by sample, four corners each in order, so an unweighted
+    sample is exactly the four-corner sum. The taps are built in that row
+    order with the narrowest index type that holds them, so the sparse
+    matrix takes them without a copy.
+    """
+    n_cells = (h + 2) * (w + 2)
+    index_dtype = get_index_dtype(maxval=max(n_cells, 4 * rows.size))
+    flat_index, tap_weight = _bilinear_taps(h, w, rows, cols, index_dtype)
+    if weights is None:
+        n_out, per_row = rows.size, 4
+    else:
+        tap_weight *= weights[..., None]
+        n_out, per_row = math.prod(rows.shape[:-1]), 4 * rows.shape[-1]
+    return csr_matrix(
+        (tap_weight.ravel(), flat_index.ravel(),
+         np.arange(n_out + 1, dtype=index_dtype) * per_row),
+        shape=(n_out, n_cells))
+
+
 def bilinear_sample(data: np.ndarray, rows: np.ndarray, cols: np.ndarray,
                     weights: np.ndarray | None = None) -> np.ndarray:
     """Bilinear interpolation of an H x W x C grid at fractional cells.
@@ -480,15 +529,8 @@ def bilinear_sample(data: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     samples along the last axis of S are summed with those weights instead,
     and the result has shape S[:-1] + (C,).
 
-    The taps form one sparse matrix with four entries per sample, applied
-    to the grid copied into a zero border one cell wide. Without weights
-    every sample is its own matrix row; with weights the taps of the last
-    sample axis share a row and carry the weights folded in, so the
-    weighted sum is formed without storing the samples. A row sums its
-    taps sample by sample, four corners each in order, so an unweighted
-    sample is exactly the four-corner sum. The taps are built in that row
-    order with the narrowest index type that holds them, so the sparse
-    matrix takes them without a copy.
+    The taps form one sparse matrix (``_tap_operator``) applied to the grid
+    copied into a zero border one cell wide.
     """
     rows = np.asarray(rows, dtype=np.float64)
     cols = np.asarray(cols, dtype=np.float64)
@@ -503,21 +545,10 @@ def bilinear_sample(data: np.ndarray, rows: np.ndarray, cols: np.ndarray,
             raise ValueError(f"weights shape {weights.shape} must equal the "
                              f"sample shape {rows.shape} (at least 1-D)")
     h, w, c = data.shape
-    n_cells = (h + 2) * (w + 2)
-    index_dtype = get_index_dtype(maxval=max(n_cells, 4 * rows.size))
-    flat_index, tap_weight = _bilinear_taps(h, w, rows, cols, index_dtype)
-    if weights is None:
-        out_shape, per_row = rows.shape, 4
-    else:
-        tap_weight *= weights[..., None]
-        out_shape, per_row = rows.shape[:-1], 4 * rows.shape[-1]
-    n_out = math.prod(out_shape)
-    taps = csr_matrix(
-        (tap_weight.ravel(), flat_index.ravel(),
-         np.arange(n_out + 1, dtype=index_dtype) * per_row),
-        shape=(n_out, n_cells))
+    taps = _tap_operator(h, w, rows, cols, weights)
     padded = np.zeros((h + 2, w + 2, c))
     padded[1:-1, 1:-1] = data
+    out_shape = rows.shape if weights is None else rows.shape[:-1]
     return (taps @ padded.reshape(-1, c)).reshape(out_shape + (c,))
 
 
@@ -532,16 +563,22 @@ def temporal_fuse(prev_refined: FeatureGrid, curr: FeatureGrid,
     current grid with zero padding, and the head outputs are projected and
     summed.
 
-    The generators are split into their prev and curr halves, so the
-    offsets and logits are prev @ W_prev + curr @ W_curr over the cells
-    and the (H, W, 2C) concatenation is never built. Values are projected
-    before they are sampled: the value projection of every head is one
-    product over the current grid, and each head then samples its C/heads
-    value channels instead of all C input channels. Bilinear sampling is a
-    fixed linear combination of grid cells (zero padding included), so it
-    commutes with the per-cell value projection, and the result equals
-    sampling first and projecting after up to rounding. The heads' sampled
-    values sit side by side, so the output projection is one product too.
+    Values are projected before they are sampled: each head's value
+    projection is one product over the current grid, written into the
+    interior of that head's zero-bordered grid, and each head then samples
+    its C/heads value channels instead of all C input channels. Bilinear
+    sampling is a fixed linear combination of grid cells (zero padding
+    included), so it commutes with the per-cell value projection, and the
+    result equals sampling first and projecting after up to rounding.
+
+    The rest runs one tile of ``_TILE_ROWS`` grid rows at a time. The
+    generators are split into their prev and curr halves, so a tile's
+    offsets and logits are prev @ W_prev + curr @ W_curr over its cells
+    and the (H, W, 2C) concatenation is never built. Per head, the
+    attention over the K points is folded into the sampling operator
+    (``_tap_operator``), so the K samples per cell are never stored. The
+    heads' sampled values sit side by side, so the output projection is
+    one product per tile, written into the result's rows.
     """
     if prev_refined.shape != curr.shape:
         raise ValueError("grids must share one shape")
@@ -553,41 +590,48 @@ def temporal_fuse(prev_refined: FeatureGrid, curr: FeatureGrid,
     x_prev = prev_refined.data.reshape(h * w, c)
     x_curr = curr.data.reshape(h * w, c)
 
+    values = np.zeros((heads, h + 2, w + 2, c_v))
+    for head in range(heads):
+        np.matmul(curr.data, p.w_value[head].T, out=values[head, 1:-1, 1:-1])
+    values = values.reshape(heads, -1, c_v)
     # one generator row per (head, point, row/col offset), then one per
     # (head, point) logit
     w_gen = np.concatenate([p.w_offset.reshape(-1, 2 * c),
                             p.w_attention.reshape(-1, 2 * c)])
-    gen = x_prev @ w_gen[:, :c].T
-    gen += x_curr @ w_gen[:, c:].T
     n_off = heads * points * 2
-    offsets = gen[:, :n_off].reshape(h * w, heads, points, 2)
-    logits = gen[:, n_off:].reshape(h * w, heads, points)
-    # softmax over the K points with explicit K-term max and sum: numpy's
-    # reductions over a short axis cost more than K - 1 elementwise steps
-    top = logits[..., 0].copy()
-    for k in range(1, points):
-        np.maximum(top, logits[..., k], out=top)
-    att = logits - top[..., None]
-    np.exp(att, out=att)
-    total = att[..., 0].copy()
-    for k in range(1, points):
-        total += att[..., k]
-    att /= total[..., None]
-
-    values = x_curr @ p.w_value.reshape(heads * c_v, c).T  # (HW, heads*C_v)
-    rr = np.repeat(np.arange(h, dtype=np.float64), w)[:, None]
-    cc = np.tile(np.arange(w, dtype=np.float64), h)[:, None]
-    sampled = np.empty((h * w, heads * c_v))
-    for head in range(heads):
-        # the attention over the K points is folded into the sampling
-        # operator, so the (H, W, K, C_v) samples are never stored
-        part = slice(head * c_v, (head + 1) * c_v)
-        sampled[:, part] = bilinear_sample(
-            values[:, part].reshape(h, w, c_v),
-            rr + offsets[:, head, :, 0], cc + offsets[:, head, :, 1],
-            weights=att[:, head])
     w_out = p.w_out.transpose(0, 2, 1).reshape(heads * c_v, c)
-    fused = sampled @ w_out
+    fused = np.empty((h * w, c))
+    tile = min(_TILE_ROWS, h) * w
+    cc = np.tile(np.arange(w, dtype=np.float64), tile // w)[:, None]
+    sampled = np.empty((tile, heads * c_v))
+    for start in range(0, h * w, tile):
+        cells = slice(start, min(start + tile, h * w))
+        m = cells.stop - start
+        gen = x_prev[cells] @ w_gen[:, :c].T
+        gen += x_curr[cells] @ w_gen[:, c:].T
+        offsets = gen[:, :n_off].reshape(m, heads, points, 2)
+        logits = gen[:, n_off:].reshape(m, heads, points)
+        # softmax over the K points with explicit K-term max and sum:
+        # numpy's reductions over a short axis cost more than K - 1
+        # elementwise steps
+        top = logits[..., 0].copy()
+        for k in range(1, points):
+            np.maximum(top, logits[..., k], out=top)
+        att = logits - top[..., None]
+        np.exp(att, out=att)
+        total = att[..., 0].copy()
+        for k in range(1, points):
+            total += att[..., k]
+        att /= total[..., None]
+
+        rr = np.repeat(np.arange(start // w, cells.stop // w,
+                                 dtype=np.float64), w)[:, None]
+        for head in range(heads):
+            taps = _tap_operator(h, w, rr + offsets[:, head, :, 0],
+                                 cc[:m] + offsets[:, head, :, 1],
+                                 weights=att[:, head])
+            sampled[:m, head * c_v:(head + 1) * c_v] = taps @ values[head]
+        np.matmul(sampled[:m], w_out, out=fused[cells])
     return FeatureGrid(fused.reshape(h, w, c), kind=curr.kind)
 
 

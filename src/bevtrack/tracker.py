@@ -69,6 +69,11 @@ class DetectionFrame:
     timestamp. Every frame checks, however built, that its rows align and
     pass ``first_bad_row``, and that its timestamp is finite or None.
     Indexing and iteration give ``Detection`` objects.
+
+    A frame holds read-only views of its four arrays, so what was checked
+    cannot change through the frame. ``from_rows`` copies its inputs, so
+    its frames own their arrays; a frame built directly borrows the arrays
+    it is given, and writes through those arrays still reach it.
     """
 
     frame_id: int | None
@@ -90,6 +95,10 @@ class DetectionFrame:
         bad = first_bad_row(self.boxes, self.scores, self.levels, self.emb)
         if bad is not None:
             raise ValueError("detection {}: {}".format(*bad))
+        for name in ("boxes", "scores", "levels", "emb"):
+            view = np.asarray(getattr(self, name)).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
     @classmethod
     def from_rows(cls, frame_id: int | None, timestamp: float | None, boxes,

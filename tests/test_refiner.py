@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,7 +13,7 @@ from bevtrack.refiner import (DEFAULT_BEV_GRID, DEFAULT_IMAGE_GRID,
                               assign_scale_level, backward_refine,
                               bilinear_sample, combine_masks, object_mask,
                               peak_amplitude, refine_features, refine_grid,
-                              temporal_fuse, _smooth_rows)
+                              temporal_fuse, _TILE_ROWS, _box_row_sums)
 
 from oracles import _bilinear_point, naive_box_conv, naive_temporal_fuse
 
@@ -368,6 +369,35 @@ class TestRefineFeatures:
         want = np.mean(branches, axis=0)
         assert bitwise_equal(refine_features(f, masks, (1, 9)).data, want)
 
+    @pytest.mark.parametrize("h", [1, _TILE_ROWS - 1, _TILE_ROWS,
+                                   _TILE_ROWS + 1, 2 * _TILE_ROWS + 3])
+    def test_tiles_bitwise_equal_to_uniform_filter(self, h):
+        # heights around the tile size, and a kernel wider than a tile: the
+        # pass along H carries its state across tile boundaries, and the
+        # k = 1 branch skips the tiles whose mask rows are all +0 (a tile
+        # of -0 mask rows still flips the sign of the zeros it adds)
+        rng = np.random.default_rng(h)
+        w, c = 7, 3
+        f = FeatureGrid(with_signed_zeros(rng, rng.normal(size=(h, w, c)),
+                                          share=0.3))
+        kernels = (1, 3, 9, 2 * _TILE_ROWS + 3)
+        sparse = np.zeros((h, w))
+        sparse[:2] = -0.0
+        sparse[h // 2] = rng.uniform(0.1, 1.0, size=w)
+        masks = [FilterMask(0, sparse)]
+        for level in range(1, len(kernels)):
+            data = rng.uniform(size=(h, w))
+            data[rng.uniform(size=(h, w)) < 0.5] = 0.0
+            masks.append(FilterMask(level, data))
+        want = f.data.copy()
+        count = 1
+        for m, k in zip(masks, kernels):
+            want += uniform_filter(m.data[:, :, None] * f.data,
+                                   size=(k, k, 1), mode="constant", cval=0.0)
+            count += 1
+        want /= count
+        assert bitwise_equal(refine_features(f, masks, kernels).data, want)
+
     def test_inputs_untouched_and_not_shared(self):
         rng = np.random.default_rng(61)
         f = FeatureGrid(with_signed_zeros(rng, rng.normal(size=(12, 10, 4))))
@@ -403,11 +433,15 @@ class TestSmoothRows:
             stack = with_signed_zeros(
                 rng, rng.normal(size=(h, c, w)) * rng.choice([1e-3, 1, 1e3]))
             mask = with_signed_zeros(rng, rng.uniform(size=(h, w)), 0.3)
-            out = np.full_like(stack, np.nan)
-            # a ring longer than k + 1 rows, as refine_features passes for
-            # its smaller kernels; stale rows must never be read
+            # the H x C x W transpose of an H x W x C grid, as
+            # refine_features passes it; each yielded sum is taken before
+            # the next is asked for
+            rows = np.ascontiguousarray(
+                stack.transpose(0, 2, 1)).transpose(0, 2, 1)
+            # a ring longer than k + 1 rows: stale rows must never be read
             ring = np.full((k + 4, c, w), np.nan)
-            _smooth_rows(mask, stack, k, out, ring)
+            out = np.stack([np.divide(acc, k)
+                            for acc in _box_row_sums(mask, rows, k, ring)])
             want = uniform_filter1d(mask[:, None, :] * stack, k, axis=0,
                                     mode="constant")
             assert bitwise_equal(out, want), (h, c, w)
@@ -609,6 +643,18 @@ class TestTemporalFuse:
         want = naive_temporal_fuse(prev.data, curr.data, p)
         assert np.abs(got - want).max() < 1e-9
 
+    @pytest.mark.parametrize("h", [_TILE_ROWS - 11, _TILE_ROWS + 5])
+    def test_tiles_match_naive_loop(self, h):
+        # one short tile, and a last tile shorter than the others
+        rng = np.random.default_rng(47 + h)
+        p = DeformableFusionParams.from_seed(400 + h, 4, heads=2, points=3,
+                                             offset_scale=8.0)
+        prev = FeatureGrid(rng.normal(size=(h, 3, 4)))
+        curr = FeatureGrid(rng.normal(size=(h, 3, 4)))
+        got = temporal_fuse(prev, curr, p).data
+        want = naive_temporal_fuse(prev.data, curr.data, p)
+        assert np.abs(got - want).max() < 1e-9
+
     def test_shape_mismatch_rejected(self):
         p = identity_params(4)
         with pytest.raises(ValueError):
@@ -776,3 +822,39 @@ class TestMaskContract:
                     scope |= d2 <= maps.scope_radii[level] ** 2
                 assert (mask.data[~scope] == 0.0).all()
                 union_scope |= scope
+
+
+class TestTileAllocations:
+    """On a 128 x 128 x 32 grid, refinement allocates little past its
+    result and the fusion little past its result and its zero-bordered
+    values: everything else spans one tile of rows. Peaks are counted in
+    grids above the traced memory at the start of the call."""
+
+    SHAPE = (128, 128, 32)
+
+    def _peak_grids(self, call):
+        call()  # imports and caches settle before the traced call
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            result = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result is not None
+        return (peak - start) / (8 * math.prod(self.SHAPE))
+
+    def test_refine_grid_peak(self):
+        rng = np.random.default_rng(71)
+        grid = FeatureGrid(rng.normal(size=self.SHAPE))
+        maps = InjectedMaps.from_seed(72, 12, 5)
+        priors = [random_prior(rng, 12, self.SHAPE[:2]) for _ in range(50)]
+        assert self._peak_grids(
+            lambda: refine_grid(grid, priors, maps)) <= 2.25
+
+    def test_temporal_fuse_peak(self):
+        rng = np.random.default_rng(73)
+        prev = FeatureGrid(rng.normal(size=self.SHAPE))
+        curr = FeatureGrid(rng.normal(size=self.SHAPE))
+        p = DeformableFusionParams.from_seed(74, self.SHAPE[2])
+        assert self._peak_grids(lambda: temporal_fuse(prev, curr, p)) <= 3.0

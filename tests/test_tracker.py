@@ -443,6 +443,23 @@ class TestDetectionRules:
         assert dataclasses.replace(frame, timestamp=None).timestamp is None
         assert len(DetectionFrame.empty(7)) == 0
 
+    def test_built_frames_are_read_only(self):
+        # what __post_init__ checked cannot change through the frame, built
+        # by from_rows (which copies its inputs) or directly (which borrows)
+        rows = frame_rows()
+        owned = DetectionFrame.from_rows(4, 0.4, *rows)
+        borrowed = DetectionFrame(4, 0.4, *rows)
+        for frame in (owned, borrowed, dataclasses.replace(owned)):
+            for name in ("boxes", "scores", "levels", "emb"):
+                arr = getattr(frame, name)
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 2.0
+        assert owned.scores[0] == 0.8
+        for given, held in zip(rows, (owned.boxes, owned.scores,
+                                      owned.levels, owned.emb)):
+            assert not np.shares_memory(given, held)
+        assert np.shares_memory(rows[1], borrowed.scores)
+
     def test_detections_without_ids_are_numbered(self):
         # a Detection made without a frame id has none, so number_frames
         # numbers its frame instead of calling every frame 0
