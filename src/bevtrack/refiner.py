@@ -31,8 +31,9 @@ product alone, formed one tile at a time.
 Both steps run over tiles of ``_TILE_ROWS`` grid rows: the smoothed
 branches carry their ring and running sum from one tile to the next, and
 the fusion forms a tile's offsets, attention, taps and output at a time.
-Past the grids a call returns and the fusion's bordered values, nothing a
-call allocates is larger than a tile.
+Past the grids a call returns, the fusion's bordered values and the ring
+of k + 1 rows that each smoothed branch keeps for the whole call, nothing
+a call allocates is larger than a tile.
 
 Learned components are replaced by seeded injected linear maps and
 ordinary normalized box convolutions: the artifact verifies the masking,
@@ -343,10 +344,7 @@ def refine_features(f: FeatureGrid, masks: Sequence[FilterMask],
     ``uniform_filter1d`` then runs the pass along W on the tile's rows.
     ``uniform_filter`` runs the same two 1-D passes in the same order, so
     each branch is bitwise that of filtering the masked H x W x C grid. A
-    k = 1 branch is the product alone. Where its mask is +0 the product is 0
-    with the sign of the grid cell, and the running sum, which is -0 only
-    where every term is, keeps its bits; so a tile whose mask rows are all
-    +0 adds nothing and is skipped. Within a tile the branches are added
+    k = 1 branch is the product alone. Within a tile the branches are added
     in mask order, and the tile's mean is written into the result's rows.
     """
     h, w, c = f.shape
@@ -383,10 +381,8 @@ def refine_features(f: FeatureGrid, masks: Sequence[FilterMask],
         np.copyto(total, rows[part])
         for data, k, sums in branches:
             if sums is None:
-                # +0.0 is the one float whose bits are all zero
-                if data[part].view(np.uint64).any():
-                    total += np.multiply(data[part, None, :], rows[part],
-                                         out=branch)
+                total += np.multiply(data[part, None, :], rows[part],
+                                     out=branch)
                 continue
             # normalized k x k box convolution, zero padded
             for r in range(n):

@@ -374,8 +374,8 @@ class TestRefineFeatures:
     def test_tiles_bitwise_equal_to_uniform_filter(self, h):
         # heights around the tile size, and a kernel wider than a tile: the
         # pass along H carries its state across tile boundaries, and the
-        # k = 1 branch skips the tiles whose mask rows are all +0 (a tile
-        # of -0 mask rows still flips the sign of the zeros it adds)
+        # k = 1 branch has tiles of +0 and of -0 mask rows (a -0 mask flips
+        # the sign of the zeros it adds)
         rng = np.random.default_rng(h)
         w, c = 7, 3
         f = FeatureGrid(with_signed_zeros(rng, rng.normal(size=(h, w, c)),
