@@ -4,6 +4,10 @@ Each object carries three appearance embeddings (image ROI, BEV, detection
 head). Pairwise similarity is the weighted sum of the three cosine
 similarities; the negated similarity matrix feeds a minimum-cost bipartite
 assignment with a similarity gate.
+
+``solve_assignment`` imports scipy's solver on its first call, so that jobs
+which never assign (refining, simulating, evaluating) do not load
+``scipy.optimize`` and the ``scipy.linalg`` and ``scipy.special`` it pulls in.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 # Entries above any reachable cost; used to steer the solver away from
 # gated-out pairs, which are dropped from its output afterwards.
@@ -141,6 +144,8 @@ def solve_assignment(c: CostMatrix) -> list[tuple[int, int]]:
     values, gate = c.values, c.gate_mask
     if values.size == 0 or not gate.any():
         return []
+    from scipy.optimize import linear_sum_assignment
+
     padded = np.where(gate, values, _INFEASIBLE_COST)
     rows, cols = linear_sum_assignment(padded)  # rows come out ascending
     keep = gate[rows, cols]

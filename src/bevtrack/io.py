@@ -9,6 +9,9 @@ A frame without detections is one marker record ``{"frame_id": f, "empty":
 true}``, with ``"timestamp": t`` when the frame has one:
 ``iter_detection_frames`` yields it as an empty ``DetectionFrame``,
 ``read_detections`` skips it.
+
+``_read_yaml`` imports PyYAML on its first call: only config and scenario
+files are YAML, so a job that reads neither does not load it.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from typing import (Iterable, Iterator, Sequence, get_args, get_origin,
                     get_type_hints)
 
 import numpy as np
-import yaml
 
 from .geometry import DEFAULT_SCALE_BREAKPOINTS, Box3D, footprint_scale_level
 from .metrics import EvalConfig, Pred
@@ -465,6 +467,8 @@ class ConfigError(ValueError):
 
 
 def _read_yaml(path):
+    import yaml
+
     try:
         return yaml.safe_load(Path(path).read_text())
     except yaml.YAMLError as exc:

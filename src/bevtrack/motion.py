@@ -16,6 +16,11 @@ dimensions (``mean (..., 10)``, ``var (..., 10)``, ``cross (..., 3)``), and
 each row is filtered independently with exactly the arithmetic of a single
 state, which is the one-row case. A tracker therefore filters all of its
 objects with one call per step.
+
+Predict and update compute with numpy's overflow and invalid-value
+warnings off: an overflow leaves an inf or nan in the new state, and the
+``KalmanState`` check turns that into a ValueError, also where warnings
+are errors.
 """
 
 from __future__ import annotations
@@ -144,12 +149,14 @@ def predict(s: KalmanState, dt: float, noise: NoiseConfig) -> KalmanState:
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    mean = s.mean.copy()
-    mean[..., _POS] += dt * s.mean[..., _VEL]
-    var = s.var.copy()
-    var[..., _POS] += dt * (2.0 * s.cross + dt * s.var[..., _VEL])
-    var += noise.process_var()
-    return KalmanState(mean, var, s.cross + dt * s.var[..., _VEL])
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = s.mean.copy()
+        mean[..., _POS] += dt * s.mean[..., _VEL]
+        var = s.var.copy()
+        var[..., _POS] += dt * (2.0 * s.cross + dt * s.var[..., _VEL])
+        var += noise.process_var()
+        cross = s.cross + dt * s.var[..., _VEL]
+    return KalmanState(mean, var, cross)
 
 
 def update(s: KalmanState, z, noise: NoiseConfig) -> KalmanState:
@@ -165,22 +172,24 @@ def update(s: KalmanState, z, noise: NoiseConfig) -> KalmanState:
     covariance stays PSD.
     """
     z_vec = _measurements(z).reshape(s.rows + (MEAS_DIM,))
-    innov = z_vec - s.mean[..., :MEAS_DIM]
-    innov[..., _YAW] = wrap_angle(innov[..., _YAW])
+    with np.errstate(over="ignore", invalid="ignore"):
+        innov = z_vec - s.mean[..., :MEAS_DIM]
+        innov[..., _YAW] = wrap_angle(innov[..., _YAW])
 
-    p, r = s.var[..., :MEAS_DIM], noise.meas_var()
-    s_diag = p + r
-    gain, keep = p / s_diag, r / s_diag
-    gain_vel = s.cross / s_diag[..., _POS]
-    mean = s.mean.copy()
-    mean[..., :MEAS_DIM] += gain * innov
-    mean[..., _VEL] += gain_vel * innov[..., _POS]
-    mean[..., _DIMS] = np.maximum(mean[..., _DIMS], MIN_DIM)
+        p, r = s.var[..., :MEAS_DIM], noise.meas_var()
+        s_diag = p + r
+        gain, keep = p / s_diag, r / s_diag
+        gain_vel = s.cross / s_diag[..., _POS]
+        mean = s.mean.copy()
+        mean[..., :MEAS_DIM] += gain * innov
+        mean[..., _VEL] += gain_vel * innov[..., _POS]
+        mean[..., _DIMS] = np.maximum(mean[..., _DIMS], MIN_DIM)
 
-    var = s.var.copy()
-    var[..., :MEAS_DIM] *= keep
-    var[..., _VEL] -= gain_vel * s.cross
-    return KalmanState(mean, var, keep[..., _POS] * s.cross)
+        var = s.var.copy()
+        var[..., :MEAS_DIM] *= keep
+        var[..., _VEL] -= gain_vel * s.cross
+        cross = keep[..., _POS] * s.cross
+    return KalmanState(mean, var, cross)
 
 
 def _floored(s: KalmanState) -> np.ndarray:

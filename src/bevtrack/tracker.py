@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -302,7 +302,8 @@ class Tracker:
              frame_id: int | None = None) -> list[tuple[int, int]]:
         """Process one frame, a DetectionFrame or a list of Detections
         (converted by ``as_frame``); returns (track_id, det_idx) matches
-        sorted by detection index (new tracklets included)."""
+        sorted by detection index (new tracklets included). A step that
+        raises leaves the tracker as it was, so the frame may be retried."""
         if not (dt > 0 and math.isfinite(dt)):
             raise ValueError(f"dt must be positive and finite, got {dt}")
         frame = as_frame(detections)
@@ -314,13 +315,14 @@ class Tracker:
         if bad.size:
             raise ValueError(f"detection scale level {bad[0]} outside "
                              f"[0, {cfg.num_levels})")
-        self._last_frame_id = frame_id
         info = StepInfo()
+        # the step predicts into its own rows and commits them and the frame
+        # id only after the last call that can raise (predict, init_state,
+        # update), so a step that raises leaves the tracker as it was
         rows = self.rows
-
         if len(rows):
             kf = motion.predict(rows.kalman(), dt, self.noise)
-            rows.mean, rows.var, rows.cross = kf.mean, kf.var, kf.cross
+            rows = replace(rows, mean=kf.mean, var=kf.var, cross=kf.cross)
         free_dets = np.ones(len(frame), dtype=bool)
         free_trks = np.ones(len(rows), dtype=bool)
         ids = rows.ids.tolist()
@@ -335,18 +337,24 @@ class Tracker:
             for di, ti in pairs:
                 free_dets[di] = free_trks[ti] = False
 
-        stage2 = self._match_iou(frame, free_dets, free_trks)
+        stage2 = self._match_iou(frame, rows, free_dets, free_trks)
         for di, ti in stage2:
             info.stage2.append((ids[ti], di))
             info.stage2_level_gaps.append(
                 abs(int(det_levels[di]) - int(rows.levels[ti])))
             free_dets[di] = free_trks[ti] = False
         pairs += stage2
+        born = np.flatnonzero(
+            free_dets & (det_scores > cfg.init_score_threshold)).tolist()
+        if born:
+            state = motion.init_state(frame.boxes[born], self.noise)
 
         if pairs:
             d_sel, t_sel = (np.array(p, dtype=np.int64) for p in zip(*pairs))
             kf = motion.update(rows.kalman(t_sel), frame.boxes[d_sel],
                                self.noise)
+            # the step's last call that can raise: the writes from here on
+            # may reach the arrays that rows still shares with self.rows
             rows.mean[t_sel], rows.var[t_sel] = kf.mean, kf.var
             rows.cross[t_sel] = kf.cross
             alpha = cfg.ema_alpha
@@ -363,12 +371,9 @@ class Tracker:
             rows = rows.select(~dead)
 
         matches = info.stage1 + info.stage2
-        born = np.flatnonzero(
-            free_dets & (det_scores > cfg.init_score_threshold)).tolist()
         if born:
             new_ids = list(range(self._next_id, self._next_id + len(born)))
             self._next_id += len(born)
-            state = motion.init_state(frame.boxes[born], self.noise)
             ones = np.ones(len(born), dtype=np.int64)
             rows = rows.concat(TrackRows(
                 state.mean, state.var, state.cross, det_emb[born],
@@ -378,10 +383,12 @@ class Tracker:
             matches += zip(new_ids, born)
 
         self.rows = rows
+        self._last_frame_id = frame_id
         self.last_info = info
         return sorted(matches, key=lambda m: m[1])
 
-    def _match_iou(self, frame: DetectionFrame, free_dets, free_trks):
+    def _match_iou(self, frame: DetectionFrame, rows: TrackRows, free_dets,
+                   free_trks):
         """Stage 2: buffered-IoU assignment, cascaded by scale level.
 
         Levels run from largest to smallest; detections of level l may
@@ -397,9 +404,9 @@ class Tracker:
         if not len(det_ids) or not len(trk_ids):
             return []
         cfg, ratios = self.cfg, self._buffer_ratios
-        det_lv, trk_lv = frame.levels[det_ids], self.rows.levels[trk_ids]
+        det_lv, trk_lv = frame.levels[det_ids], rows.levels[trk_ids]
         iou = buffered_iou_matrix(frame.boxes[det_ids][:, RECT_COLUMNS],
-                                  motion.state_rects(self.rows.kalman(trk_ids)),
+                                  motion.state_rects(rows.kalman(trk_ids)),
                                   ratios[det_lv], ratios[trk_lv])
 
         def solve(d, t):

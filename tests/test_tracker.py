@@ -114,6 +114,23 @@ class TestLifecycle:
         trk.step([det(0, 0, level=4)], dt=0.1, frame_id=4)  # not a repeat
         assert [t.id for t in trk.tracklets] == [1]
 
+    # a step that overflows the filter: dt so large that predict overflows,
+    # or a match across the whole float range that overflows update
+    @pytest.mark.parametrize("first_x, bad_x, bad_dt", [
+        (0.0, 0.0, 1e200), (-1.7e308, 1.7e308, 0.1)])
+    def test_overflowing_step_leaves_state_unchanged(self, first_x, bad_x,
+                                                     bad_dt):
+        trk = Tracker()
+        trk.step([det(first_x, 0, frame_id=1)], dt=0.1)
+        before = trk.rows.select(np.arange(len(trk.rows)))
+        with pytest.raises(ValueError, match="state must be finite"):
+            trk.step([det(bad_x, 0, frame_id=2)], dt=bad_dt)
+        for name in vars(before):
+            assert (getattr(trk.rows, name).tobytes()
+                    == getattr(before, name).tobytes()), name
+        assert trk._last_frame_id == 1
+        assert trk.step([det(first_x, 0, frame_id=2)], dt=0.1) == [(1, 0)]
+
 
 class TestStageOne:
     def test_identical_appearance_match_preserves_id(self):
