@@ -39,6 +39,7 @@ _POS = slice(0, 3)
 _YAW = 3
 _DIMS = slice(4, 7)
 _VEL = slice(7, 10)
+_TINY, _HUGE = np.finfo(np.float64).tiny, np.finfo(np.float64).max
 # measurement order of a box row's (cx, cy, cz, length, width, height, yaw)
 _MEAS_FROM_BOX = [0, 1, 2, 6, 3, 4, 5]
 
@@ -105,7 +106,19 @@ class KalmanState:
             raise ValueError("state must be finite")
         if not (var > 0).all():
             raise ValueError("variances must be positive")
-        if (cross * cross > var[..., _POS] * var[..., _VEL]).any():
+        p, v = var[..., _POS], var[..., _VEL]
+        with np.errstate(over="ignore", under="ignore"):
+            pv = p * v
+            not_psd = cross * cross > pv
+            # Where p * v left the normal range it lost its bits, so the
+            # square roots are compared there. Elsewhere the products decide:
+            # an overflowed cross^2 (inf) exceeds every finite p * v, and an
+            # underflowed one lies below every normal p * v.
+            rough = (pv < _TINY) | (pv > _HUGE)
+            if rough.any():
+                not_psd[rough] = (np.abs(cross[rough])
+                                  > np.sqrt(p[rough]) * np.sqrt(v[rough]))
+        if not_psd.any():
             raise ValueError("position-velocity covariance is not PSD")
 
     @property

@@ -19,21 +19,13 @@ never stored.
 The level masks of a grid are built in one L x H x W array: each object
 raises its level's mask to its Gaussian only inside its scope's bounding
 window. Max is exact, so this equals combining the full-grid object masks
-bit for bit. The masked branches are box-smoothed on the grid read as its
-H x C x W transpose, a view in which each grid row is one C x W block.
-The pass along H replicates scipy's running-sum recurrence one whole row
-per step, forming each masked row as it enters a ring of k + 1 rows, so
-the masked grid is never stored; scipy's own pass then runs along the W
-lines of a tile of rows. The result is bitwise that of ``uniform_filter``
-on the masked H x W x C grid. An unsmoothed (k = 1) branch is the mask
-product alone, formed one tile at a time.
-
-Both steps run over tiles of ``_TILE_ROWS`` grid rows: the smoothed
-branches carry their ring and running sum from one tile to the next, and
-the fusion forms a tile's offsets, attention, taps and output at a time.
-Past the grids a call returns, the fusion's bordered values and the ring
-of k + 1 rows that each smoothed branch keeps for the whole call, nothing
-a call allocates is larger than a tile.
+bit for bit. Refinement and fusion run over tiles of ``_TILE_ROWS`` grid
+rows. A smoothed branch reads its tile's masked rows from a zero-padded
+window, repeats scipy's running sum along H and runs scipy's pass along
+W, so it is bitwise ``uniform_filter`` of the masked grid. The fusion
+forms a tile's offsets, attention, taps and output at a time. Past the
+grids a call returns and the fusion's bordered values, nothing a call
+allocates is larger than a tile plus the widest kernel.
 
 Learned components are replaced by seeded injected linear maps and
 ordinary normalized box convolutions: the artifact verifies the masking,
@@ -80,12 +72,18 @@ class RefinerGridConfig:
                     f"{name}: {n} entries for {self.num_levels} levels")
         if not all(is_number(r, numbers.Real) for r in self.scope_radii):
             raise ValueError("scope_radii: each must be a real number")
-        if not all(is_number(k, numbers.Integral) for k in self.kernel_sizes):
-            raise ValueError("kernel_sizes: each must be an integer")
         if not all(0 < r < math.inf for r in self.scope_radii):
             raise ValueError("scope_radii: each must be finite and > 0")
-        if any(k < 1 or k % 2 == 0 for k in self.kernel_sizes):
-            raise ValueError("kernel_sizes: each must be odd and >= 1")
+        _check_kernel_sizes(self.kernel_sizes)
+
+
+def _check_kernel_sizes(kernel_sizes: Sequence[int]) -> None:
+    """The rule of a smoothing kernel size: an integer (not a bool), odd
+    and >= 1. Raises ValueError naming the field."""
+    if not all(is_number(k, numbers.Integral) for k in kernel_sizes):
+        raise ValueError("kernel_sizes: each must be an integer")
+    if any(k < 1 or k % 2 == 0 for k in kernel_sizes):
+        raise ValueError("kernel_sizes: each must be odd and >= 1")
 
 
 DEFAULT_IMAGE_GRID = RefinerGridConfig(3, (2.0, 4.0, 8.0), (1, 3, 5))
@@ -290,64 +288,28 @@ def combine_masks(masks: Sequence[FilterMask], level: int,
     return FilterMask(level=level, data=np.maximum.reduce([m.data for m in masks]))
 
 
-def _box_row_sums(mask: np.ndarray, rows: np.ndarray, k: int,
-                  ring: np.ndarray):
-    """Running sums of a zero-padded box pass of width k along the rows of
-    the masked stack, yielded one output row at a time.
-
-    rows is H x C x W (any strides) and mask H x W. The i-th sum yielded,
-    divided by k, is row i of ``uniform_filter1d(mask[:, None, :] * rows,
-    k, axis=0, mode="constant")`` exactly, sign bits included. scipy sums
-    the first window from 0.0, then for each later output adds in[hi] -
-    in[lo] and divides by k; this does the same with whole rows. Padded
-    rows are +0.0 and the sum never becomes -0.0, so a padded row adds
-    nothing to the first sum, and a difference with a padded row acts as
-    adding or subtracting the other row alone. Each masked row is formed as
-    it enters ring, whose first k + 1 C x W rows hold the window and the
-    row about to leave it; the leaving row's slot takes the difference, and
-    the next entering row after it. The sum yielded is one C x W array,
-    updated in place for the next row, so a caller takes each row before it
-    asks for the next.
-    """
-    h = rows.shape[0]
-    half = k // 2
-    n = k + 1
-    acc = np.zeros(rows.shape[1:])
-    for j in range(min(half + 1, h)):
-        acc += np.multiply(mask[j, None, :], rows[j], out=ring[j % n])
-    yield acc
-    for i in range(1, h):
-        hi, lo = i + half, i - half - 1
-        if hi < h:
-            row = np.multiply(mask[hi, None, :], rows[hi], out=ring[hi % n])
-            if lo >= 0:
-                row = np.subtract(row, ring[lo % n], out=ring[lo % n])
-            acc += row
-        elif lo >= 0:
-            acc -= ring[lo % n]
-        yield acc
-
-
 def refine_features(f: FeatureGrid, masks: Sequence[FilterMask],
                     kernel_sizes: Sequence[int]) -> FeatureGrid:
     """Mask, smooth, and fuse: mean of the original grid and every level
     branch that carries any mask weight.
 
-    Each branch is M_l * F smoothed by the level's normalized box kernel.
-    All-zero masks contribute no branch, so an object-free grid passes
-    through unchanged (residual path).
+    Each branch is M_l * F smoothed by the level's normalized box kernel,
+    bitwise ``uniform_filter`` of the masked H x W x C grid. All-zero masks
+    contribute no branch, so an object-free grid passes through unchanged
+    (residual path). Kernel sizes follow ``RefinerGridConfig``'s rule.
 
-    The grid is read as its H x C x W transpose, a view in which every
-    grid row is one C x W block, and the result is built one tile of
-    ``_TILE_ROWS`` rows at a time. Each smoothed branch keeps the state of
-    its pass along H (``_box_row_sums``) from tile to tile, and scipy's
-    ``uniform_filter1d`` then runs the pass along W on the tile's rows.
-    ``uniform_filter`` runs the same two 1-D passes in the same order, so
-    each branch is bitwise that of filtering the masked H x W x C grid. A
-    k = 1 branch is the product alone. Within a tile the branches are added
-    in mask order, and the tile's mean is written into the result's rows.
+    The result is built one tile of ``_TILE_ROWS`` rows at a time, on the
+    grid read as its H x C x W transpose; the rows a tile's windows reach
+    are copied out of that view once per tile. A branch of kernel k > 1
+    fills the shared window with the masked rows top - k//2 - 1 to
+    stop + k//2 - 1, zero off the grid, as scipy pads a line, and runs
+    scipy's pass along H over it: its running sum, the one state kept
+    between tiles, adds in[hi] - in[lo] per output row and is divided by k.
+    scipy's ``uniform_filter1d`` runs the pass along W. A k = 1 branch is
+    the product alone.
     """
     h, w, c = f.shape
+    _check_kernel_sizes(kernel_sizes)
     if len(kernel_sizes) != len(masks):
         raise ValueError("need one kernel size per mask level")
     for mask in masks:
@@ -358,35 +320,51 @@ def refine_features(f: FeatureGrid, masks: Sequence[FilterMask],
             raise ValueError(f"mask level {mask.level} has no kernel size "
                              f"(levels 0..{len(kernel_sizes) - 1})")
     rows = f.data.transpose(0, 2, 1)
-    branches = []
-    for mask in masks:
-        if mask.data.any():
-            k = int(kernel_sizes[mask.level])
-            sums = None if k == 1 else _box_row_sums(
-                mask.data, rows, k, np.empty((k + 1, c, w)))
-            branches.append((mask.data, k, sums))
-    # A running sum adds the branches in the same order as np.mean over
-    # the stacked branches, so the result is bitwise the same without
-    # holding every branch at once (np.mean starts from +0.0, so where
-    # every branch is -0.0 it gives +0.0 and this sum -0.0).
+    # (mask, k, running sum of the pass along H) per branch with weight
+    branches = [(m.data, int(kernel_sizes[m.level]), np.zeros((c, w)))
+                for m in masks if m.data.any()]
+    # Adding each branch to the tile in turn sums in the same order as
+    # np.mean over the stacked branches, so the result is bitwise the same
+    # without holding every branch at once (np.mean starts from +0.0, so
+    # where every branch is -0.0 it gives +0.0 and this sum -0.0).
     count = 1 + len(branches)
     out = np.empty((h, w, c))
     tile = min(_TILE_ROWS, h)
     total_buf = np.empty((tile, c, w))
     branch_buf = np.empty((tile, c, w))
+    # rows the widest window reaches above its tile (one fewer below)
+    reach = max((k for _, k, _ in branches), default=1) // 2 + 1
+    window_buf = np.empty((tile + 2 * reach - 1, c, w))
+    block_buf = np.empty_like(window_buf)
     for top in range(0, h, tile):
         part = slice(top, min(top + tile, h))
         n = part.stop - top
         total, branch = total_buf[:n], branch_buf[:n]
-        np.copyto(total, rows[part])
-        for data, k, sums in branches:
-            if sums is None:
-                total += np.multiply(data[part, None, :], rows[part],
-                                     out=branch)
+        # the grid rows the tile's windows read, out of the strided view
+        start = max(top - reach, 0)
+        block = block_buf[:min(part.stop + reach - 1, h) - start]
+        np.copyto(block, rows[start:start + len(block)])
+        own = block[top - start:top - start + n]
+        np.copyto(total, own)
+        for data, k, acc in branches:
+            if k == 1:
+                total += np.multiply(data[part, None, :], own, out=branch)
                 continue
             # normalized k x k box convolution, zero padded
+            first = top - k // 2 - 1
+            window = window_buf[:n + k]
+            lo, hi = max(first, 0), min(first + n + k, h)
+            window[:lo - first] = 0.0
+            np.multiply(data[lo:hi, None, :], block[lo - start:hi - start],
+                        out=window[lo - first:hi - first])
+            window[hi - first:] = 0.0
+            if top == 0:
+                for j in range(k):
+                    acc += window[j]
+            np.subtract(window[k:], window[:n], out=branch)
             for r in range(n):
-                np.divide(next(sums), k, out=branch[r])
+                acc += branch[r]
+                np.divide(acc, k, out=branch[r])
             # scipy copies each line out before it writes it back, so the
             # W pass may run in place
             total += uniform_filter1d(branch, k, axis=2, output=branch,
@@ -489,27 +467,23 @@ def _bilinear_taps(h: int, w: int, rows: np.ndarray, cols: np.ndarray,
 
 
 def _tap_operator(h: int, w: int, rows: np.ndarray, cols: np.ndarray,
-                  weights: np.ndarray | None = None) -> csr_matrix:
-    """The bilinear taps of fractional cells as one sparse operator on the
-    flattened (H+2) x (W+2) zero-bordered grid.
+                  weights: np.ndarray) -> csr_matrix:
+    """The weighted bilinear taps of fractional cells as one sparse
+    operator on the flattened (H+2) x (W+2) zero-bordered grid.
 
-    Without weights every sample of rows/cols (any common shape S) is its
-    own operator row; with weights (shape S) the taps of the last sample
-    axis share a row and carry the weights folded in, so the operator
-    forms the weighted sum without storing the samples. A row sums its
-    taps sample by sample, four corners each in order, so an unweighted
-    sample is exactly the four-corner sum. The taps are built in that row
-    order with the narrowest index type that holds them, so the sparse
-    matrix takes them without a copy.
+    rows, cols and weights share one shape S of at least one axis. The
+    taps of the samples along the last axis of S share an operator row and
+    carry their weights folded in, so the operator forms the weighted sum
+    without storing the samples. A row sums its taps sample by sample,
+    four corners each in order. The taps are built in that row order with
+    the narrowest index type that holds them, so the sparse matrix takes
+    them without a copy.
     """
     n_cells = (h + 2) * (w + 2)
     index_dtype = get_index_dtype(maxval=max(n_cells, 4 * rows.size))
     flat_index, tap_weight = _bilinear_taps(h, w, rows, cols, index_dtype)
-    if weights is None:
-        n_out, per_row = rows.size, 4
-    else:
-        tap_weight *= weights[..., None]
-        n_out, per_row = math.prod(rows.shape[:-1]), 4 * rows.shape[-1]
+    tap_weight *= weights[..., None]
+    n_out, per_row = math.prod(rows.shape[:-1]), 4 * rows.shape[-1]
     return csr_matrix(
         (tap_weight.ravel(), flat_index.ravel(),
          np.arange(n_out + 1, dtype=index_dtype) * per_row),
@@ -526,7 +500,8 @@ def bilinear_sample(data: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     and the result has shape S[:-1] + (C,).
 
     The taps form one sparse matrix (``_tap_operator``) applied to the grid
-    copied into a zero border one cell wide.
+    copied into a zero border one cell wide. Without weights each sample is
+    a sum of one point with weight 1, which is the sample exactly.
     """
     rows = np.asarray(rows, dtype=np.float64)
     cols = np.asarray(cols, dtype=np.float64)
@@ -535,7 +510,10 @@ def bilinear_sample(data: np.ndarray, rows: np.ndarray, cols: np.ndarray,
             f"rows shape {rows.shape} does not match cols shape {cols.shape}")
     if not (np.isfinite(rows).all() and np.isfinite(cols).all()):
         raise ValueError("sample positions contain NaN/Inf")
-    if weights is not None:
+    if weights is None:
+        rows, cols = rows[..., None], cols[..., None]
+        weights = np.ones(rows.shape)
+    else:
         weights = np.asarray(weights, dtype=np.float64)
         if rows.ndim == 0 or weights.shape != rows.shape:
             raise ValueError(f"weights shape {weights.shape} must equal the "
@@ -544,8 +522,7 @@ def bilinear_sample(data: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     taps = _tap_operator(h, w, rows, cols, weights)
     padded = np.zeros((h + 2, w + 2, c))
     padded[1:-1, 1:-1] = data
-    out_shape = rows.shape if weights is None else rows.shape[:-1]
-    return (taps @ padded.reshape(-1, c)).reshape(out_shape + (c,))
+    return (taps @ padded.reshape(-1, c)).reshape(rows.shape[:-1] + (c,))
 
 
 def temporal_fuse(prev_refined: FeatureGrid, curr: FeatureGrid,

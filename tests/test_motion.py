@@ -379,6 +379,25 @@ class TestKalmanState:
         with pytest.raises(ValueError):
             KalmanState(**fields)
 
+    # (var_pos, var_vel, cross): p * v overflows or underflows, so the
+    # products alone cannot decide; no overflow warning is raised either
+    @pytest.mark.parametrize("p, v, c", [
+        (1e300, 1e10, 1e160),     # cross^2 = 1e320 > p * v = 1e310
+        (1e-200, 1e-200, 2e-200)])  # cross^2 = 4e-400 > p * v = 1e-400
+    def test_not_psd_where_p_times_v_is_out_of_range(self, p, v, c):
+        var = np.ones(10)
+        var[0], var[7] = p, v
+        with pytest.raises(ValueError, match="not PSD"):
+            KalmanState(np.zeros(10), var, np.array([c, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("p, v, c", [
+        (1e300, 1e300, 1e299),    # cross^2 = 1e598 < p * v = 1e600
+        (1e-200, 1e-200, 5e-201)])  # cross^2 = 2.5e-401 < p * v = 1e-400
+    def test_psd_where_p_times_v_is_out_of_range(self, p, v, c):
+        var = np.ones(10)
+        var[0], var[7] = p, v
+        KalmanState(np.zeros(10), var, np.array([c, 0.0, 0.0]))
+
     def test_singular_block_accepted(self):
         # cross^2 == var_pos * var_vel is PSD (rank one), so it is valid
         s = KalmanState(np.zeros(10), np.full(10, 4.0), np.full(3, -4.0))

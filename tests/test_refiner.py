@@ -5,7 +5,9 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.ndimage import uniform_filter, uniform_filter1d
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.ndimage import uniform_filter
 
 from bevtrack.refiner import (DEFAULT_BEV_GRID, DEFAULT_IMAGE_GRID,
                               DeformableFusionParams, FeatureGrid, FilterMask,
@@ -13,7 +15,7 @@ from bevtrack.refiner import (DEFAULT_BEV_GRID, DEFAULT_IMAGE_GRID,
                               assign_scale_level, backward_refine,
                               bilinear_sample, combine_masks, object_mask,
                               peak_amplitude, refine_features, refine_grid,
-                              temporal_fuse, _TILE_ROWS, _box_row_sums)
+                              temporal_fuse, _TILE_ROWS)
 
 from oracles import _bilinear_point, naive_box_conv, naive_temporal_fuse
 
@@ -414,6 +416,24 @@ class TestRefineFeatures:
         with pytest.raises(ValueError):
             refine_features(f, [FilterMask(0, np.zeros((5, 5)))], (3,))
 
+    @pytest.mark.parametrize("kernels, message", [
+        ((3, 2), "kernel_sizes: each must be odd and >= 1"),
+        ((4,), "kernel_sizes: each must be odd and >= 1"),
+        ((0,), "kernel_sizes: each must be odd and >= 1"),
+        ((-1,), "kernel_sizes: each must be odd and >= 1"),
+        ((3.0,), "kernel_sizes: each must be an integer"),
+        ((True,), "kernel_sizes: each must be an integer")],
+        ids=["even-empty-level", "4", "0", "-1", "float", "bool"])
+    def test_bad_kernel_size_rejected(self, kernels, message):
+        # the rule of RefinerGridConfig, checked before any work, also for
+        # a level whose mask is empty
+        f = FeatureGrid(np.ones((9, 8, 2)))
+        masks = [FilterMask(0, np.full((9, 8), 0.5))] + [
+            FilterMask(level, np.zeros((9, 8)))
+            for level in range(1, len(kernels))]
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            refine_features(f, masks, kernels)
+
     @pytest.mark.parametrize("level", [3, -1])
     def test_level_without_kernel_size_rejected(self, level):
         f = FeatureGrid(np.ones((4, 4, 2)))
@@ -422,29 +442,68 @@ class TestRefineFeatures:
                 refine_features(f, [FilterMask(level, data)], (3,))
 
 
+def masked_mean_oracle(grid, masks, kernels):
+    """refine_features by its definition: each level branch with weight is
+    uniform_filter of the masked grid, added to the grid in mask order,
+    and the sum is divided by the count."""
+    want = grid.copy()
+    count = 1
+    for m in masks:
+        if m.data.any():
+            k = kernels[m.level]
+            want += uniform_filter(m.data[:, :, None] * grid, size=(k, k, 1),
+                                   mode="constant", cval=0.0)
+            count += 1
+    want /= count
+    return want
+
+
 class TestSmoothRows:
     @pytest.mark.parametrize("k", [3, 5, 9, 61, 121])
     def test_bitwise_equal_to_uniform_filter1d(self, k):
-        # scipy's own pass on the stored product is the oracle: values and
-        # sign bits, for stacks shorter and taller than the kernel
+        # one smoothed branch against scipy's filter of the stored masked
+        # grid: values and sign bits, for grids shorter and taller than
+        # the kernel and than a tile
         rng = np.random.default_rng(k)
         for h in range(1, 41):
             c, w = int(rng.integers(1, 4)), int(rng.integers(1, 7))
-            stack = with_signed_zeros(
-                rng, rng.normal(size=(h, c, w)) * rng.choice([1e-3, 1, 1e3]))
+            grid = with_signed_zeros(
+                rng, rng.normal(size=(h, w, c)) * rng.choice([1e-3, 1, 1e3]))
             mask = with_signed_zeros(rng, rng.uniform(size=(h, w)), 0.3)
-            # the H x C x W transpose of an H x W x C grid, as
-            # refine_features passes it; each yielded sum is taken before
-            # the next is asked for
-            rows = np.ascontiguousarray(
-                stack.transpose(0, 2, 1)).transpose(0, 2, 1)
-            # a ring longer than k + 1 rows: stale rows must never be read
-            ring = np.full((k + 4, c, w), np.nan)
-            out = np.stack([np.divide(acc, k)
-                            for acc in _box_row_sums(mask, rows, k, ring)])
-            want = uniform_filter1d(mask[:, None, :] * stack, k, axis=0,
-                                    mode="constant")
-            assert bitwise_equal(out, want), (h, c, w)
+            masks = [FilterMask(0, mask)]
+            got = refine_features(FeatureGrid(grid), masks, (k,)).data
+            want = masked_mean_oracle(grid, masks, (k,))
+            assert bitwise_equal(got, want), (h, c, w)
+
+
+@st.composite
+def _refine_cases(draw):
+    """A grid, its level masks and odd kernel sizes, some wider than a
+    tile; levels may be empty, and grids and masks hold signed zeros."""
+    h = draw(st.integers(1, 3 * _TILE_ROWS + 2))
+    w = draw(st.integers(1, 9))
+    c = draw(st.integers(1, 3))
+    kernels = tuple(draw(st.lists(
+        st.one_of(st.integers(0, 5), st.integers(_TILE_ROWS // 2,
+                                                  2 * _TILE_ROWS)),
+        min_size=1, max_size=4).map(lambda ks: [2 * k + 1 for k in ks])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = with_signed_zeros(rng, rng.normal(size=(h, w, c)),
+                             draw(st.sampled_from([0.0, 0.3, 0.9])))
+    masks = []
+    for level in range(len(kernels)):
+        share = draw(st.sampled_from([0.0, 0.5, 0.95, 1.0]))
+        masks.append(FilterMask(level, with_signed_zeros(
+            rng, rng.uniform(size=(h, w)), share)))
+    return grid, masks, kernels
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_refine_cases())
+def test_refine_features_bitwise_equal_to_oracle(case):
+    grid, masks, kernels = case
+    got = refine_features(FeatureGrid(grid), masks, kernels).data
+    assert bitwise_equal(got, masked_mean_oracle(grid, masks, kernels))
 
 
 class TestBilinearSample:
