@@ -12,6 +12,7 @@ which never assign (refining, simulating, evaluating) do not load
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -62,6 +63,8 @@ class ClueWeights:
 
     def __post_init__(self):
         for name in ("img", "bev", "head"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name}: must be a finite number")
             if getattr(self, name) < 0:
                 raise ValueError(f"{name}: must be >= 0")
         if self.img + self.bev + self.head <= 0:

@@ -1,6 +1,9 @@
 """Command-line surface: simulate, track, evaluate, refine-demo, ablate.
 
-Exit codes: 0 success, 1 data error, 2 usage error.
+Exit codes: 0 success, 1 data error, 2 usage error. The commands raise;
+``main`` alone turns an error into its exit code and one ``error:`` line:
+a ``UsageError`` gives 2, a ``ValueError`` (``DataError`` and
+``ConfigError`` among them) or a ``FileNotFoundError`` gives 1.
 """
 
 from __future__ import annotations
@@ -23,19 +26,22 @@ USAGE_ERROR = 2
 DATA_ERROR = 1
 
 
-def _fail(code: int, message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
+class UsageError(Exception):
+    """A bad command line that argparse lets through; exit 2."""
 
 
-def _load_scenario(args) -> bsim.ScenarioConfig | None:
+def _non_negative(flag: str, value: int | None) -> None:
+    if value is not None and value < 0:
+        raise UsageError(f"{flag} must be >= 0, got {value}")
+
+
+def _load_scenario(args) -> bsim.ScenarioConfig:
     if args.suite:
         suites = bsim.standard_suites()
         if args.suite not in suites:
             names = ", ".join(sorted(suites))
-            print(f"error: unknown suite {args.suite!r}; valid suites: {names}",
-                  file=sys.stderr)
-            return None
+            raise UsageError(f"unknown suite {args.suite!r}; valid suites: "
+                             f"{names}")
         cfg = suites[args.suite]
     else:
         cfg = bio.load_scenario(args.scenario)
@@ -48,8 +54,6 @@ def _load_scenario(args) -> bsim.ScenarioConfig | None:
 
 def cmd_simulate(args) -> int:
     cfg = _load_scenario(args)
-    if cfg is None:
-        return USAGE_ERROR
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     gt_frames, det_frames = bsim.generate(cfg)
@@ -63,9 +67,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_track(args) -> int:
-    if args.max_age is not None and args.max_age < 0:
-        return _fail(USAGE_ERROR,
-                     f"--max-age must be >= 0, got {args.max_age}")
+    _non_negative("--max-age", args.max_age)
     app = bio.load_config(args.config)
     trk = app.tracker  # a --no-* flag turns its switch off
     cfg = replace(
@@ -81,22 +83,16 @@ def cmd_track(args) -> int:
                for frame_id, _m, _i, outs in btrack.track_stream(
                    frames, cfg, app.motion)
                for tid, box, score, level in outs)
-    try:
-        bio.write_track_records(args.out, records)
-    except bio.DataError as exc:
-        return _fail(DATA_ERROR, str(exc))
+    bio.write_track_records(args.out, records)
     print(f"wrote {args.out}")
     return 0
 
 
 def cmd_evaluate(args) -> int:
     app = bio.load_config(args.config)
-    try:
-        gt_frames = bio.read_ground_truth(args.gt)
-        tracks = bio.read_tracks(args.tracks)
-        report = bmetrics.evaluate(gt_frames, tracks, app.eval)
-    except (bio.DataError, ValueError) as exc:
-        return _fail(DATA_ERROR, str(exc))
+    gt_frames = bio.read_ground_truth(args.gt)
+    tracks = bio.read_tracks(args.tracks)
+    report = bmetrics.evaluate(gt_frames, tracks, app.eval)
     print(bmetrics.format_report(report))
     if args.report:
         Path(args.report).write_text(json.dumps(report.as_dict(), indent=2)
@@ -108,10 +104,13 @@ def cmd_evaluate(args) -> int:
 def _parse_grid_spec(spec: str) -> tuple[int, int, int]:
     parts = spec.lower().split("x")
     if len(parts) != 3:
-        raise ValueError(f"grid spec must be HxWxC, got {spec!r}")
-    h, w, c = (int(p) for p in parts)
+        raise UsageError(f"grid spec must be HxWxC, got {spec!r}")
+    try:
+        h, w, c = (int(p) for p in parts)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     if min(h, w, c) < 1:
-        raise ValueError(f"grid dimensions must be >= 1, got {spec!r}")
+        raise UsageError(f"grid dimensions must be >= 1, got {spec!r}")
     return h, w, c
 
 
@@ -140,13 +139,8 @@ def _object_prior(path, line_no: int, rec: dict, rng,
 
 
 def cmd_refine_demo(args) -> int:
-    try:
-        h, w, c = _parse_grid_spec(args.grid)
-    except ValueError as exc:
-        return _fail(USAGE_ERROR, str(exc))
-    if args.num_objects < 0:
-        return _fail(USAGE_ERROR, f"--num-objects must be >= 0, got "
-                     f"{args.num_objects}")
+    h, w, c = _parse_grid_spec(args.grid)
+    _non_negative("--num-objects", args.num_objects)
     app = bio.load_config(args.config)
     grid_cfg = getattr(app.refiner, args.kind)
     rng = np.random.default_rng(args.seed)
@@ -155,27 +149,19 @@ def cmd_refine_demo(args) -> int:
                                        grid_cfg.scope_radii,
                                        grid_cfg.kernel_sizes)
 
-    priors: list[bref.ObjectPrior] = []
     if args.objects:
-        try:
-            for line_no, rec in bio._records(args.objects):
-                priors.append(_object_prior(args.objects, line_no, rec, rng,
-                                            (h, w, c)))
-        except bio.DataError as exc:
-            return _fail(DATA_ERROR, str(exc))
+        priors = [_object_prior(args.objects, line_no, rec, rng, (h, w, c))
+                  for line_no, rec in bio._records(args.objects)]
     else:
-        for _ in range(args.num_objects):
-            priors.append(bref.ObjectPrior(
-                e_cat=rng.normal(size=3 * c),
-                center_cell=(rng.uniform(0, h - 1), rng.uniform(0, w - 1)),
-                footprint=(rng.uniform(1, 4), rng.uniform(1, 4))))
+        priors = [bref.ObjectPrior(
+            e_cat=rng.normal(size=3 * c),
+            center_cell=(rng.uniform(0, h - 1), rng.uniform(0, w - 1)),
+            footprint=(rng.uniform(1, 4), rng.uniform(1, 4)))
+            for _ in range(args.num_objects)]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        refined, levels, masks = bref.refine_grid(grid, priors, maps)
-    except ValueError as exc:
-        return _fail(DATA_ERROR, str(exc))
+    refined, levels, masks = bref.refine_grid(grid, priors, maps)
 
     np.save(out / "input_grid.npy", grid.data)
     np.save(out / "refined_grid.npy", refined.data)
@@ -250,11 +236,8 @@ def cmd_ablate(args) -> int:
              else list(bsim.ADVERSARIAL_SUITES))
     unknown = [n for n in names if n not in suites]
     if unknown:
-        return _fail(USAGE_ERROR,
-                     f"unknown suites {unknown}; valid: {sorted(suites)}")
-    if args.max_age < 0:
-        return _fail(USAGE_ERROR,
-                     f"--max-age must be >= 0, got {args.max_age}")
+        raise UsageError(f"unknown suites {unknown}; valid: {sorted(suites)}")
+    _non_negative("--max-age", args.max_age)
     app = bio.load_config(args.config)
     rows = run_ablation(names, app, args.max_age)
 
@@ -352,11 +335,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command: the only place that turns an error into an exit
+    code and an ``error:`` line."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, bio.ConfigError) as exc:
-        return _fail(DATA_ERROR, str(exc))
+    except (UsageError, ValueError, FileNotFoundError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR if isinstance(exc, UsageError) else DATA_ERROR
 
 
 if __name__ == "__main__":

@@ -10,6 +10,10 @@ true}``, with ``"timestamp": t`` when the frame has one:
 ``iter_detection_frames`` yields it as an empty ``DetectionFrame``,
 ``read_detections`` skips it.
 
+The three log writers yield their records to ``_write_records``, which
+writes a log whole or not at all: a writer that raises, on a bad frame or
+a duplicate record, leaves the target as it was and no ``.part`` file.
+
 ``_read_yaml`` imports PyYAML on its first call: only config and scenario
 files are YAML, so a job that reads neither does not load it.
 """
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field, is_dataclass, replace
 from itertools import chain
 from pathlib import Path
@@ -117,6 +122,23 @@ def _number(record: dict, key: str, path, line_no: int, kind=int,
     raise DataError(path, line_no, f"{key} must be {what}")
 
 
+def _write_records(path, records: Iterable[dict]) -> None:
+    """Write each record as one JSON line, whole or not at all: the lines
+    go to the sibling ``<path>.part``, which os.replace moves onto path
+    (a regular file) after the last record. On any error, raised by
+    records or by the write, the ``.part`` is removed and path is left as
+    it was."""
+    part = Path(f"{path}.part")
+    fh = open(part, "w")
+    try:
+        with fh:
+            fh.writelines(json.dumps(rec) + "\n" for rec in records)
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+
+
 # ---------------------------------------------------------------------------
 # detection logs
 
@@ -124,15 +146,17 @@ def write_detections(path, det_frames) -> None:
     """Write frames of Detections or DetectionFrames, numbered (and their
     ids checked) by ``number_frames``; a frame's records carry its number
     and timestamp, and so does the marker of an empty frame that has one.
-    A frame with detections but no timestamp raises ValueError before any
-    of its records is written."""
-    with open(path, "w") as fh:
+    A frame with detections but no timestamp is a ValueError. The log is
+    written whole or not at all (``_write_records``), so path names a
+    regular file."""
+
+    def records():
         for frame_id, frame in number_frames(det_frames):
             if not len(frame):
                 marker = {"frame_id": frame_id, "empty": True}
                 if frame.timestamp is not None:
                     marker["timestamp"] = float(frame.timestamp)
-                fh.write(json.dumps(marker) + "\n")
+                yield marker
                 continue
             if frame.timestamp is None:
                 raise ValueError(f"frame {frame_id} has detections but no "
@@ -142,9 +166,11 @@ def write_detections(path, det_frames) -> None:
             for box, score, level, (e_img, e_bev, e_head) in zip(
                     frame.boxes.tolist(), frame.scores.tolist(),
                     frame.levels.tolist(), frame.emb.tolist()):
-                fh.write(json.dumps({
-                    **head, "box": box, "score": score, "scale_level": level,
-                    "e_img": e_img, "e_bev": e_bev, "e_head": e_head}) + "\n")
+                yield {**head, "box": box, "score": score,
+                       "scale_level": level, "e_img": e_img, "e_bev": e_bev,
+                       "e_head": e_head}
+
+    _write_records(path, records())
 
 
 _EMBEDDINGS = ("e_img", "e_bev", "e_head")
@@ -305,16 +331,14 @@ def read_detections(path) -> list[DetectionFrame]:
 # ground truth logs
 
 def write_ground_truth(path, gt_frames: Sequence[GroundTruthFrame]) -> None:
-    with open(path, "w") as fh:
-        for g in gt_frames:
-            for gid, box, visible in g.objects:
-                fh.write(json.dumps({
-                    "frame_id": g.frame_id,
-                    "timestamp": float(g.timestamp),
-                    "gt_id": gid,
-                    "box": box_to_list(box),
-                    "visible": bool(visible),
-                }) + "\n")
+    """One record per object of each frame, written whole or not at all."""
+    _write_records(path, ({
+        "frame_id": g.frame_id,
+        "timestamp": float(g.timestamp),
+        "gt_id": gid,
+        "box": box_to_list(box),
+        "visible": bool(visible),
+    } for g in gt_frames for gid, box, visible in g.objects))
 
 
 def read_ground_truth(path) -> list[GroundTruthFrame]:
@@ -345,21 +369,23 @@ def read_ground_truth(path) -> list[GroundTruthFrame]:
 
 def write_track_records(path, records: Iterable[dict]) -> None:
     """records: dicts with frame_id, track_id, box (Box3D), score,
-    scale_level. (frame_id, track_id) must be unique."""
-    seen = set()
-    with open(path, "w") as fh:
+    scale_level. (frame_id, track_id) must be unique. The log is written
+    whole or not at all."""
+
+    def checked():
+        seen = set()
         for rec in records:
             key = (rec["frame_id"], rec["track_id"])
             if key in seen:
                 raise ValueError(f"duplicate track record {key}")
             seen.add(key)
-            fh.write(json.dumps({
-                "frame_id": rec["frame_id"],
-                "track_id": rec["track_id"],
-                "box": box_to_list(rec["box"]),
-                "score": float(rec["score"]),
-                "scale_level": rec["scale_level"],
-            }) + "\n")
+            yield {"frame_id": rec["frame_id"],
+                   "track_id": rec["track_id"],
+                   "box": box_to_list(rec["box"]),
+                   "score": float(rec["score"]),
+                   "scale_level": rec["scale_level"]}
+
+    _write_records(path, checked())
 
 
 def read_tracks(path) -> dict[int, list[Pred]]:

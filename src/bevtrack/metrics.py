@@ -41,6 +41,8 @@ class EvalConfig:
             raise ValueError("recall_thresholds: must be an integer")
         if not self.match_distance > 0:
             raise ValueError("match_distance: must be > 0")
+        if not math.isfinite(self.match_distance):
+            raise ValueError("match_distance: must be a finite number")
         if self.recall_thresholds < 1:
             raise ValueError("recall_thresholds: must be >= 1")
 

@@ -25,6 +25,7 @@ are errors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,8 @@ class NoiseConfig:
         for name in ("process_pos_std", "process_vel_std", "process_yaw_std",
                      "process_dim_std", "meas_pos_std", "meas_yaw_std",
                      "meas_dim_std"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name}: must be a finite number")
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name}: must be strictly positive")
 

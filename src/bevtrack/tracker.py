@@ -192,6 +192,8 @@ class TrackerConfig:
         for name in ("iou_threshold", "init_score_threshold", "ema_alpha"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name}: must be in [0, 1]")
+        if not math.isfinite(self.similarity_gate):
+            raise ValueError("similarity_gate: must be a finite number")
         if self.max_age < 0:
             raise ValueError("max_age: must be >= 0")
         if self.num_levels < 1:
@@ -199,6 +201,8 @@ class TrackerConfig:
         ratios = self.buffer_ratios
         if not all(is_number(r, numbers.Real) for r in ratios):
             raise ValueError("buffer_ratios: each must be a real number")
+        if not all(map(math.isfinite, ratios)):
+            raise ValueError("buffer_ratios: each must be a finite number")
         if not ratios or min(ratios) < 0:
             raise ValueError("buffer_ratios: must be non-empty and >= 0")
         if any(a < b for a, b in zip(ratios, ratios[1:])):
@@ -308,7 +312,7 @@ class Tracker:
             raise ValueError(f"dt must be positive and finite, got {dt}")
         frame = as_frame(detections)
         frame_id = _next_frame_id(frame.frame_id if frame_id is None
-                                  else frame_id, self._last_frame_id, 1)
+                                  else frame_id, self._last_frame_id)
         cfg = self.cfg
         det_levels, det_scores, det_emb = frame.levels, frame.scores, frame.emb
         bad = det_levels[det_levels >= cfg.num_levels]
@@ -431,8 +435,10 @@ class Tracker:
         return [(int(det_ids[d]), int(trk_ids[t])) for d, t in pairs]
 
 
-def _next_frame_id(own: int | None, last: int | None, first: int) -> int:
-    frame_id = own if own is not None else first if last is None else last + 1
+def _next_frame_id(own: int | None, last: int | None) -> int:
+    """The frame's own id, else 0 for the first frame, else last + 1; the
+    one numbering rule of ``Tracker.step`` and ``number_frames``."""
+    frame_id = own if own is not None else 0 if last is None else last + 1
     if last is not None and frame_id <= last:
         raise ValueError(f"frame {frame_id} does not follow frame {last}: "
                          "frame ids must increase")
@@ -441,12 +447,12 @@ def _next_frame_id(own: int | None, last: int | None, first: int) -> int:
 
 def number_frames(det_frames):
     """(frame_id, DetectionFrame) per frame of Detection lists or frames,
-    by ``as_frame``: the frame's own id, else the previous id + 1, else (a
-    leading frame without one) the frame's index. Ids must increase."""
+    by ``as_frame``, numbered by ``_next_frame_id``: a leading frame without
+    an id gets its index. Ids must increase."""
     frame_id = None
-    for idx, dets in enumerate(det_frames):
+    for dets in det_frames:
         frame = as_frame(dets)
-        frame_id = _next_frame_id(frame.frame_id, frame_id, idx)
+        frame_id = _next_frame_id(frame.frame_id, frame_id)
         yield frame_id, frame
 
 
@@ -461,7 +467,8 @@ def track_stream(frames, cfg: TrackerConfig | None = None,
     A frame whose timestamp passes the clock steps by the difference; any
     other frame steps by the previous dt (frame_dt at first), and a frame
     without a timestamp (an empty one from a list or a bare marker)
-    advances the clock by it."""
+    advances the clock by it. A step's ValueError is raised again as
+    ``frame <id>: <message>``."""
     trk = Tracker(cfg, noise)
     clock = dt = None
     for frame_id, frame in frames:
@@ -473,7 +480,10 @@ def track_stream(frames, cfg: TrackerConfig | None = None,
         if ts is None and clock is not None:  # an empty frame, no timestamp
             ts = clock + dt
         clock = ts
-        matches = trk.step(frame, dt, frame_id=frame_id)
+        try:
+            matches = trk.step(frame, dt, frame_id=frame_id)
+        except ValueError as exc:
+            raise ValueError(f"frame {frame_id}: {exc}") from exc
         rows = trk.rows
         out = rows.since_update == 0  # rows are in birth order: ids ascend
         yield frame_id, matches, trk.last_info, list(zip(

@@ -70,6 +70,14 @@ class TestClueWeights:
         with pytest.raises(ValueError):
             ClueWeights(-0.1, 0.5, 0.6)
 
+    @pytest.mark.parametrize("name", ["img", "bev", "head"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, name, value):
+        # a NaN weight gates every stage-1 pair out without a word
+        with pytest.raises(ValueError,
+                           match=f"^{name}: must be a finite number$"):
+            ClueWeights(**{name: value})
+
 
 class TestMultiClueSimilarity:
     def test_identical_states(self):

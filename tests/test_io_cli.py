@@ -231,7 +231,8 @@ class TestDetectionLog:
         assert [fid for fid, _ in bio.iter_detection_frames(path)] == [3, 4, 5]
 
     def test_frame_id_must_increase(self, tmp_path):
-        # two frames with id 5 would read back as one frame of four
+        # two frames with id 5 would read back as one frame of four; the
+        # refusal leaves no log and no .part file
         frames = [replace(as_frame(dets), frame_id=5)
                   for dets in make_dets(n_frames=2)]
         path = tmp_path / "dets.jsonl"
@@ -239,20 +240,18 @@ class TestDetectionLog:
                 "frame 5 does not follow frame 5: frame ids must increase")
                 + "$"):
             bio.write_detections(path, frames)
-        assert [json.loads(line)["frame_id"]
-                for line in path.read_text().splitlines()] == [5, 5]
+        assert list(tmp_path.iterdir()) == []
 
     def test_frame_with_detections_needs_a_timestamp(self, tmp_path):
-        # a record's timestamp is the frame's; the refusal comes before
-        # any record of that frame is written
+        # a record's timestamp is the frame's; the refusal leaves no log
+        # and no .part file
         frames = [as_frame(dets) for dets in make_dets(n_frames=2)]
         frames[1] = replace(frames[1], timestamp=None)
         path = tmp_path / "dets.jsonl"
         with pytest.raises(ValueError, match="^" + re.escape(
                 "frame 1 has detections but no timestamp") + "$"):
             bio.write_detections(path, frames)
-        assert [json.loads(line)["frame_id"]
-                for line in path.read_text().splitlines()] == [0, 0]
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("first,second", [("marker", "marker"),
                                               ("marker", "detection"),
@@ -690,6 +689,58 @@ class TestTrackLog:
             bio.write_track_records(path, records + records[:1])
 
 
+def overflow_log(path, n_frames=3):
+    """A detection log whose gap from frame 0 to frame 1 (1e300 s)
+    overflows the Kalman predict of frame 1; valid as a log."""
+    path.write_text("".join(json.dumps({
+        "frame_id": f, "timestamp": ts, "box": [0, 0, 0.8, 4, 2, 1.6, 0.0],
+        "score": 0.9, "e_img": [1], "e_bev": [1], "e_head": [1]}) + "\n"
+        for f, ts in enumerate([0.0, 1e300, 1.7e308][:n_frames])))
+    return path
+
+
+class TestWholeOrNothing:
+    """A log is written whole or not at all: a writer that fails leaves no
+    .part file, does not create a target that did not exist, and leaves
+    one that existed byte-identical."""
+
+    @staticmethod
+    def _write_detections(tmp_path, out):
+        frames = [replace(as_frame(dets), frame_id=5)
+                  for dets in make_dets(n_frames=2)]
+        with pytest.raises(ValueError, match="frame 5 does not follow"):
+            bio.write_detections(out, frames)
+
+    @staticmethod
+    def _write_track_records(tmp_path, out):
+        rec = {"frame_id": 0, "track_id": 1,
+               "box": Box3D(0, 0, 0.8, 4, 2, 1.6, 0.1), "score": 0.9,
+               "scale_level": 2}
+        with pytest.raises(ValueError, match="duplicate track record"):
+            bio.write_track_records(out, [rec, rec])
+
+    @staticmethod
+    def _track(tmp_path, out):
+        dets = overflow_log(tmp_path / "dets.jsonl")
+        assert main(["track", "--dets", str(dets), "--out", str(out)]) == 1
+
+    @pytest.mark.parametrize("existed", [False, True])
+    @pytest.mark.parametrize("writer", ["_write_detections",
+                                        "_write_track_records", "_track"])
+    def test_failed_write_leaves_the_target_as_it_was(self, tmp_path, writer,
+                                                      existed):
+        out = tmp_path / "out" / "log.jsonl"
+        out.parent.mkdir()
+        old = track_line("0", "7", "0.9").encode() + b"\n"
+        if existed:
+            out.write_bytes(old)
+        getattr(self, writer)(tmp_path, out)
+        assert [p.name for p in out.parent.iterdir()] == (
+            ["log.jsonl"] if existed else [])
+        if existed:
+            assert out.read_bytes() == old
+
+
 class TestConfig:
     def test_default_file_round_trips_defaults(self, tmp_path):
         path = tmp_path / "cfg.yaml"
@@ -1091,6 +1142,19 @@ class TestCliTrackEvaluate:
         assert capsys.readouterr().err == (
             "error: --max-age must be >= 0, got -1\n")
         assert not out.exists()
+
+    def test_overflowing_frame_exit_1_names_it_and_keeps_the_old_log(
+            self, tmp_path, capsys):
+        tracks = tmp_path / "tracks.jsonl"
+        argv = ["track", "--out", str(tracks), "--dets"]
+        assert main(argv + [str(overflow_log(tmp_path / "one.jsonl", 1))]) == 0
+        old = tracks.read_bytes()
+        capsys.readouterr()
+        assert main(argv + [str(overflow_log(tmp_path / "dets.jsonl"))]) == 1
+        assert capsys.readouterr() == ("", "error: frame 1: state must be "
+                                       "finite\n")
+        assert tracks.read_bytes() == old
+        assert not (tmp_path / "tracks.jsonl.part").exists()
 
     def test_malformed_dets_exit_1_names_line(self, tmp_path, capsys):
         dets = tmp_path / "dets.jsonl"

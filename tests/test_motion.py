@@ -36,6 +36,16 @@ class TestNoiseConfig:
         with pytest.raises(ValueError):
             NoiseConfig(meas_yaw_std=-1.0)
 
+    @pytest.mark.parametrize("name", ["process_pos_std", "process_vel_std",
+                                      "meas_pos_std", "meas_dim_std"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, name, value):
+        # the text a config file gives for the key; a NaN std would reach
+        # the first birth as "state must be finite"
+        with pytest.raises(ValueError, match=f"^{name}: must be a finite "
+                           "number$"):
+            NoiseConfig(**{name: value})
+
 
 class TestPredict:
     def test_position_advances_by_velocity(self):

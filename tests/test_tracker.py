@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import math
 import re
 
@@ -79,6 +78,18 @@ class TestLifecycle:
         trk.step([det(0, 0)], dt=0.1, frame_id=4)
         with pytest.raises(ValueError, match="frame 4"):
             trk.step([det(0, 0)], dt=0.1, frame_id=4)
+
+    def test_frame_without_id_is_numbered_as_number_frames_does(self):
+        # one rule: the frame's own id, else 0 for the first frame, else
+        # the previous id + 1
+        f0 = [dataclasses.replace(det(0, 0), frame_id=None)]
+        f1 = [det(0.3, 0, frame_id=1)]
+        assert [f for f, _ in number_frames([f0, f1])] == [0, 1]
+        trk = Tracker()
+        trk.step(f0, dt=0.1)
+        assert trk._last_frame_id == 0
+        assert trk.step(f1, dt=0.1) == [(1, 0)]
+        assert trk._last_frame_id == 1
 
     def test_backward_frame_rejected(self):
         trk = Tracker()
@@ -308,7 +319,20 @@ class TestTrackerConfigRules:
         ({"iou_threshold": 1.5}, "iou_threshold: must be in [0, 1]"),
         ({"init_score_threshold": -0.1},
          "init_score_threshold: must be in [0, 1]"),
-        ({"ema_alpha": math.nan}, "ema_alpha: must be in [0, 1]")])
+        ({"ema_alpha": math.nan}, "ema_alpha: must be in [0, 1]"),
+        # a NaN gate or ratio switched a stage off without a word
+        ({"similarity_gate": math.nan},
+         "similarity_gate: must be a finite number"),
+        ({"similarity_gate": math.inf},
+         "similarity_gate: must be a finite number"),
+        ({"similarity_gate": -math.inf},
+         "similarity_gate: must be a finite number"),
+        ({"buffer_ratios": (math.nan,)},
+         "buffer_ratios: each must be a finite number"),
+        ({"buffer_ratios": (math.inf, 0.5)},
+         "buffer_ratios: each must be a finite number"),
+        ({"buffer_ratios": (0.5, -math.inf)},
+         "buffer_ratios: each must be a finite number")])
     def test_rejects(self, kwargs, message):
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             TrackerConfig(**kwargs)
@@ -440,8 +464,7 @@ class TestDetectionRules:
         path = tmp_path / "dets.jsonl"
         with pytest.raises(ValueError, match=want):
             write_detections(path, frames)
-        records = [json.loads(line) for line in path.read_text().splitlines()]
-        assert [r["frame_id"] for r in records] == [0, 0, 0]
+        assert list(tmp_path.iterdir()) == []  # no log, no .part file
 
     def test_replace_and_direct_construction_are_checked(self):
         frame = DetectionFrame.from_rows(4, 0.4, *frame_rows())
@@ -568,6 +591,12 @@ class TestTrackStream:
         assert [f for f, _ in number_frames(frames)] == [0, 1, 5, 6]
         list(track_stream(number_frames(frames), frame_dt=0.25))
         assert seen == [0.25, 0.5, 2.0, 2.0]
+
+    def test_step_error_names_its_frame(self):
+        frames = [[det(0, 0, frame_id=0)], [det(0, 0, level=7, frame_id=1)]]
+        with pytest.raises(ValueError, match="^" + re.escape(
+                "frame 1: detection scale level 7 outside [0, 5)") + "$"):
+            run_sequence(frames)
 
     def test_outputs_equal_tracklet_snapshots(self):
         # track_stream reads outputs from the rows: same ids, boxes (bitwise),
