@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 1 data error, 2 usage error. The commands raise;
 ``main`` alone turns an error into its exit code and one ``error:`` line:
-a ``UsageError`` gives 2, a ``ValueError`` (``DataError`` and
-``ConfigError`` among them) or a ``FileNotFoundError`` gives 1.
+a ``UsageError`` gives 2, an ``InputError`` (``DataError``,
+``ConfigError``, a frame the tracker refuses, ground truth and tracks
+that do not fit) or a ``FileNotFoundError`` gives 1. Any other exception
+is a fault of the program and ends in its traceback.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from . import metrics as bmetrics
 from . import refiner as bref
 from . import simulator as bsim
 from . import tracker as btrack
+from .geometry import InputError
 
 USAGE_ERROR = 2
 DATA_ERROR = 1
@@ -36,6 +39,7 @@ def _non_negative(flag: str, value: int | None) -> None:
 
 
 def _load_scenario(args) -> bsim.ScenarioConfig:
+    _non_negative("--seed", args.seed)
     if args.suite:
         suites = bsim.standard_suites()
         if args.suite not in suites:
@@ -141,6 +145,7 @@ def _object_prior(path, line_no: int, rec: dict, rng,
 def cmd_refine_demo(args) -> int:
     h, w, c = _parse_grid_spec(args.grid)
     _non_negative("--num-objects", args.num_objects)
+    _non_negative("--seed", args.seed)
     app = bio.load_config(args.config)
     grid_cfg = getattr(app.refiner, args.kind)
     rng = np.random.default_rng(args.seed)
@@ -149,15 +154,17 @@ def cmd_refine_demo(args) -> int:
                                        grid_cfg.scope_radii,
                                        grid_cfg.kernel_sizes)
 
+    priors: list[bref.ObjectPrior] = []
     if args.objects:
-        priors = [_object_prior(args.objects, line_no, rec, rng, (h, w, c))
-                  for line_no, rec in bio._records(args.objects)]
+        for line_no, rec in bio._records(args.objects):
+            priors.append(_object_prior(args.objects, line_no, rec, rng,
+                                        (h, w, c)))
     else:
-        priors = [bref.ObjectPrior(
-            e_cat=rng.normal(size=3 * c),
-            center_cell=(rng.uniform(0, h - 1), rng.uniform(0, w - 1)),
-            footprint=(rng.uniform(1, 4), rng.uniform(1, 4)))
-            for _ in range(args.num_objects)]
+        for _ in range(args.num_objects):
+            priors.append(bref.ObjectPrior(
+                e_cat=rng.normal(size=3 * c),
+                center_cell=(rng.uniform(0, h - 1), rng.uniform(0, w - 1)),
+                footprint=(rng.uniform(1, 4), rng.uniform(1, 4))))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -340,7 +347,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ValueError, FileNotFoundError) as exc:
+    except (UsageError, InputError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR if isinstance(exc, UsageError) else DATA_ERROR
 

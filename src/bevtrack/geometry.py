@@ -57,6 +57,11 @@ def is_number(value, kind) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+class InputError(ValueError):
+    """A ValueError that describes bad input, not a fault of the program:
+    ``bevtrack`` reports it as one ``error:`` line and exit code 1."""
+
+
 def iou_backend() -> str:
     """Name of the IoU kernel; always 'python'."""
     return "python"

@@ -11,8 +11,13 @@ true}``, with ``"timestamp": t`` when the frame has one:
 ``read_detections`` skips it.
 
 The three log writers yield their records to ``_write_records``, which
-writes a log whole or not at all: a writer that raises, on a bad frame or
-a duplicate record, leaves the target as it was and no ``.part`` file.
+writes a log to a regular file whole or not at all: a writer that raises,
+on a bad frame or a duplicate record, leaves the file as it was and no
+``.part`` file. A FIFO or a device such as /dev/stdout is written as a
+stream.
+
+``DataError`` and ``ConfigError`` are ``InputError``s: the CLI reports
+them as one ``error:`` line.
 
 ``_read_yaml`` imports PyYAML on its first call: only config and scenario
 files are YAML, so a job that reads neither does not load it.
@@ -26,12 +31,14 @@ import os
 from dataclasses import dataclass, field, is_dataclass, replace
 from itertools import chain
 from pathlib import Path
+from stat import S_IMODE, S_ISREG
 from typing import (Iterable, Iterator, Sequence, get_args, get_origin,
                     get_type_hints)
 
 import numpy as np
 
-from .geometry import DEFAULT_SCALE_BREAKPOINTS, Box3D, footprint_scale_level
+from .geometry import (DEFAULT_SCALE_BREAKPOINTS, Box3D, InputError,
+                       footprint_scale_level)
 from .metrics import EvalConfig, Pred
 from .motion import NoiseConfig
 from .refiner import RefinerConfig
@@ -40,7 +47,7 @@ from .tracker import (DetectionFrame, TrackerConfig, first_bad_row,
                       number_frames)
 
 
-class DataError(ValueError):
+class DataError(InputError):
     """Malformed record; carries the offending file and line number."""
 
     def __init__(self, path, line_no: int, message: str):
@@ -123,19 +130,41 @@ def _number(record: dict, key: str, path, line_no: int, kind=int,
 
 
 def _write_records(path, records: Iterable[dict]) -> None:
-    """Write each record as one JSON line, whole or not at all: the lines
-    go to the sibling ``<path>.part``, which os.replace moves onto path
-    (a regular file) after the last record. On any error, raised by
-    records or by the write, the ``.part`` is removed and path is left as
-    it was."""
-    part = Path(f"{path}.part")
-    fh = open(part, "w")
+    """Write each record as one JSON line.
+
+    A regular file, new or not, is written whole or not at all by this
+    process: the lines go to a uniquely named ``.part`` file beside the
+    file that path resolves to (through any symlink), which os.replace
+    moves onto that file, with its permission bits, after the last record.
+    A run that fails, by an error of records or of the write, or that is
+    killed before the move, leaves that file as it was; on an error the
+    ``.part`` is removed. The lines are not synced to disk: a crash of the
+    machine soon after the move can leave the file short. Any other
+    existing path, such as a FIFO or /dev/stdout, is written in place as a
+    stream."""
+    lines = (json.dumps(rec) + "\n" for rec in records)
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        st = None
+    stream = st is not None and not S_ISREG(st.st_mode)
+    target = path if stream else os.path.realpath(path)
+    part = target if stream else f"{target}.{os.urandom(4).hex()}.part"
+    try:
+        fh = open(part, "w" if stream else "x")
+    except OSError as exc:  # name the path given, not the .part
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:
         with fh:
-            fh.writelines(json.dumps(rec) + "\n" for rec in records)
-        os.replace(part, path)
+            fh.writelines(lines)
+            if stream:
+                return
+        if st is not None:
+            os.chmod(part, S_IMODE(st.st_mode))
+        os.replace(part, target)
     except BaseException:
-        part.unlink(missing_ok=True)
+        if not stream:
+            os.unlink(part)
         raise
 
 
@@ -147,8 +176,7 @@ def write_detections(path, det_frames) -> None:
     ids checked) by ``number_frames``; a frame's records carry its number
     and timestamp, and so does the marker of an empty frame that has one.
     A frame with detections but no timestamp is a ValueError. The log is
-    written whole or not at all (``_write_records``), so path names a
-    regular file."""
+    written whole or not at all (``_write_records``)."""
 
     def records():
         for frame_id, frame in number_frames(det_frames):
@@ -484,7 +512,7 @@ def write_default_config(path) -> None:
     Path(path).write_text(DEFAULT_CONFIG_TEXT)
 
 
-class ConfigError(ValueError):
+class ConfigError(InputError):
     """Invalid run config or scenario file; names the file and the key."""
 
     def __init__(self, path, key: tuple, message: str):

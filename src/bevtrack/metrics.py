@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Box3D, is_number
+from .geometry import Box3D, InputError, is_number
 from .simulator import GroundTruthFrame
 
 Pred = tuple[int, Box3D, float]  # (track_id, box, score)
@@ -104,7 +104,8 @@ def evaluate(gt_frames: Sequence[GroundTruthFrame],
 
     tracker_output maps frame_id to that frame's predictions. Ground-truth
     frame ids must be unique, gt_ids unique within a frame, and every
-    predicted frame id must exist in the ground truth.
+    predicted frame id must exist in the ground truth; a breach, or ground
+    truth with no visible object, is an ``InputError``.
     """
     cfg = cfg or EvalConfig()
     # ids are any Python int, so they enter the arrays as dense codes
@@ -113,23 +114,24 @@ def evaluate(gt_frames: Sequence[GroundTruthFrame],
     frame_ids: set[int] = set()
     for g in gt_frames:
         if g.frame_id in frame_ids:
-            raise ValueError(f"frame {g.frame_id} repeated in the ground truth")
+            raise InputError(f"frame {g.frame_id} repeated in the ground "
+                             "truth")
         frame_ids.add(g.frame_id)
         seen: set[int] = set()
         for gid, _box, vis in g.objects:
             if gid in seen:
-                raise ValueError(f"gt_id {gid} repeated in frame {g.frame_id}")
+                raise InputError(f"gt_id {gid} repeated in frame {g.frame_id}")
             seen.add(gid)
             if vis:
                 visible_codes.append(gt_code.setdefault(gid, len(gt_code)))
     frame_rank = {f: r for r, f in enumerate(sorted(frame_ids))}
     for frame_id in tracker_output:
         if frame_id not in frame_rank:
-            raise ValueError(f"prediction for unknown frame {frame_id}")
+            raise InputError(f"prediction for unknown frame {frame_id}")
 
     num_gt = len(visible_codes)
     if num_gt == 0:
-        raise ValueError("ground truth is empty; recall is undefined")
+        raise InputError("ground truth is empty; recall is undefined")
     num_preds = sum(len(v) for v in tracker_output.values())
 
     # the TP table of the all-predictions matching, in matching order:

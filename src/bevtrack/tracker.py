@@ -24,8 +24,8 @@ from .association import (AppearanceState, ClueWeights, CostMatrix,
                           build_similarity_matrix, solve_assignment,
                           stack_appearance, unstack_appearance)
 from .geometry import (DEFAULT_SCALE_BREAKPOINTS, RECT_COLUMNS, Box3D,
-                       box_rows, buffered_iou_matrix, footprint_levels,
-                       is_number, wrap_angle)
+                       InputError, box_rows, buffered_iou_matrix,
+                       footprint_levels, is_number, wrap_angle)
 from .motion import KalmanState, NoiseConfig
 
 
@@ -467,8 +467,10 @@ def track_stream(frames, cfg: TrackerConfig | None = None,
     A frame whose timestamp passes the clock steps by the difference; any
     other frame steps by the previous dt (frame_dt at first), and a frame
     without a timestamp (an empty one from a list or a bare marker)
-    advances the clock by it. A step's ValueError is raised again as
-    ``frame <id>: <message>``."""
+    advances the clock by it. A step's plain ValueError is raised again as
+    an ``InputError`` that names the frame, ``frame <id>: <message>``
+    (unless the message starts with ``frame <id>`` already); a subclass of
+    ValueError passes unchanged."""
     trk = Tracker(cfg, noise)
     clock = dt = None
     for frame_id, frame in frames:
@@ -483,7 +485,12 @@ def track_stream(frames, cfg: TrackerConfig | None = None,
         try:
             matches = trk.step(frame, dt, frame_id=frame_id)
         except ValueError as exc:
-            raise ValueError(f"frame {frame_id}: {exc}") from exc
+            if type(exc) is not ValueError:  # a subclass keeps its type
+                raise
+            msg = str(exc)
+            if not msg.startswith(f"frame {frame_id} "):
+                msg = f"frame {frame_id}: {msg}"
+            raise InputError(msg) from exc
         rows = trk.rows
         out = rows.since_update == 0  # rows are in birth order: ids ascend
         yield frame_id, matches, trk.last_info, list(zip(

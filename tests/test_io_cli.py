@@ -1,6 +1,8 @@
 import json
 import math
+import os
 import re
+import stat
 from dataclasses import is_dataclass, replace
 from typing import get_type_hints
 
@@ -740,6 +742,67 @@ class TestWholeOrNothing:
         if existed:
             assert out.read_bytes() == old
 
+    RECORDS = [{"frame_id": 0, "track_id": t,
+                "box": Box3D(0, 0, 0.8, 4, 2, 1.6, 0.1), "score": 0.9,
+                "scale_level": 2} for t in (1, 2)]
+
+    def test_fifo_is_written_as_a_stream(self, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            bio.write_track_records(fifo, self.RECORDS)
+            got = os.read(reader, 1 << 16).decode()
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert [json.loads(line)["track_id"] for line in got.splitlines()] == [
+            1, 2]
+        assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_symlink_writes_its_target(self, tmp_path, fails):
+        (tmp_path / "logs").mkdir()
+        target = tmp_path / "logs" / "log.jsonl"
+        target.write_text("old\n")
+        link = tmp_path / "link.jsonl"
+        link.symlink_to(target)
+        records = self.RECORDS + self.RECORDS[:fails]  # a duplicate fails
+        if fails:
+            with pytest.raises(ValueError, match="duplicate track record"):
+                bio.write_track_records(link, records)
+        else:
+            bio.write_track_records(link, records)
+        assert link.is_symlink() and link.resolve() == target
+        assert sorted(p.name for p in tmp_path.rglob("*")) == [
+            "link.jsonl", "log.jsonl", "logs"]
+        assert (target.read_text() == "old\n") == fails
+
+    def test_replaced_file_keeps_its_permission_bits(self, tmp_path):
+        out = tmp_path / "log.jsonl"
+        out.write_text("old\n")
+        out.chmod(0o640)
+        bio.write_track_records(out, self.RECORDS)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+        assert len(out.read_text().splitlines()) == 2
+
+    def test_another_runs_part_file_is_left_alone(self, tmp_path):
+        # two runs that write one log use .part files of their own
+        out = tmp_path / "log.jsonl"
+        other = tmp_path / "log.jsonl.part"
+        other.write_text("another run's lines\n")
+        bio.write_track_records(out, self.RECORDS)
+        assert other.read_text() == "another run's lines\n"
+        assert len(out.read_text().splitlines()) == 2
+
+    def test_missing_directory_names_the_path_given(self, tmp_path, capsys):
+        dets = overflow_log(tmp_path / "dets.jsonl", 1)
+        out = tmp_path / "nowhere" / "tracks.jsonl"
+        assert main(["track", "--dets", str(dets), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{out}'\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["dets.jsonl"]
+
 
 class TestConfig:
     def test_default_file_round_trips_defaults(self, tmp_path):
@@ -918,6 +981,26 @@ class TestCliSimulate:
         assert len(gt) == 40
         text = capsys.readouterr().out
         assert "seed=101" in text
+
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        assert main(["simulate", "--suite", "basic", "--seed", "-1",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: --seed must be >= 0, got -1\n")
+        assert not out.exists()
+
+    def test_program_fault_keeps_its_traceback(self, tmp_path, monkeypatch,
+                                               capsys):
+        # only an InputError is a data error; a ValueError from a fault of
+        # the program propagates out of main with its traceback
+        def generate(cfg):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr("bevtrack.simulator.generate", generate)
+        with pytest.raises(ValueError, match="^operands could not"):
+            main(["simulate", "--suite", "basic", "--out", str(tmp_path)])
+        assert capsys.readouterr().err == ""
 
     def test_unknown_suite_exit_2_lists_names(self, tmp_path, capsys):
         code = main(["simulate", "--suite", "nope", "--out", str(tmp_path)])
@@ -1154,7 +1237,8 @@ class TestCliTrackEvaluate:
         assert capsys.readouterr() == ("", "error: frame 1: state must be "
                                        "finite\n")
         assert tracks.read_bytes() == old
-        assert not (tmp_path / "tracks.jsonl.part").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "dets.jsonl", "one.jsonl", "tracks.jsonl"]
 
     def test_malformed_dets_exit_1_names_line(self, tmp_path, capsys):
         dets = tmp_path / "dets.jsonl"
@@ -1379,6 +1463,14 @@ class TestCliRefineDemo:
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
             "error: --num-objects must be >= 0, got -3\n")
+        assert not out.exists()
+
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "demo"
+        assert main(["refine-demo", "--grid", "8x8x2", "--seed", "-4",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: --seed must be >= 0, got -4\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("spec", ["0x5x5", "8x8x0", "8x8x-1"])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bevtrack.association import AppearanceState
-from bevtrack.geometry import Box3D
+from bevtrack.geometry import Box3D, InputError
 from bevtrack.io import write_detections
 from bevtrack.metrics import evaluate
 from bevtrack.simulator import ScenarioConfig, SpawnSpec, generate, \
@@ -594,9 +594,26 @@ class TestTrackStream:
 
     def test_step_error_names_its_frame(self):
         frames = [[det(0, 0, frame_id=0)], [det(0, 0, level=7, frame_id=1)]]
-        with pytest.raises(ValueError, match="^" + re.escape(
+        with pytest.raises(InputError, match="^" + re.escape(
                 "frame 1: detection scale level 7 outside [0, 5)") + "$"):
             run_sequence(frames)
+        # a message that names its frame already is not prefixed again
+        pairs = [(5, as_frame([det(0, 0)])), (5, as_frame([det(0, 0)]))]
+        with pytest.raises(InputError, match="^" + re.escape(
+                "frame 5 does not follow frame 5: frame ids must increase")
+                + "$"):
+            list(track_stream(pairs))
+
+    def test_step_error_subclass_keeps_its_type(self, monkeypatch):
+        class Fault(ValueError):
+            pass
+
+        def step(self, *args, **kwargs):
+            raise Fault("not about the input")
+
+        monkeypatch.setattr(Tracker, "step", step)
+        with pytest.raises(Fault, match="^not about the input$"):
+            run_sequence([[det(0, 0)]])
 
     def test_outputs_equal_tracklet_snapshots(self):
         # track_stream reads outputs from the rows: same ids, boxes (bitwise),
