@@ -4,14 +4,18 @@ Exit codes: 0 success, 1 data error, 2 usage error. The commands raise;
 ``main`` alone turns an error into its exit code and one ``error:`` line:
 a ``UsageError`` gives 2, an ``InputError`` (``DataError``,
 ``ConfigError``, a frame the tracker refuses, ground truth and tracks
-that do not fit) or a ``FileNotFoundError`` gives 1. Any other exception
-is a fault of the program and ends in its traceback.
+that do not fit) or an ``OSError`` gives 1. Every ``OSError`` a command
+raises comes from opening, creating or replacing a path the user named,
+or a file under an ``--out`` directory, and its message names that path.
+Any other exception is a fault of the program and ends in its traceback.
+
+Every file a command writes goes through ``io.write_file``, so a regular
+file is written whole or not at all.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -99,8 +103,7 @@ def cmd_evaluate(args) -> int:
     report = bmetrics.evaluate(gt_frames, tracks, app.eval)
     print(bmetrics.format_report(report))
     if args.report:
-        Path(args.report).write_text(json.dumps(report.as_dict(), indent=2)
-                                     + "\n")
+        bio.write_json(args.report, report.as_dict())
         print(f"wrote {args.report}")
     return 0
 
@@ -170,10 +173,10 @@ def cmd_refine_demo(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     refined, levels, masks = bref.refine_grid(grid, priors, maps)
 
-    np.save(out / "input_grid.npy", grid.data)
-    np.save(out / "refined_grid.npy", refined.data)
+    bio.write_array(out / "input_grid.npy", grid.data)
+    bio.write_array(out / "refined_grid.npy", refined.data)
     for mask in masks:
-        np.save(out / f"mask_level_{mask.level}.npy", mask.data)
+        bio.write_array(out / f"mask_level_{mask.level}.npy", mask.data)
 
     in_scope = np.zeros((h, w), dtype=bool)
     summary = {"grid": [h, w, c], "kind": args.kind, "seed": args.seed,
@@ -198,7 +201,7 @@ def cmd_refine_demo(args) -> int:
         }
     else:
         summary["outside_scope"] = None
-    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    bio.write_json(out / "summary.json", summary)
     print(f"wrote masks, grids and summary to {out}")
     return 0
 
@@ -261,7 +264,7 @@ def cmd_ablate(args) -> int:
               f"{_flag(row['cascade']):>4} | {cells} | "
               f"{row['mean_amota']:8.4f}")
     if args.out:
-        Path(args.out).write_text(json.dumps(rows, indent=2) + "\n")
+        bio.write_json(args.out, rows)
         print(f"wrote {args.out}")
     return 0
 
@@ -347,7 +350,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, InputError, FileNotFoundError) as exc:
+    except (UsageError, InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR if isinstance(exc, UsageError) else DATA_ERROR
 

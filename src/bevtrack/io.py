@@ -10,11 +10,13 @@ true}``, with ``"timestamp": t`` when the frame has one:
 ``iter_detection_frames`` yields it as an empty ``DetectionFrame``,
 ``read_detections`` skips it.
 
-The three log writers yield their records to ``_write_records``, which
-writes a log to a regular file whole or not at all: a writer that raises,
-on a bad frame or a duplicate record, leaves the file as it was and no
-``.part`` file. A FIFO or a device such as /dev/stdout is written as a
-stream.
+Every file a command writes goes through ``write_file``, which writes a
+regular file whole or not at all: the logs (whose three writers yield
+their records to ``_write_records`` as JSON lines), the JSON reports
+(``write_json``), the arrays of ``refine-demo`` (``write_array``) and the
+default config. A writer that raises, on a bad frame or a duplicate
+record, leaves the file as it was and no ``.part`` file. A FIFO or a
+device such as /dev/stdout is written as a stream.
 
 ``DataError`` and ``ConfigError`` are ``InputError``s: the CLI reports
 them as one ``error:`` line.
@@ -29,6 +31,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, is_dataclass, replace
+from io import BytesIO
 from itertools import chain
 from pathlib import Path
 from stat import S_IMODE, S_ISREG
@@ -129,20 +132,19 @@ def _number(record: dict, key: str, path, line_no: int, kind=int,
     raise DataError(path, line_no, f"{key} must be {what}")
 
 
-def _write_records(path, records: Iterable[dict]) -> None:
-    """Write each record as one JSON line.
+def write_file(path, chunks: Iterable[bytes]) -> None:
+    """Write the chunks, in order, as the file's bytes.
 
     A regular file, new or not, is written whole or not at all by this
-    process: the lines go to a uniquely named ``.part`` file beside the
+    process: the chunks go to a uniquely named ``.part`` file beside the
     file that path resolves to (through any symlink), which os.replace
-    moves onto that file, with its permission bits, after the last record.
-    A run that fails, by an error of records or of the write, or that is
+    moves onto that file, with its permission bits, after the last chunk.
+    A run that fails, by an error of chunks or of the write, or that is
     killed before the move, leaves that file as it was; on an error the
-    ``.part`` is removed. The lines are not synced to disk: a crash of the
+    ``.part`` is removed. The bytes are not synced to disk: a crash of the
     machine soon after the move can leave the file short. Any other
     existing path, such as a FIFO or /dev/stdout, is written in place as a
-    stream."""
-    lines = (json.dumps(rec) + "\n" for rec in records)
+    stream. An OSError of the open names the path given."""
     try:
         st = os.stat(path)
     except FileNotFoundError:
@@ -151,12 +153,12 @@ def _write_records(path, records: Iterable[dict]) -> None:
     target = path if stream else os.path.realpath(path)
     part = target if stream else f"{target}.{os.urandom(4).hex()}.part"
     try:
-        fh = open(part, "w" if stream else "x")
+        fh = open(part, "wb" if stream else "xb")
     except OSError as exc:  # name the path given, not the .part
         raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:
         with fh:
-            fh.writelines(lines)
+            fh.writelines(chunks)
             if stream:
                 return
         if st is not None:
@@ -166,6 +168,23 @@ def _write_records(path, records: Iterable[dict]) -> None:
         if not stream:
             os.unlink(part)
         raise
+
+
+def _write_records(path, records: Iterable[dict]) -> None:
+    """Write each record as one JSON line, by ``write_file``."""
+    write_file(path, ((json.dumps(rec) + "\n").encode() for rec in records))
+
+
+def write_json(path, obj) -> None:
+    """obj as indented JSON and a newline, by ``write_file``."""
+    write_file(path, [(json.dumps(obj, indent=2) + "\n").encode()])
+
+
+def write_array(path, array) -> None:
+    """array as one ``.npy`` file (``np.save``'s bytes), by ``write_file``."""
+    buf = BytesIO()
+    np.save(buf, array)
+    write_file(path, [buf.getbuffer()])
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +528,7 @@ scale_breakpoints: [1.0, 4.0, 12.0, 30.0]
 
 
 def write_default_config(path) -> None:
-    Path(path).write_text(DEFAULT_CONFIG_TEXT)
+    write_file(path, [DEFAULT_CONFIG_TEXT.encode()])
 
 
 class ConfigError(InputError):

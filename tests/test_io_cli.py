@@ -726,9 +726,19 @@ class TestWholeOrNothing:
         dets = overflow_log(tmp_path / "dets.jsonl")
         assert main(["track", "--dets", str(dets), "--out", str(out)]) == 1
 
+    @staticmethod
+    def _write_file(tmp_path, out):
+        def chunks():
+            yield b"new bytes\n"
+            raise RuntimeError("no second chunk")
+
+        with pytest.raises(RuntimeError, match="no second chunk"):
+            bio.write_file(out, chunks())
+
     @pytest.mark.parametrize("existed", [False, True])
     @pytest.mark.parametrize("writer", ["_write_detections",
-                                        "_write_track_records", "_track"])
+                                        "_write_track_records", "_track",
+                                        "_write_file"])
     def test_failed_write_leaves_the_target_as_it_was(self, tmp_path, writer,
                                                       existed):
         out = tmp_path / "out" / "log.jsonl"
@@ -785,6 +795,46 @@ class TestWholeOrNothing:
         bio.write_track_records(out, self.RECORDS)
         assert stat.S_IMODE(out.stat().st_mode) == 0o640
         assert len(out.read_text().splitlines()) == 2
+
+    def test_symlinked_report_replaces_its_target(self, tmp_path, capsys):
+        gt, tracks = tmp_path / "gt.jsonl", tmp_path / "tracks.jsonl"
+        gt.write_text(gt_line(0, 1, 0.0) + "\n")
+        tracks.write_text(track_line(0, 1, 0.9) + "\n")
+        (tmp_path / "reports").mkdir()
+        target = tmp_path / "reports" / "report.json"
+        target.write_text("old\n")
+        old = tmp_path / "old.json"  # a second name of the old file
+        os.link(target, old)
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        assert main(["evaluate", "--gt", str(gt), "--tracks", str(tracks),
+                     "--report", str(link)]) == 0
+        assert link.is_symlink() and link.resolve() == target
+        assert json.loads(target.read_text())["amota"] == 1.0
+        assert old.read_text() == "old\n"  # replaced whole, not rewritten
+        assert sorted(p.name for p in tmp_path.rglob("*")) == [
+            "gt.jsonl", "link.json", "old.json", "report.json", "reports",
+            "tracks.jsonl"]
+
+    def test_init_config_keeps_the_permission_bits(self, tmp_path):
+        out = tmp_path / "cfg.yaml"
+        out.write_text("old\n")
+        out.chmod(0o640)
+        old = tmp_path / "old.yaml"  # a second name of the old file
+        os.link(out, old)
+        assert main(["init-config", "--out", str(out)]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+        assert out.read_text() == bio.DEFAULT_CONFIG_TEXT
+        assert old.read_text() == "old\n"  # replaced whole, not rewritten
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "cfg.yaml", "old.yaml"]
+
+    def test_write_array_writes_the_bytes_of_np_save(self, tmp_path):
+        array = np.arange(12.0).reshape(3, 4)
+        np.save(tmp_path / "saved.npy", array)
+        bio.write_array(tmp_path / "written.npy", array)
+        assert ((tmp_path / "written.npy").read_bytes()
+                == (tmp_path / "saved.npy").read_bytes())
 
     def test_another_runs_part_file_is_left_alone(self, tmp_path):
         # two runs that write one log use .part files of their own
@@ -1069,7 +1119,8 @@ class TestCliSimulate:
         ("size_classes: {car: [0, 1, 1]}",
          "size_classes dims of car must be > 0"),
         ("score_range: [0.5, 1.5]", "score_range must lie in [0, 1]"),
-        ("fp_score_range: [-0.1, 0.5]", "fp_score_range must lie in [0, 1]")])
+        ("fp_score_range: [-0.1, 0.5]", "fp_score_range must lie in [0, 1]"),
+        ("seed: -1", "seed must be >= 0")])
     def test_out_of_range_scenario_exits_1(self, tmp_path, capsys, text,
                                            message):
         # message is the key, a space and the start of its rule's text
@@ -1515,3 +1566,43 @@ class TestCliMisc:
     def test_missing_input_file_exit_1(self, tmp_path):
         assert main(["track", "--dets", str(tmp_path / "nope.jsonl"),
                      "--out", str(tmp_path / "t.jsonl")]) == 1
+
+
+class TestCliFileErrors:
+    """A path that cannot be read, created or replaced exits 1 with one
+    error: line that names it, and nothing is written."""
+
+    CASES = {
+        "track-out-dir": "track --dets DETS --out DIR",
+        "evaluate-report-dir": "evaluate --gt GT --tracks TRACKS --report DIR",
+        "ablate-out-dir": "ablate --suites basic --out DIR",
+        "init-config-out-dir": "init-config --out DIR",
+        "simulate-out-file": "simulate --suite basic --out FILE",
+        "refine-demo-out-file": "refine-demo --grid 8x8x2 --out FILE",
+        "track-dets-dir": "track --dets DIR --out OUT",
+        "track-config-dir": "track --dets DETS --config DIR --out OUT",
+        "refine-demo-objects-dir": "refine-demo --grid 8x8x2 --objects DIR "
+                                   "--out OUT",
+        "evaluate-gt-dir": "evaluate --gt DIR --tracks TRACKS",
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_unusable_path_exit_1_names_it(self, tmp_path, capsys, case):
+        paths = {"DETS": overflow_log(tmp_path / "dets.jsonl", 1),
+                 "GT": tmp_path / "gt.jsonl",
+                 "TRACKS": tmp_path / "tracks.jsonl",
+                 "DIR": tmp_path / "dir", "FILE": tmp_path / "file",
+                 "OUT": tmp_path / "out"}
+        paths["GT"].write_text(gt_line(0, 1, 0.0) + "\n")
+        paths["TRACKS"].write_text(track_line(0, 1, 0.9) + "\n")
+        paths["DIR"].mkdir()
+        paths["FILE"].write_text("kept\n")
+        before = sorted(tmp_path.rglob("*"))
+        words = self.CASES[case].split()
+        assert main([str(paths.get(word, word)) for word in words]) == 1
+        named = paths["DIR" if "DIR" in words else "FILE"]
+        assert re.fullmatch(rf"error: \[Errno \d+\] [^\n]+: "
+                            rf"'{re.escape(str(named))}'\n",
+                            capsys.readouterr().err)
+        assert sorted(tmp_path.rglob("*")) == before
+        assert paths["FILE"].read_text() == "kept\n"

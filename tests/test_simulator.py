@@ -156,6 +156,29 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ScenarioConfig(pos_std=-0.1)
 
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"seed": -1}, "seed"),
+        ({"pos_std": math.nan}, "pos_std"),
+        ({"frame_dt": math.inf}, "frame_dt"),
+        ({"fp_rate": math.inf}, "fp_rate"),
+        ({"speed_range": (math.nan, 1.0)}, "speed_range"),
+        ({"arena": (60.0, math.nan)}, "arena"),
+        ({"score_range": (math.nan, 1.0)}, "score_range"),
+        ({"size_classes": {"car": (4.5, 1.9, math.inf)}}, "size_classes"),
+        ({"num_objects": 2, "companions": ((0, 1, math.nan),)},
+         "companions")])
+    def test_rejects_negative_seed_and_non_finite_values(self, kwargs, field):
+        # each is refused where it is given, not later by generate
+        with pytest.raises(ValueError, match=f"^{field}: must be "):
+            ScenarioConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", ["x", "heading", "turn_rate"])
+    def test_spawn_spec_rejects_non_finite_values(self, field):
+        values = {"x": 0.0, "y": 0.0, "heading": 0.0, "speed": 1.0,
+                  field: math.nan}
+        with pytest.raises(ValueError, match=f"^{field}: must be finite"):
+            SpawnSpec(**values)
+
     def test_object_classes_length_checked(self):
         with pytest.raises(ValueError):
             generate(ScenarioConfig(num_objects=3,
