@@ -12,11 +12,12 @@ which never assign (refining, simulating, evaluating) do not load
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+from .geometry import check_fields
 
 # Entries above any reachable cost; used to steer the solver away from
 # gated-out pairs, which are dropped from its output afterwards.
@@ -62,10 +63,9 @@ class ClueWeights:
     head: float = 1.0 / 3.0
 
     def __post_init__(self):
-        for name in ("img", "bev", "head"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name}: must be a finite number")
-            if getattr(self, name) < 0:
+        check_fields(self)
+        for name, weight in vars(self).items():
+            if weight < 0:
                 raise ValueError(f"{name}: must be >= 0")
         if self.img + self.bev + self.head <= 0:
             raise ValueError("clue weights must not all be zero")

@@ -96,15 +96,29 @@ def cmd_track(args) -> int:
     return 0
 
 
+def _write_or_run(path, chunks) -> None:
+    """Write the chunks to path by ``io.write_file``, which opens its
+    target before it pulls the first chunk, so a bad path fails before the
+    work that makes them; without a path, run that work alone."""
+    if path:
+        bio.write_file(path, chunks)
+        print(f"wrote {path}")
+    else:
+        for _ in chunks:
+            pass
+
+
 def cmd_evaluate(args) -> int:
     app = bio.load_config(args.config)
-    gt_frames = bio.read_ground_truth(args.gt)
-    tracks = bio.read_tracks(args.tracks)
-    report = bmetrics.evaluate(gt_frames, tracks, app.eval)
-    print(bmetrics.format_report(report))
-    if args.report:
-        bio.write_json(args.report, report.as_dict())
-        print(f"wrote {args.report}")
+
+    def report():
+        gt_frames = bio.read_ground_truth(args.gt)
+        tracks = bio.read_tracks(args.tracks)
+        report = bmetrics.evaluate(gt_frames, tracks, app.eval)
+        print(bmetrics.format_report(report))
+        yield bio.json_bytes(report.as_dict())
+
+    _write_or_run(args.report, report())
     return 0
 
 
@@ -201,7 +215,7 @@ def cmd_refine_demo(args) -> int:
         }
     else:
         summary["outside_scope"] = None
-    bio.write_json(out / "summary.json", summary)
+    bio.write_file(out / "summary.json", [bio.json_bytes(summary)])
     print(f"wrote masks, grids and summary to {out}")
     return 0
 
@@ -249,23 +263,25 @@ def cmd_ablate(args) -> int:
         raise UsageError(f"unknown suites {unknown}; valid: {sorted(suites)}")
     _non_negative("--max-age", args.max_age)
     app = bio.load_config(args.config)
-    rows = run_ablation(names, app, args.max_age)
 
     def _flag(v):
         return " on" if v else "off"
 
-    header = f"{'MC':>4} {'Buff':>4} {'Casc':>4} | " + " ".join(
-        f"{n[:12]:>12}" for n in names) + f" | {'mean':>8}"
-    print(header)
-    print("-" * len(header))
-    for row in rows:
-        cells = " ".join(f"{row['per_suite'][n]['amota']:12.4f}" for n in names)
-        print(f"{_flag(row['multi_clue']):>4} {_flag(row['buffer']):>4} "
-              f"{_flag(row['cascade']):>4} | {cells} | "
-              f"{row['mean_amota']:8.4f}")
-    if args.out:
-        bio.write_json(args.out, rows)
-        print(f"wrote {args.out}")
+    def table():
+        rows = run_ablation(names, app, args.max_age)
+        header = f"{'MC':>4} {'Buff':>4} {'Casc':>4} | " + " ".join(
+            f"{n[:12]:>12}" for n in names) + f" | {'mean':>8}"
+        print(header)
+        print("-" * len(header))
+        for row in rows:
+            cells = " ".join(f"{row['per_suite'][n]['amota']:12.4f}"
+                             for n in names)
+            print(f"{_flag(row['multi_clue']):>4} {_flag(row['buffer']):>4} "
+                  f"{_flag(row['cascade']):>4} | {cells} | "
+                  f"{row['mean_amota']:8.4f}")
+        yield bio.json_bytes(rows)
+
+    _write_or_run(args.out, table())
     return 0
 
 

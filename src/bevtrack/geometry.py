@@ -41,13 +41,23 @@ most the rounded ``reach * reach``, so the exact ``|ax - bx|`` is at most
 sum each round once), below ``half``. The bounds ``ax -+ half`` are rounded
 too, but rounding is monotone: a float bx within the exact bounds is also
 within the rounded ones. So the candidates equal the dense test's pairs.
+
+The module also holds the input rules every other module shares:
+``is_number``, ``InputError``, and ``typed``, the one kind check of a
+config value. Every config dataclass starts its ``__post_init__`` with
+``check_fields``, which runs each field through ``typed`` by its type
+hint, and keeps only its range rules after it; ``io`` reads the YAML
+files through ``typed`` too, so the library and the files refuse the same
+kinds with the same ``FieldError`` messages.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Sequence
+import numbers
+from dataclasses import dataclass, is_dataclass, replace
+from functools import cache
+from typing import Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -60,6 +70,97 @@ def is_number(value, kind) -> bool:
 class InputError(ValueError):
     """A ValueError that describes bad input, not a fault of the program:
     ``bevtrack`` reports it as one ``error:`` line and exit code 1."""
+
+
+class FieldError(ValueError):
+    """A config value that breaks a kind or range rule: ``where`` is the
+    path of keys to it (empty for the whole value), ``message`` the rule."""
+
+    def __init__(self, where: tuple, message: str):
+        super().__init__(f"{'.'.join(map(str, where))}: {message}" if where
+                         else message)
+        self.where, self.message = where, message
+
+
+_KINDS = {int: (numbers.Integral, "must be an integer"),
+          float: (numbers.Real, "must be a finite number"),
+          bool: (bool, "must be true or false"),
+          str: (str, "must be a string")}
+
+
+def typed(value, hint, where: tuple = (), default=None):
+    """value as the kind its type hint names, from Python or from YAML: the
+    one kind check of every config value.
+
+    An ``int`` takes an Integral and a ``float`` a Real whose float is
+    finite, neither a bool, and each gives the plain Python number; a
+    ``bool`` takes True or False and a ``str`` a string. A tuple takes a
+    list or a tuple, of the hint's length unless it ends in ``...``, and
+    gives a tuple; a dict takes a dict; ``X | None`` takes None or an X. A
+    dataclass takes an instance as it is, or a mapping of its fields: the
+    given ones replace those of default, and null keeps default; without a
+    default it is built from the given fields alone. An unknown key, a
+    missing field and a rule of the dataclass raise FieldError too, a rule
+    message "field: ..." at that field. Any other hint (an array) takes
+    the value as it is, for its class to check.
+    """
+    if hint in _KINDS:
+        kind, message = _KINDS[hint]
+        try:
+            if type(value) is hint or is_number(value, kind):
+                value = hint(value)
+                if hint is not float or math.isfinite(value):
+                    return value
+        except OverflowError:  # an int beyond the float range
+            pass
+        raise FieldError(where, message)
+    origin, args = get_origin(hint), get_args(hint)
+    if type(None) in args:  # X | None
+        return None if value is None else typed(value, args[0], where)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise FieldError(where, "must be a list")
+        items = args[:1] * len(value) if args[-1] is Ellipsis else args
+        if len(items) != len(value):
+            raise FieldError(where, f"must have {len(items)} entries")
+        return tuple(typed(v, h, where) for v, h in zip(value, items))
+    if origin is dict:
+        if not isinstance(value, dict):
+            raise FieldError(where, "must be a mapping")
+        return {typed(k, args[0], where + (k,)):
+                typed(v, args[1], where + (k,)) for k, v in value.items()}
+    if not is_dataclass(hint):
+        return value  # an array, which its class checks
+    if isinstance(value, hint) or value is None and default is not None:
+        return default if value is None else value
+    if not isinstance(value, dict):
+        raise FieldError(where, "must be a mapping")
+    hints = _field_hints(hint)
+    for k in value:
+        if k not in hints:
+            raise FieldError(where + (k,), "unknown key")
+    given = {k: typed(v, hints[k], where + (k,), getattr(default, k, None))
+             for k, v in value.items()}
+    try:
+        return hint(**given) if default is None else replace(default, **given)
+    except (TypeError, ValueError) as exc:  # a missing field, a rule
+        name, sep, rest = str(exc).partition(": ")
+        if sep and name in hints:
+            raise FieldError(where + (name,), rest) from exc
+        raise FieldError(where, str(exc)) from exc
+
+
+_field_hints = cache(get_type_hints)
+
+
+def check_fields(config) -> None:
+    """Run each field of a config dataclass through ``typed`` by its type
+    hint and keep what ``typed`` gives, so a config holds plain numbers and
+    tuples however it was built. Every config's ``__post_init__`` starts
+    with it; the config's range rules follow."""
+    for name, hint in _field_hints(type(config)).items():
+        object.__setattr__(config, name,
+                           typed(getattr(config, name), hint, (name,)))
 
 
 def iou_backend() -> str:

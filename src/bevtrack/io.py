@@ -13,10 +13,19 @@ true}``, with ``"timestamp": t`` when the frame has one:
 Every file a command writes goes through ``write_file``, which writes a
 regular file whole or not at all: the logs (whose three writers yield
 their records to ``_write_records`` as JSON lines), the JSON reports
-(``write_json``), the arrays of ``refine-demo`` (``write_array``) and the
+(``json_bytes``), the arrays of ``refine-demo`` (``write_array``) and the
 default config. A writer that raises, on a bad frame or a duplicate
 record, leaves the file as it was and no ``.part`` file. A FIFO or a
 device such as /dev/stdout is written as a stream.
+
+The run config and scenario files are YAML: ``load_config`` and
+``load_scenario`` read one into ``AppConfig`` or ``ScenarioConfig`` by
+``geometry.typed``, the same kind check each config runs on its own fields,
+so a file and a library caller are refused the same values with the same
+messages; a file's ``ConfigError`` adds the path and the section. Plain
+scalars follow YAML 1.1, except that an exponent float without a dot or
+without an exponent sign (``1e-6``, ``-1e9``, ``.5e3``) is a float, not a
+string. Record numbers (``_number``) follow the same ``typed`` rule.
 
 ``DataError`` and ``ConfigError`` are ``InputError``s: the CLI reports
 them as one ``error:`` line.
@@ -28,20 +37,19 @@ files are YAML, so a job that reads neither does not load it.
 from __future__ import annotations
 
 import json
-import math
 import os
-from dataclasses import dataclass, field, is_dataclass, replace
+import re
+from dataclasses import dataclass, field, replace
 from io import BytesIO
 from itertools import chain
 from pathlib import Path
 from stat import S_IMODE, S_ISREG
-from typing import (Iterable, Iterator, Sequence, get_args, get_origin,
-                    get_type_hints)
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .geometry import (DEFAULT_SCALE_BREAKPOINTS, Box3D, InputError,
-                       footprint_scale_level)
+from .geometry import (DEFAULT_SCALE_BREAKPOINTS, Box3D, FieldError,
+                       InputError, check_fields, footprint_scale_level, typed)
 from .metrics import EvalConfig, Pred
 from .motion import NoiseConfig
 from .refiner import RefinerConfig
@@ -117,19 +125,15 @@ def _require(record: dict, key: str, path, line_no: int):
 
 def _number(record: dict, key: str, path, line_no: int, kind=int,
             default=None):
-    """record[key] as a JSON integer (kind int) or as a finite JSON number
-    converted to float (kind float). A missing key gives the default, or a
-    DataError when there is none."""
+    """record[key] as kind (int or float) by the rule of ``typed``: a JSON
+    integer, or a finite JSON number converted to float. A missing key
+    gives the default, or a DataError when there is none."""
     value = (_require(record, key, path, line_no) if default is None
              else record.get(key, default))
     try:
-        if type(value) is int or (kind is float and type(value) is float
-                                  and math.isfinite(value)):
-            return kind(value)
-    except OverflowError:  # an integer beyond the float range
-        pass
-    what = "an integer" if kind is int else "a finite number"
-    raise DataError(path, line_no, f"{key} must be {what}")
+        return typed(value, kind)
+    except FieldError as exc:
+        raise DataError(path, line_no, f"{key} {exc}") from None
 
 
 def write_file(path, chunks: Iterable[bytes]) -> None:
@@ -175,9 +179,9 @@ def _write_records(path, records: Iterable[dict]) -> None:
     write_file(path, ((json.dumps(rec) + "\n").encode() for rec in records))
 
 
-def write_json(path, obj) -> None:
-    """obj as indented JSON and a newline, by ``write_file``."""
-    write_file(path, [(json.dumps(obj, indent=2) + "\n").encode()])
+def json_bytes(obj) -> bytes:
+    """obj as indented JSON and a newline: the bytes of each JSON report."""
+    return (json.dumps(obj, indent=2) + "\n").encode()
 
 
 def write_array(path, array) -> None:
@@ -469,6 +473,7 @@ class AppConfig:
     scale_breakpoints: tuple[float, ...] = DEFAULT_SCALE_BREAKPOINTS
 
     def __post_init__(self):
+        check_fields(self)
         edges = self.scale_breakpoints
         if any(a >= b for a, b in zip(edges, edges[1:])):
             raise ValueError("scale_breakpoints: must be strictly increasing, "
@@ -539,88 +544,44 @@ class ConfigError(InputError):
         super().__init__(f"{path}: {where}: {message}")
 
 
+# YAML 1.1 reads a float only with a dot and a signed exponent; this
+# resolver reads the other exponent floats too (1e-6, -1e9, .5e3).
+_EXPONENT_FLOAT = re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?"
+                             r"|\.[0-9][0-9_]*)[eE][-+]?[0-9]+$")
+
+
 def _read_yaml(path):
     import yaml
 
+    class Loader(yaml.SafeLoader):
+        pass
+
+    Loader.add_implicit_resolver("tag:yaml.org,2002:float", _EXPONENT_FLOAT,
+                                 list("-+.0123456789"))
     try:
-        return yaml.safe_load(Path(path).read_text())
+        return yaml.load(Path(path).read_text(), Loader)
     except yaml.YAMLError as exc:
         raise ConfigError(path, (), f"invalid YAML: {exc}") from exc
 
 
-def _typed(value, hint, path, key: tuple = (), default=None):
-    """value checked against a type hint of AppConfig or ScenarioConfig.
-
-    A dataclass takes a mapping of its fields; the given ones replace
-    those of default, and null keeps default. Without a default it is
-    built from the given fields alone. A rule message "field: ..." of a
-    dataclass names key.field, any other message the key. A dict takes a
-    mapping, a tuple a list (of the hint's length unless it ends in ...),
-    str a string, bool true or false, and int or float a number by the
-    rule of _number.
-    """
-    origin, args = get_origin(hint), get_args(hint)
-    if type(None) in args:  # X | None
-        return None if value is None else _typed(value, args[0], path, key)
-    if is_dataclass(hint) and value is None and default is not None:
-        return default
-    if is_dataclass(hint) or origin is dict:
-        if not isinstance(value, dict):
-            raise ConfigError(path, key, "must be a mapping")
-        if origin is dict:
-            return {_typed(k, args[0], path, key + (k,)):
-                    _typed(v, args[1], path, key + (k,))
-                    for k, v in value.items()}
-        hints = get_type_hints(hint)
-        for k in value:
-            if k not in hints:
-                raise ConfigError(path, key + (k,), "unknown key")
-        given = {k: _typed(v, hints[k], path, key + (k,),
-                           getattr(default, k, None))
-                 for k, v in value.items()}
-        try:
-            return (hint(**given) if default is None
-                    else replace(default, **given))
-        except (TypeError, ValueError) as exc:  # a missing field, a rule
-            name, sep, rest = str(exc).partition(": ")
-            where, message = ((key + (name,), rest) if sep and name in hints
-                              else (key, str(exc)))
-            raise ConfigError(path, where, message) from exc
-    if origin is tuple:
-        if not isinstance(value, list):
-            raise ConfigError(path, key, "must be a list")
-        items = args[:1] * len(value) if args[-1] is Ellipsis else args
-        if len(items) != len(value):
-            raise ConfigError(path, key, f"must have {len(items)} entries")
-        return tuple(_typed(v, h, path, key) for v, h in zip(value, items))
-    if hint in (str, bool):
-        if type(value) is not hint:
-            raise ConfigError(path, key, "must be a string" if hint is str
-                              else "must be true or false")
-        return value
-    try:  # YAML 1.1 reads 1e-6 and -1e9 (no dot) as strings
-        if hint is float and type(value) is str:
-            value = float(value)
-        return _number({"value": value}, "value", path, 0, hint)
-    except ValueError:  # float() of a non-number, or _number's DataError
-        raise ConfigError(path, key, "must be an integer" if hint is int
-                          else "must be a finite number") from None
+def _load(path, cls):
+    """The YAML file as cls by ``typed``; omitted keys keep cls's defaults.
+    Unknown keys, values of the wrong kind and values cls rejects are
+    ConfigErrors naming the file and the key."""
+    try:
+        return typed(_read_yaml(path), cls, default=cls())
+    except FieldError as exc:
+        raise ConfigError(path, exc.where, exc.message) from exc
 
 
 def load_config(path=None) -> AppConfig:
-    """Load a YAML run config; omitted keys keep AppConfig's defaults. Any
-    invalid value is a ConfigError naming the file and the section.key."""
-    if path is None:
-        return AppConfig()
-    return _typed(_read_yaml(path), AppConfig, path, default=AppConfig())
+    """Load a YAML run config (``_load``); no path gives the defaults."""
+    return AppConfig() if path is None else _load(path, AppConfig)
 
 
 # ---------------------------------------------------------------------------
 # scenario files
 
 def load_scenario(path) -> ScenarioConfig:
-    """Load a scenario YAML; omitted keys keep ScenarioConfig's defaults.
-    Unknown keys, values of the wrong kind and values ScenarioConfig
-    rejects are ConfigErrors naming the file and the key."""
-    return _typed(_read_yaml(path), ScenarioConfig, path,
-                  default=ScenarioConfig())
+    """Load a scenario YAML (``_load``)."""
+    return _load(path, ScenarioConfig)

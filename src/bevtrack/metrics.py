@@ -19,13 +19,12 @@ truth rows (occluded objects) are excluded from evaluation.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .geometry import Box3D, InputError, is_number
+from .geometry import Box3D, InputError, check_fields
 from .simulator import GroundTruthFrame
 
 Pred = tuple[int, Box3D, float]  # (track_id, box, score)
@@ -37,12 +36,9 @@ class EvalConfig:
     recall_thresholds: int = 40
 
     def __post_init__(self):
-        if not is_number(self.recall_thresholds, numbers.Integral):
-            raise ValueError("recall_thresholds: must be an integer")
+        check_fields(self)
         if not self.match_distance > 0:
             raise ValueError("match_distance: must be > 0")
-        if not math.isfinite(self.match_distance):
-            raise ValueError("match_distance: must be a finite number")
         if self.recall_thresholds < 1:
             raise ValueError("recall_thresholds: must be >= 1")
 

@@ -25,12 +25,11 @@ are errors.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Box3D, box_rows, wrap_angle
+from .geometry import Box3D, box_rows, check_fields, wrap_angle
 
 STATE_DIM = 10
 MEAS_DIM = 7
@@ -62,12 +61,9 @@ class NoiseConfig:
     meas_dim_std: float = 0.1
 
     def __post_init__(self):
-        for name in ("process_pos_std", "process_vel_std", "process_yaw_std",
-                     "process_dim_std", "meas_pos_std", "meas_yaw_std",
-                     "meas_dim_std"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name}: must be a finite number")
-            if getattr(self, name) <= 0:
+        check_fields(self)
+        for name, std in vars(self).items():
+            if std <= 0:
                 raise ValueError(f"{name}: must be strictly positive")
 
     def process_var(self) -> np.ndarray:

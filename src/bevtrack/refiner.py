@@ -43,7 +43,7 @@ import numpy as np
 from scipy.ndimage import uniform_filter1d
 from scipy.sparse import csr_matrix, get_index_dtype
 
-from .geometry import is_number
+from .geometry import check_fields, is_number
 
 # Grid rows in one tile of refine_features and temporal_fuse.
 _TILE_ROWS = 16
@@ -61,8 +61,7 @@ class RefinerGridConfig:
     kernel_sizes: tuple[int, ...]
 
     def __post_init__(self):
-        if not is_number(self.num_levels, numbers.Integral):
-            raise ValueError("num_levels: must be an integer")
+        check_fields(self)
         if self.num_levels < 1:
             raise ValueError("num_levels: must be >= 1")
         for name in ("scope_radii", "kernel_sizes"):
@@ -70,18 +69,14 @@ class RefinerGridConfig:
             if n != self.num_levels:
                 raise ValueError(
                     f"{name}: {n} entries for {self.num_levels} levels")
-        if not all(is_number(r, numbers.Real) for r in self.scope_radii):
-            raise ValueError("scope_radii: each must be a real number")
-        if not all(0 < r < math.inf for r in self.scope_radii):
+        if min(self.scope_radii) <= 0:
             raise ValueError("scope_radii: each must be finite and > 0")
         _check_kernel_sizes(self.kernel_sizes)
 
 
 def _check_kernel_sizes(kernel_sizes: Sequence[int]) -> None:
-    """The rule of a smoothing kernel size: an integer (not a bool), odd
-    and >= 1. Raises ValueError naming the field."""
-    if not all(is_number(k, numbers.Integral) for k in kernel_sizes):
-        raise ValueError("kernel_sizes: each must be an integer")
+    """The range rule of a smoothing kernel size: odd and >= 1. Raises
+    ValueError naming the field."""
     if any(k < 1 or k % 2 == 0 for k in kernel_sizes):
         raise ValueError("kernel_sizes: each must be odd and >= 1")
 
@@ -97,6 +92,9 @@ class RefinerConfig:
 
     image: RefinerGridConfig = DEFAULT_IMAGE_GRID
     bev: RefinerGridConfig = DEFAULT_BEV_GRID
+
+    def __post_init__(self):
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -309,6 +307,8 @@ def refine_features(f: FeatureGrid, masks: Sequence[FilterMask],
     the product alone.
     """
     h, w, c = f.shape
+    if not all(is_number(k, numbers.Integral) for k in kernel_sizes):
+        raise ValueError("kernel_sizes: each must be an integer")
     _check_kernel_sizes(kernel_sizes)
     if len(kernel_sizes) != len(masks):
         raise ValueError("need one kernel size per mask level")

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import Box3D, wrap_angle
+from .geometry import Box3D, check_fields, wrap_angle
 from .tracker import DetectionFrame
 
 DEFAULT_SIZE_CLASSES: dict[str, tuple[float, float, float]] = {
@@ -46,9 +46,7 @@ class SpawnSpec:
     turn_rate: float = 0.0
 
     def __post_init__(self):
-        for name in ("x", "y", "heading", "speed", "turn_rate"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name}: must be finite")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -80,20 +78,9 @@ class ScenarioConfig:
     companions: tuple[tuple[int, int, float], ...] = ()
 
     def __post_init__(self):
+        check_fields(self)
         if self.seed < 0:
             raise ValueError("seed: must be >= 0")
-        floats = [(name, [getattr(self, name)]) for name in (
-            "frame_dt", "pos_std", "yaw_std", "dim_std", "fp_rate", "fn_rate",
-            "embedding_noise_std")]
-        floats += [(name, getattr(self, name)) for name in (
-            "arena", "speed_range", "turn_rate_range", "score_range",
-            "fp_score_range")]
-        floats += [("size_classes", [d for dims in self.size_classes.values()
-                                     for d in dims]),
-                   ("companions", [gap for _, _, gap in self.companions])]
-        for name, values in floats:
-            if not all(map(math.isfinite, values)):
-                raise ValueError(f"{name}: must be finite")
         n = self.num_objects
         if n < 0:
             raise ValueError("num_objects: must be >= 0")

@@ -13,7 +13,6 @@ Distinct sequences run in parallel with independent instances.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
@@ -25,7 +24,7 @@ from .association import (AppearanceState, ClueWeights, CostMatrix,
                           stack_appearance, unstack_appearance)
 from .geometry import (DEFAULT_SCALE_BREAKPOINTS, RECT_COLUMNS, Box3D,
                        InputError, box_rows, buffered_iou_matrix,
-                       footprint_levels, is_number, wrap_angle)
+                       check_fields, footprint_levels, wrap_angle)
 from .motion import KalmanState, NoiseConfig
 
 
@@ -186,23 +185,15 @@ class TrackerConfig:
     use_cascade: bool = True
 
     def __post_init__(self):
-        for name in ("max_age", "num_levels"):
-            if not is_number(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name}: must be an integer")
+        check_fields(self)
         for name in ("iou_threshold", "init_score_threshold", "ema_alpha"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name}: must be in [0, 1]")
-        if not math.isfinite(self.similarity_gate):
-            raise ValueError("similarity_gate: must be a finite number")
         if self.max_age < 0:
             raise ValueError("max_age: must be >= 0")
         if self.num_levels < 1:
             raise ValueError("num_levels: must be >= 1")
         ratios = self.buffer_ratios
-        if not all(is_number(r, numbers.Real) for r in ratios):
-            raise ValueError("buffer_ratios: each must be a real number")
-        if not all(map(math.isfinite, ratios)):
-            raise ValueError("buffer_ratios: each must be a finite number")
         if not ratios or min(ratios) < 0:
             raise ValueError("buffer_ratios: must be non-empty and >= 0")
         if any(a < b for a, b in zip(ratios, ratios[1:])):

@@ -1606,3 +1606,21 @@ class TestCliFileErrors:
                             capsys.readouterr().err)
         assert sorted(tmp_path.rglob("*")) == before
         assert paths["FILE"].read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command", [
+        "ablate --suites basic,crossing --out DIR",
+        "evaluate --gt GT --tracks TRACKS --report DIR"])
+    def test_unusable_output_fails_before_the_work(self, tmp_path, capsys,
+                                                   command):
+        """The output is opened before the work that fills it, so nothing
+        of the work is printed."""
+        paths = {"GT": tmp_path / "gt.jsonl", "DIR": tmp_path / "dir",
+                 "TRACKS": tmp_path / "tracks.jsonl"}
+        paths["GT"].write_text(gt_line(0, 1, 0.0) + "\n")
+        paths["TRACKS"].write_text(track_line(0, 1, 0.9) + "\n")
+        paths["DIR"].mkdir()
+        argv = [str(paths.get(word, word)) for word in command.split()]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1

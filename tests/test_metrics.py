@@ -198,7 +198,8 @@ class TestEvalConfig:
         ({"recall_thresholds": 10.0}, "recall_thresholds: must be an integer"),
         ({"recall_thresholds": 0}, "recall_thresholds: must be >= 1"),
         ({"match_distance": 0.0}, "match_distance: must be > 0"),
-        ({"match_distance": float("nan")}, "match_distance: must be > 0"),
+        ({"match_distance": float("nan")},
+         "match_distance: must be a finite number"),
         ({"match_distance": float("inf")},
          "match_distance: must be a finite number")])
     def test_rejects(self, kwargs, message):

@@ -164,7 +164,7 @@ class TestConfigValidation:
         ({"speed_range": (math.nan, 1.0)}, "speed_range"),
         ({"arena": (60.0, math.nan)}, "arena"),
         ({"score_range": (math.nan, 1.0)}, "score_range"),
-        ({"size_classes": {"car": (4.5, 1.9, math.inf)}}, "size_classes"),
+        ({"size_classes": {"car": (4.5, 1.9, math.inf)}}, "size_classes.car"),
         ({"num_objects": 2, "companions": ((0, 1, math.nan),)},
          "companions")])
     def test_rejects_negative_seed_and_non_finite_values(self, kwargs, field):
@@ -176,7 +176,7 @@ class TestConfigValidation:
     def test_spawn_spec_rejects_non_finite_values(self, field):
         values = {"x": 0.0, "y": 0.0, "heading": 0.0, "speed": 1.0,
                   field: math.nan}
-        with pytest.raises(ValueError, match=f"^{field}: must be finite"):
+        with pytest.raises(ValueError, match=f"^{field}: must be a finite number"):
             SpawnSpec(**values)
 
     def test_object_classes_length_checked(self):

@@ -287,7 +287,7 @@ class TestBufferRatios:
     @pytest.mark.parametrize("ratios", [(True, 0.5), (0.5, "0.4"), (None,)])
     def test_rejects_entries_that_are_not_real(self, ratios):
         with pytest.raises(ValueError,
-                           match="^buffer_ratios: each must be a real number"):
+                           match="^buffer_ratios: must be a finite number"):
             TrackerConfig(buffer_ratios=ratios)
 
     @pytest.mark.parametrize("ratios, matched", [((0.5, 0.5), True),
@@ -319,7 +319,7 @@ class TestTrackerConfigRules:
         ({"iou_threshold": 1.5}, "iou_threshold: must be in [0, 1]"),
         ({"init_score_threshold": -0.1},
          "init_score_threshold: must be in [0, 1]"),
-        ({"ema_alpha": math.nan}, "ema_alpha: must be in [0, 1]"),
+        ({"ema_alpha": math.nan}, "ema_alpha: must be a finite number"),
         # a NaN gate or ratio switched a stage off without a word
         ({"similarity_gate": math.nan},
          "similarity_gate: must be a finite number"),
@@ -328,11 +328,11 @@ class TestTrackerConfigRules:
         ({"similarity_gate": -math.inf},
          "similarity_gate: must be a finite number"),
         ({"buffer_ratios": (math.nan,)},
-         "buffer_ratios: each must be a finite number"),
+         "buffer_ratios: must be a finite number"),
         ({"buffer_ratios": (math.inf, 0.5)},
-         "buffer_ratios: each must be a finite number"),
+         "buffer_ratios: must be a finite number"),
         ({"buffer_ratios": (0.5, -math.inf)},
-         "buffer_ratios: each must be a finite number")])
+         "buffer_ratios: must be a finite number")])
     def test_rejects(self, kwargs, message):
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             TrackerConfig(**kwargs)
