@@ -8,7 +8,7 @@ AMOTA/AMOTP evaluation.
 """
 
 from .association import AppearanceState, ClueWeights
-from .geometry import Box3D, bev_iou, buffer_box, buffered_iou, iou_backend
+from .geometry import Box3D, bev_iou, iou_backend
 from .metrics import EvalConfig, MetricsReport, evaluate
 from .motion import KalmanState, NoiseConfig
 from .simulator import ScenarioConfig, generate, standard_suites
@@ -18,9 +18,8 @@ from .tracker import Detection, DetectionFrame, Tracker, TrackerConfig, \
 __version__ = "0.1.0"
 
 __all__ = [
-    "AppearanceState", "ClueWeights", "Box3D", "bev_iou", "buffer_box",
-    "buffered_iou", "iou_backend", "EvalConfig",
-    "MetricsReport", "evaluate", "KalmanState", "NoiseConfig",
+    "AppearanceState", "ClueWeights", "Box3D", "bev_iou", "iou_backend",
+    "EvalConfig", "MetricsReport", "evaluate", "KalmanState", "NoiseConfig",
     "ScenarioConfig", "generate", "standard_suites", "Detection",
     "DetectionFrame", "Tracker", "TrackerConfig", "Tracklet", "as_frame",
     "number_frames", "run_sequence",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -116,7 +116,7 @@ def cmd_evaluate(args) -> int:
         tracks = bio.read_tracks(args.tracks)
         report = bmetrics.evaluate(gt_frames, tracks, app.eval)
         print(bmetrics.format_report(report))
-        yield bio.json_bytes(report.as_dict())
+        yield bio.json_bytes(asdict(report))
 
     _write_or_run(args.report, report())
     return 0

@@ -2,11 +2,12 @@
 
 IoU is computed on the yaw-rotated rectangle footprints in the BEV plane;
 height overlap is ignored. Matrices take ``(N, 5)`` footprint rectangles
-(cx, cy, length, width, yaw) from ``bev_rects`` or ``motion.state_rects``.
+(cx, cy, length, width, yaw): the ``RECT_COLUMNS`` of ``box_rows``, or
+``motion.state_rects``.
 
 The IoU kernel is ``_rect_iou``: it clips one rectangle footprint by the
 other (Sutherland-Hodgman) and takes the intersection area with the
-shoelace formula. ``bev_iou`` and ``buffered_iou`` call it for one pair.
+shoelace formula. ``bev_iou`` calls it for one pair.
 ``_iou_pairs`` gives the same bits for many pairs by one of two paths,
 chosen by the pair count alone: below ``_BATCH_MIN_PAIRS`` it loops
 ``_rect_iou``; from there on it runs the same clip as array operations on
@@ -289,10 +290,6 @@ class Box3D:
             )
         object.__setattr__(self, "yaw", wrap_angle(self.yaw))
 
-    @property
-    def footprint_area(self) -> float:
-        return self.length * self.width
-
 
 def bev_iou(a: Box3D, b: Box3D) -> float:
     """Rotated-rectangle IoU of the two BEV footprints, in [0, 1]."""
@@ -309,29 +306,6 @@ def box_rows(boxes: Sequence[Box3D]) -> np.ndarray:
     order of a log's box field."""
     return np.array([(b.cx, b.cy, b.cz, b.length, b.width, b.height, b.yaw)
                      for b in boxes], dtype=np.float64).reshape(-1, 7)
-
-
-def bev_rects(boxes: Sequence[Box3D]) -> np.ndarray:
-    """(N, 5) footprint rectangles (cx, cy, length, width, yaw) of boxes."""
-    return box_rows(boxes)[:, RECT_COLUMNS]
-
-
-def buffer_box(b: Box3D, r: float) -> Box3D:
-    """Scale the BEV footprint dims by (1 + r); pose and height unchanged.
-
-    The buffered box only widens the matching footprint, so cz and height
-    stay as-is.
-    """
-    if r < 0:
-        raise ValueError(f"buffer ratio must be >= 0, got {r}")
-    if r == 0:
-        return b
-    return replace(b, length=(1.0 + r) * b.length, width=(1.0 + r) * b.width)
-
-
-def buffered_iou(a: Box3D, b: Box3D, ra: float, rb: float) -> float:
-    """BEV IoU after buffering each footprint with its own ratio."""
-    return bev_iou(buffer_box(a, ra), buffer_box(b, rb))
 
 
 def _candidate_pairs(boxes_a: np.ndarray, boxes_b: np.ndarray):
@@ -492,7 +466,8 @@ def buffered_iou_matrix(rects_a: np.ndarray, rects_b: np.ndarray,
                         ratios_a: np.ndarray, ratios_b: np.ndarray) -> np.ndarray:
     """Pairwise BEV IoU of two (N, 5) / (M, 5) rectangle arrays after
     scaling each rectangle's length and width by (1 + its ratio); equal,
-    pair by pair, to ``buffered_iou`` of the boxes."""
+    pair by pair, to ``bev_iou`` of the scaled boxes. Ratios must be
+    >= 0."""
     buffered = []
     for rects, ratios in ((rects_a, ratios_a), (rects_b, ratios_b)):
         ratios = np.asarray(ratios, dtype=np.float64)
@@ -518,9 +493,3 @@ def footprint_levels(areas, breakpoints: Sequence[float]) -> np.ndarray:
     """Scale level of each footprint area (m^2): the number of breakpoints
     at or below it (0 = smallest). breakpoints must be increasing."""
     return np.searchsorted(breakpoints, areas, side="right")
-
-
-def footprint_scale_level(box: Box3D,
-                          breakpoints: Sequence[float] = DEFAULT_SCALE_BREAKPOINTS) -> int:
-    """Scale level of the box's footprint area, by ``footprint_levels``."""
-    return int(footprint_levels(box.footprint_area, breakpoints))

@@ -1,7 +1,9 @@
 """File formats and run configuration.
 
-All logs are line-delimited JSON, one object per line with self-describing
-field names, grouped by ascending frame id. Python's repr-based float
+All logs are line-delimited JSON in UTF-8, one object per line with
+self-describing field names, grouped by ascending frame id. A line that is
+not UTF-8, or that nests deeper than the JSON parser can follow, is a
+``DataError`` naming the line. Python's repr-based float
 serialization is shortest-round-trip, so write-then-read reproduces every
 value exactly.
 
@@ -25,7 +27,9 @@ so a file and a library caller are refused the same values with the same
 messages; a file's ``ConfigError`` adds the path and the section. Plain
 scalars follow YAML 1.1, except that an exponent float without a dot or
 without an exponent sign (``1e-6``, ``-1e9``, ``.5e3``) is a float, not a
-string. Record numbers (``_number``) follow the same ``typed`` rule.
+string. A file that is not UTF-8, or that nests too deep, is a
+``ConfigError``. Record numbers (``_number``) follow the same ``typed``
+rule.
 
 ``DataError`` and ``ConfigError`` are ``InputError``s: the CLI reports
 them as one ``error:`` line.
@@ -42,14 +46,13 @@ import re
 from dataclasses import dataclass, field, replace
 from io import BytesIO
 from itertools import chain
-from pathlib import Path
 from stat import S_IMODE, S_ISREG
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .geometry import (DEFAULT_SCALE_BREAKPOINTS, Box3D, FieldError,
-                       InputError, check_fields, footprint_scale_level, typed)
+                       InputError, check_fields, footprint_levels, typed)
 from .metrics import EvalConfig, Pred
 from .motion import NoiseConfig
 from .refiner import RefinerConfig
@@ -59,12 +62,10 @@ from .tracker import (DetectionFrame, TrackerConfig, first_bad_row,
 
 
 class DataError(InputError):
-    """Malformed record; carries the offending file and line number."""
+    """Malformed record; its message names the file and line number."""
 
     def __init__(self, path, line_no: int, message: str):
         super().__init__(f"{path}:{line_no}: {message}")
-        self.path = str(path)
-        self.line_no = line_no
 
 
 def box_to_list(b: Box3D) -> list[float]:
@@ -102,16 +103,22 @@ _decode = json.JSONDecoder(parse_constant=_reject_constant).decode
 
 
 def _records(path) -> Iterator[tuple[int, dict]]:
-    """(line number, JSON object) of each non-blank line of a log."""
-    with open(path) as fh:
+    """(line number, JSON object) of each non-blank line of a log, which
+    must be UTF-8."""
+    with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
             try:
+                raw = raw.decode().strip()
+                if not raw:
+                    continue
                 record = _decode(raw)
+            except UnicodeDecodeError as exc:
+                raise DataError(path, line_no, f"not UTF-8: {exc}") from exc
             except ValueError as exc:  # JSONDecodeError or NaN/Infinity
                 raise DataError(path, line_no, f"invalid JSON: {exc}") from exc
+            except RecursionError:
+                raise DataError(path, line_no,
+                                "invalid JSON: nested too deep") from None
             if not isinstance(record, dict):
                 raise DataError(path, line_no, "record must be a JSON object")
             yield line_no, record
@@ -237,7 +244,7 @@ def _check_detection(record: dict, path, line_no: int, dim: int | None,
     score = _number(record, "score", path, line_no, float)
     level = record.get("scale_level")
     if level is None:
-        level = footprint_scale_level(box, breakpoints)
+        level = int(footprint_levels(box.length * box.width, breakpoints))
     else:
         level = _number(record, "scale_level", path, line_no)
     _number(record, "timestamp", path, line_no, float, default=0.0)
@@ -558,10 +565,16 @@ def _read_yaml(path):
 
     Loader.add_implicit_resolver("tag:yaml.org,2002:float", _EXPONENT_FLOAT,
                                  list("-+.0123456789"))
-    try:
-        return yaml.load(Path(path).read_text(), Loader)
-    except yaml.YAMLError as exc:
-        raise ConfigError(path, (), f"invalid YAML: {exc}") from exc
+    with open(path, "rb") as fh:
+        try:
+            return yaml.load(fh, Loader)
+        except yaml.YAMLError as exc:  # bytes that are not UTF-8 too
+            # marks of a stream quote no source line: the message is one line
+            message = " ".join(str(exc).split())
+            raise ConfigError(path, (), f"invalid YAML: {message}") from exc
+        except RecursionError:
+            raise ConfigError(path, (),
+                              "invalid YAML: nested too deep") from None
 
 
 def _load(path, cls):

@@ -56,14 +56,6 @@ class MetricsReport:
     num_gt: int
     per_threshold: list[dict] = field(default_factory=list)
 
-    def as_dict(self) -> dict:
-        return {
-            "amota": self.amota, "amotp": self.amotp, "mota": self.mota,
-            "recall": self.recall, "ids": self.ids, "fp": self.fp,
-            "fn": self.fn, "mt": self.mt, "num_gt": self.num_gt,
-            "per_threshold": self.per_threshold,
-        }
-
 
 def match_frame(gt: GroundTruthFrame, preds: Sequence[Pred],
                 match_distance: float) -> tuple[list[tuple[int, int, float]],

@@ -139,8 +139,8 @@ class KalmanState:
 def init_state(boxes, noise: NoiseConfig) -> KalmanState:
     """Cold start from first detections: pose/dims set, velocity 0.
 
-    boxes are (..., 7) box rows (``geometry.box_rows`` order), a Box3D or
-    a sequence of them: one row gives a single state, N rows N states.
+    boxes are (..., 7) box rows (``geometry.box_rows`` order) or one
+    Box3D: one row gives a single state, N rows N states.
     Velocity variance starts large (10^2 m^2/s^2) so the first updates pin
     it down quickly.
     """
@@ -224,16 +224,15 @@ def state_to_box(s: KalmanState) -> Box3D | list[Box3D]:
 
 def state_rects(s: KalmanState) -> np.ndarray:
     """(N, 5) BEV rectangles (cx, cy, length, width, yaw) of the rows:
-    ``geometry.bev_rects`` of ``state_to_box``, without the boxes."""
+    the ``geometry.RECT_COLUMNS`` of ``box_rows(state_to_box(s))``, without
+    the boxes."""
     z = _floored(s)
     return np.column_stack([z[:, :2], z[:, 4:6], wrap_angle(z[:, _YAW])])
 
 
 def _measurements(boxes) -> np.ndarray:
     """(..., 7) measurement rows (cx, cy, cz, yaw, length, width, height)
-    of box rows, of one Box3D or of a sequence of them."""
+    of box rows or of one Box3D."""
     if isinstance(boxes, Box3D):
         boxes = box_rows([boxes])[0]
-    elif not isinstance(boxes, np.ndarray):
-        boxes = box_rows(boxes)
     return boxes[..., _MEAS_FROM_BOX]

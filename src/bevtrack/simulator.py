@@ -350,36 +350,3 @@ def standard_suites() -> dict[str, ScenarioConfig]:
 ADVERSARIAL_SUITES: tuple[str, ...] = ("dense-neighbors", "occlusion",
                                        "small-objects", "high-fp")
 
-
-def intra_inter_similarity(cfg: ScenarioConfig,
-                           clue: str = "img") -> tuple[float, float]:
-    """Mean same-identity vs cross-identity cosine similarity of the
-    generated detection embeddings (diagnostic for the identity signal)."""
-    gt_frames, det_frames = generate(cfg)
-    column = ("img", "bev", "head").index(clue)
-    by_id: dict[int, list[np.ndarray]] = {}
-    for gtf, frame in zip(gt_frames, det_frames):
-        centers = {gid: (box.cx, box.cy) for gid, box, vis in gtf.objects if vis}
-        for (x, y), emb in zip(frame.boxes[:, :2].tolist(),
-                               frame.emb[:, column]):
-            best = None
-            for gid, (cx, cy) in centers.items():
-                d = math.hypot(x - cx, y - cy)
-                if d < 1.0 and (best is None or d < best[1]):
-                    best = (gid, d)
-            if best is not None:
-                by_id.setdefault(best[0], []).append(emb)
-    intra: list[float] = []
-    inter: list[float] = []
-    ids = sorted(by_id)
-    for gid in ids:
-        vecs = by_id[gid]
-        for a in range(len(vecs)):
-            for b in range(a + 1, len(vecs)):
-                intra.append(float(vecs[a] @ vecs[b]))
-    for ai in range(len(ids)):
-        for bi in range(ai + 1, len(ids)):
-            for va in by_id[ids[ai]][:5]:
-                for vb in by_id[ids[bi]][:5]:
-                    inter.append(float(va @ vb))
-    return float(np.mean(intra)), float(np.mean(inter))

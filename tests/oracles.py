@@ -3,13 +3,20 @@
 Nothing here shares code with the library paths it checks: IoU is
 re-derived by counting rasterization cells, assignment by permutation
 enumeration, similarity one pair of vectors at a time, attention and
-convolution by literal loops.
+convolution by literal loops. Two helpers at the end build on the
+library's single-box and simulator paths instead: ``buffered_iou``, the
+one-pair form of ``buffered_iou_matrix`` on ``bev_iou``, and
+``intra_inter_similarity``, a diagnostic of ``generate``'s embeddings.
 """
 
 import math
+from dataclasses import replace
 from itertools import permutations
 
 import numpy as np
+
+from bevtrack.geometry import bev_iou
+from bevtrack.simulator import ScenarioConfig, generate
 
 _BIG = 1e6
 
@@ -298,7 +305,8 @@ def _list_switches(rows):
 
 def reference_evaluate(gt_frames, tracker_output, match_distance=2.0,
                        recall_thresholds=40):
-    """The metrics report as a dict (MetricsReport.as_dict() layout): one
+    """The metrics report as a dict (``dataclasses.asdict`` of a
+    MetricsReport): one
     all-predictions matching, then for every recall threshold the list of
     surviving TP rows, regrouped and re-sorted per GT to count switches."""
     num_gt = sum(1 for g in gt_frames for _, _, vis in g.objects if vis)
@@ -362,3 +370,49 @@ def reference_evaluate(gt_frames, tracker_output, match_distance=2.0,
         "fn": fn_total, "mt": mt, "num_gt": num_gt,
         "per_threshold": per_threshold,
     }
+
+
+# ---------------------------------------------------------------------------
+# helpers on the library's own paths (module doc)
+
+def buffered_iou(a, b, ra, rb):
+    """``bev_iou`` of the two boxes after scaling each footprint's length
+    and width by (1 + its ratio), the product ``buffered_iou_matrix``
+    forms."""
+    return bev_iou(
+        replace(a, length=(1.0 + ra) * a.length, width=(1.0 + ra) * a.width),
+        replace(b, length=(1.0 + rb) * b.length, width=(1.0 + rb) * b.width))
+
+
+def intra_inter_similarity(cfg: ScenarioConfig,
+                           clue: str = "img") -> tuple[float, float]:
+    """Mean same-identity vs cross-identity cosine similarity of the
+    generated detection embeddings (diagnostic for the identity signal)."""
+    gt_frames, det_frames = generate(cfg)
+    column = ("img", "bev", "head").index(clue)
+    by_id: dict[int, list[np.ndarray]] = {}
+    for gtf, frame in zip(gt_frames, det_frames):
+        centers = {gid: (box.cx, box.cy) for gid, box, vis in gtf.objects if vis}
+        for (x, y), emb in zip(frame.boxes[:, :2].tolist(),
+                               frame.emb[:, column]):
+            best = None
+            for gid, (cx, cy) in centers.items():
+                d = math.hypot(x - cx, y - cy)
+                if d < 1.0 and (best is None or d < best[1]):
+                    best = (gid, d)
+            if best is not None:
+                by_id.setdefault(best[0], []).append(emb)
+    intra: list[float] = []
+    inter: list[float] = []
+    ids = sorted(by_id)
+    for gid in ids:
+        vecs = by_id[gid]
+        for a in range(len(vecs)):
+            for b in range(a + 1, len(vecs)):
+                intra.append(float(vecs[a] @ vecs[b]))
+    for ai in range(len(ids)):
+        for bi in range(ai + 1, len(ids)):
+            for va in by_id[ids[ai]][:5]:
+                for vb in by_id[ids[bi]][:5]:
+                    inter.append(float(va @ vb))
+    return float(np.mean(intra)), float(np.mean(inter))

@@ -7,13 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bevtrack.geometry import (_BATCH_MIN_PAIRS, DEFAULT_SCALE_BREAKPOINTS,
-                               Box3D, _candidate_pairs, _iou_pairs,
-                               _rect_iou, bev_iou,
-                               bev_rects, buffer_box, buffered_iou,
+                               RECT_COLUMNS, Box3D, _candidate_pairs,
+                               _iou_pairs, _rect_iou, bev_iou, box_rows,
                                buffered_iou_matrix, footprint_levels,
-                               footprint_scale_level, wrap_angle)
+                               wrap_angle)
 
-from oracles import rasterized_iou, rasterized_iou_dense
+from oracles import buffered_iou, rasterized_iou, rasterized_iou_dense
 
 
 def random_box(rng, span=4.0):
@@ -128,11 +127,10 @@ class TestBevIou:
         def check(boxes_a, boxes_b, ratios_a=None, ratios_b=None):
             ratios_a = np.zeros(len(boxes_a)) if ratios_a is None else ratios_a
             ratios_b = np.zeros(len(boxes_b)) if ratios_b is None else ratios_b
-            mat = buffered_iou_matrix(bev_rects(boxes_a), bev_rects(boxes_b),
-                                      ratios_a, ratios_b)
+            rects_a = box_rows(boxes_a)[:, RECT_COLUMNS]
+            rects_b = box_rows(boxes_b)[:, RECT_COLUMNS]
+            mat = buffered_iou_matrix(rects_a, rects_b, ratios_a, ratios_b)
             assert mat.shape == (len(boxes_a), len(boxes_b))
-            rects_a = bev_rects(boxes_a)
-            rects_b = bev_rects(boxes_b)
             rects_a[:, 2:4] *= (1.0 + np.asarray(ratios_a))[:, None]
             rects_b[:, 2:4] *= (1.0 + np.asarray(ratios_b))[:, None]
             assert (sorted(zip(*map(np.ndarray.tolist,
@@ -302,41 +300,25 @@ class TestBatchedIou:
                     == want[rows].view(np.int64).tolist())
 
 
-class TestBufferBox:
-    def test_direct_application(self):
-        b = buffer_box(Box3D(1, 1, 0.8, 4.0, 2.0, 1.6, 0.2), 0.25)
-        assert (b.length, b.width) == (5.0, 2.5)
-        assert (b.cx, b.cy, b.cz, b.height) == (1, 1, 0.8, 1.6)
-        assert b.yaw == pytest.approx(0.2)
-
-    def test_zero_ratio_is_identity(self):
-        a = Box3D(3, -2, 0.5, 1.0, 0.5, 1.7, -1.1)
-        assert buffer_box(a, 0.0) == a
-
-    def test_small_box(self):
-        b = buffer_box(Box3D(0, 0, 0, 1.0, 0.5, 1.0, 0), 0.5)
-        assert (b.length, b.width) == (1.5, 0.75)
-
-    def test_footprint_area_scaling(self):
-        rng = np.random.default_rng(29)
-        for _ in range(100):
-            a = random_box(rng)
-            r = rng.uniform(0, 1)
-            assert buffer_box(a, r).footprint_area == pytest.approx(
-                (1 + r) ** 2 * a.footprint_area, rel=1e-12)
-
-    def test_negative_ratio_rejected(self):
-        with pytest.raises(ValueError):
-            buffer_box(Box3D(0, 0, 0, 1, 1, 1, 0), -0.1)
+def pair_iou(a, b, ra, rb):
+    """The one cell of ``buffered_iou_matrix`` of boxes a and b."""
+    rect_a, rect_b = (box_rows([box])[:, RECT_COLUMNS] for box in (a, b))
+    return buffered_iou_matrix(rect_a, rect_b, [ra], [rb])[0, 0]
 
 
 class TestBufferedIou:
+    def test_negative_ratio_rejected(self):
+        a = Box3D(0, 0, 0, 1, 1, 1, 0)
+        for ra, rb in ((-0.1, 0.0), (0.0, -0.1)):
+            with pytest.raises(ValueError, match="ratios must be >= 0"):
+                pair_iou(a, a, ra, rb)
+
     def test_touching_boxes_gain_overlap(self):
         # 2x2 footprints side by side: zero overlap raw, positive buffered
         a = Box3D(0, 0, 0, 2, 2, 1, 0)
         b = Box3D(2.05, 0, 0, 2, 2, 1, 0)
-        assert buffered_iou(a, b, 0.0, 0.0) == 0.0
-        buffed = buffered_iou(a, b, 0.3, 0.3)
+        assert pair_iou(a, b, 0.0, 0.0) == 0.0
+        buffed = pair_iou(a, b, 0.3, 0.3)
         assert buffed > 0.0
         want = rasterized_iou(
             (0, 0, 2.6, 2.6, 0), (2.05, 0, 2.6, 2.6, 0), cell=0.001)
@@ -345,12 +327,12 @@ class TestBufferedIou:
     def test_identical_boxes_any_ratio(self):
         b = Box3D(5, 5, 0, 3, 1.5, 1.2, 0.9)
         for ra, rb in ((0, 0), (0.4, 0.4), (0.7, 0.7)):
-            assert buffered_iou(b, b, ra, rb) == pytest.approx(1.0, abs=1e-12)
+            assert pair_iou(b, b, ra, rb) == pytest.approx(1.0, abs=1e-12)
 
     def test_far_disjoint_stays_zero(self):
         a = Box3D(0, 0, 0, 4, 2, 1, 0.3)
         b = Box3D(50, 50, 0, 4, 2, 1, -0.4)
-        assert buffered_iou(a, b, 0.5, 0.5) == 0.0
+        assert pair_iou(a, b, 0.5, 0.5) == 0.0
 
     def test_overlap_positivity_monotone_in_ratios(self):
         # buffered footprints are supersets, so an overlap can only appear,
@@ -362,8 +344,8 @@ class TestBufferedIou:
         for _ in range(60):
             a, b = random_box(rng, span=5.0), random_box(rng, span=5.0)
             for fixed in (0.0, 0.3):
-                for seq in ([buffered_iou(a, b, r, fixed) for r in ratios],
-                            [buffered_iou(a, b, fixed, r) for r in ratios]):
+                for seq in ([pair_iou(a, b, r, fixed) for r in ratios],
+                            [pair_iou(a, b, fixed, r) for r in ratios]):
                     for x, y in zip(seq, seq[1:]):
                         if x > 1e-12:
                             assert y > 0.0
@@ -373,7 +355,7 @@ class TestBufferedIou:
         # overlap) growing the buffers never reduces the IoU
         a = Box3D(0, 0, 0, 2, 1, 1, 0)
         b = Box3D(2.4, 0, 0, 2, 1, 1, 0)
-        seq = [buffered_iou(a, b, r, r) for r in np.linspace(0, 0.4, 9)]
+        seq = [pair_iou(a, b, r, r) for r in np.linspace(0, 0.4, 9)]
         assert seq[0] == 0.0
         for x, y in zip(seq, seq[1:]):
             assert y >= x - 1e-9
@@ -382,12 +364,13 @@ class TestBufferedIou:
 
 class TestScaleLevel:
     def test_breakpoints(self):
-        mk = lambda l, w: Box3D(0, 0, 0, l, w, 1, 0)
-        assert footprint_scale_level(mk(0.6, 0.6)) == 0    # 0.36 m^2
-        assert footprint_scale_level(mk(2.0, 1.0)) == 1    # 2 m^2
-        assert footprint_scale_level(mk(4.5, 1.9)) == 2    # 8.55 m^2
-        assert footprint_scale_level(mk(8.0, 2.5)) == 3    # 20 m^2
-        assert footprint_scale_level(mk(12.0, 3.0)) == 4   # 36 m^2
+        areas = [0.6 * 0.6,    # 0.36 m^2
+                 2.0 * 1.0,    # 2 m^2
+                 4.5 * 1.9,    # 8.55 m^2
+                 8.0 * 2.5,    # 20 m^2
+                 12.0 * 3.0]   # 36 m^2
+        assert (footprint_levels(areas, DEFAULT_SCALE_BREAKPOINTS).tolist()
+                == [0, 1, 2, 3, 4])
 
 
 def _first_level_below(area, breakpoints):
@@ -412,6 +395,3 @@ def test_footprint_levels_equal_the_scalar_rule(breakpoints, extra):
                             np.nextafter(edges, np.inf), extra])
     want = [_first_level_below(a, breakpoints) for a in areas.tolist()]
     assert footprint_levels(areas, breakpoints).tolist() == want
-    # a length of the area and a width of 1 give the area exactly
-    assert [footprint_scale_level(Box3D(0, 0, 0, a, 1.0, 1, 0), breakpoints)
-            for a in areas.tolist()] == want

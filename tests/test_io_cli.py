@@ -1624,3 +1624,58 @@ class TestCliFileErrors:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# each reader's command and the kind of file it reads at BAD
+_READERS = {
+    "track-dets": ("track --dets BAD --out OUT", "jsonl"),
+    "evaluate-gt": ("evaluate --gt BAD --tracks TRACKS", "jsonl"),
+    "evaluate-tracks": ("evaluate --gt GT --tracks BAD", "jsonl"),
+    "refine-demo-objects": ("refine-demo --grid 8x8x2 --objects BAD "
+                            "--out OUT", "jsonl"),
+    "track-config": ("track --dets DETS --config BAD --out OUT", "yaml"),
+    "simulate-scenario": ("simulate --scenario BAD --out OUT", "yaml"),
+}
+# a log's line 2 or a YAML file's bytes
+_BAD = {"not-utf8": {"jsonl": b'{"frame_id": 1, "note": "caf\xe9"}\n',
+                     "yaml": b"# caf\xe9\nseed: 1\n"},
+        "too-deep": {"jsonl": b"[" * 5000 + b"\n",
+                     "yaml": b"seed: " + b"[" * 5000 + b"\n"},
+        "syntax": {"yaml": b"seed: [1,\nx: }\n"}}
+
+
+class TestCliUndecodableFiles:
+    """A log line or a YAML file that is not UTF-8, or that nests deeper
+    than its parser can follow, exits 1 with one error: line naming the
+    file (and for a log the line), not a traceback, and writes nothing; so
+    does a YAML syntax error, whose parser message spans lines."""
+
+    # a valid line 1 of each log
+    FIRST_LINE = {"track-dets": '{"frame_id": 0, "empty": true}',
+                  "evaluate-gt": gt_line(0, 1, 0.0),
+                  "evaluate-tracks": track_line(0, 1, 0.9),
+                  "refine-demo-objects": '{"center": [1, 1]}'}
+
+    @pytest.mark.parametrize("reader, bad", [
+        (reader, bad) for reader, (_, kind) in _READERS.items()
+        for bad, files in _BAD.items() if kind in files])
+    def test_exit_1_with_one_line(self, tmp_path, capsys, reader, bad):
+        command, kind = _READERS[reader]
+        paths = {"BAD": tmp_path / f"bad.{kind}", "OUT": tmp_path / "out",
+                 "DETS": overflow_log(tmp_path / "dets.jsonl", 1),
+                 "GT": tmp_path / "gt.jsonl",
+                 "TRACKS": tmp_path / "tracks.jsonl"}
+        paths["GT"].write_text(gt_line(0, 1, 0.0) + "\n")
+        paths["TRACKS"].write_text(track_line(0, 1, 0.9) + "\n")
+        bad_path = paths["BAD"]
+        if kind == "jsonl":
+            head, where = self.FIRST_LINE[reader] + "\n", f"{bad_path}:2: "
+        else:
+            head, where = "", f"{bad_path}: "
+        bad_path.write_bytes(head.encode() + _BAD[bad][kind])
+        argv = [str(paths.get(word, word)) for word in command.split()]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {where}") and err.count("\n") == 1
+        assert not paths["OUT"].exists()

@@ -1,4 +1,5 @@
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -135,9 +136,9 @@ class TestEvaluate:
 
     def test_permutation_invariance_within_frames(self):
         gt, tracks = hand_fixture()
-        base = evaluate(gt, tracks).as_dict()
+        base = asdict(evaluate(gt, tracks))
         shuffled = {f: list(reversed(preds)) for f, preds in tracks.items()}
-        assert evaluate(gt, shuffled).as_dict() == base
+        assert asdict(evaluate(gt, shuffled)) == base
 
     def test_empty_gt_rejected(self):
         with pytest.raises(ValueError):
@@ -266,7 +267,7 @@ class TestEvaluateAgainstListReference:
     def test_report_equals_reference(self, data, thresholds):
         gt_frames, tracks = data
         cfg = EvalConfig(match_distance=2.0, recall_thresholds=thresholds)
-        got = evaluate(gt_frames, tracks, cfg).as_dict()
+        got = asdict(evaluate(gt_frames, tracks, cfg))
         want = reference_evaluate(gt_frames, tracks, 2.0, thresholds)
         assert got == want
         assert repr(got) == repr(want)  # same types and the same floats

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bevtrack.geometry import Box3D, bev_rects
+from bevtrack.geometry import RECT_COLUMNS, Box3D, box_rows
 from bevtrack.motion import (MIN_DIM, KalmanState, NoiseConfig, init_state,
                              predict, state_rects, state_to_box, update)
 from oracles import dense_kalman_predict, dense_kalman_update
@@ -196,7 +196,8 @@ class TestStateToBox:
         s = KalmanState(mean, np.ones((40, 10)), np.zeros((40, 3)))
         got = state_rects(s)
         assert got.shape == (40, 5)
-        np.testing.assert_array_equal(got, bev_rects(state_to_box(s)))
+        np.testing.assert_array_equal(
+            got, box_rows(state_to_box(s))[:, RECT_COLUMNS])
         assert (got[:6, 2:4] == MIN_DIM).all()
         assert state_rects(KalmanState(np.zeros((0, 10)), np.ones((0, 10)),
                                        np.zeros((0, 3)))).shape == (0, 5)
@@ -294,7 +295,7 @@ class TestStackedRows:
     def test_update_equals_rows(self, seed):
         n = NoiseConfig()
         states, boxes = self._rows_and_boxes(seed)
-        out = update(stack(states), boxes, n)
+        out = update(stack(states), box_rows(boxes), n)
         for i, (s, z) in enumerate(zip(states, boxes)):
             assert_rows_equal(out, i, update(s, z, n))
         assert abs(out.mean[1, 3] - states[1].mean[3]) < 0.05
@@ -331,7 +332,7 @@ class TestStackedRows:
         n = NoiseConfig()
         rng = np.random.default_rng(9)
         boxes = [random_box(rng) for _ in range(5)]
-        s = init_state(boxes, n)
+        s = init_state(box_rows(boxes), n)
         assert s.rows == (5,)
         for i, b in enumerate(boxes):
             assert_rows_equal(s, i, init_state(b, n))
@@ -346,7 +347,7 @@ class TestStackedRows:
         s = KalmanState(np.zeros((0, 10)), np.zeros((0, 10)),
                         np.zeros((0, 3)))
         assert predict(s, 0.1, n).rows == (0,)
-        assert update(s, [], n).rows == (0,)
+        assert update(s, box_rows([]), n).rows == (0,)
         assert state_to_box(s) == []
 
     def test_shape_mismatch_rejected(self):
@@ -361,7 +362,7 @@ class TestStackedRows:
         with pytest.raises(ValueError):
             update(KalmanState(np.zeros((2, 10)), np.ones((2, 10)),
                                np.zeros((2, 3))),
-                   [Box3D(0, 0, 0, 1, 1, 1, 0)], NoiseConfig())
+                   box_rows([Box3D(0, 0, 0, 1, 1, 1, 0)]), NoiseConfig())
 
 
 class TestKalmanState:
@@ -459,7 +460,7 @@ class TestDenseOracle:
             innov = math.remainder(z.yaw - s.mean[3], 2.0 * math.pi)
             assume(abs(abs(innov) - math.pi) > 1e-9)
         pred = predict(stack(states), dt, n)
-        post = update(stack(states), boxes, n)
+        post = update(stack(states), box_rows(boxes), n)
         pred_cov, post_cov = pred.cov, post.cov
         for i, (s, z) in enumerate(rows):
             mean, cov = dense_kalman_predict(s.mean, s.cov, dt,

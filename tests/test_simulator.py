@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from bevtrack.geometry import DEFAULT_SCALE_BREAKPOINTS, footprint_levels
 from bevtrack.simulator import (ADVERSARIAL_SUITES, ScenarioConfig, SpawnSpec,
-                                generate, intra_inter_similarity,
-                                standard_suites)
+                                generate, standard_suites)
+
+from oracles import intra_inter_similarity
 
 
 class TestGenerate:
@@ -92,10 +94,10 @@ class TestGenerate:
     def test_scale_levels_match_footprints(self):
         cfg = ScenarioConfig(seed=23, num_objects=3, num_frames=5)
         _, det_frames = generate(cfg)
-        from bevtrack.geometry import footprint_scale_level
         for dets in det_frames:
             for det in dets:
-                assert det.scale_level == footprint_scale_level(det.box)
+                assert det.scale_level == footprint_levels(
+                    det.box.length * det.box.width, DEFAULT_SCALE_BREAKPOINTS)
 
 
 class TestStandardSuites:
@@ -115,7 +117,8 @@ class TestStandardSuites:
         for leader, follower, gap in cfg.companions:
             a, b = boxes[leader], boxes[follower]
             dist = math.hypot(a.cx - b.cx, a.cy - b.cy)
-            if dist <= 2.0 and a.footprint_area / b.footprint_area > 3:
+            area_a, area_b = a.length * a.width, b.length * b.width
+            if dist <= 2.0 and area_a / area_b > 3:
                 found = True
         assert found
 

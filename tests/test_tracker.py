@@ -164,7 +164,8 @@ class TestStageOne:
         tid = trk.tracklets[0].id
         # footprint 4x2 at x=4.6: raw gap 0.6 m, buffered (r=0.3) overlaps
         nxt = det(4.6, 0, 0.9, axis=1, level=2, frame_id=1)
-        from bevtrack.geometry import bev_iou, buffered_iou
+        from bevtrack.geometry import bev_iou
+        from oracles import buffered_iou
         assert bev_iou(trk.tracklets[0].predicted_box(), nxt.box) == 0.0
         assert buffered_iou(trk.tracklets[0].predicted_box(), nxt.box,
                             0.3, 0.3) > 0.05
@@ -218,7 +219,7 @@ class TestCascade:
         moto = Detection(box=Box3D(0.4, 0.5, 0.6, 2.4, 0.9, 1.3, 0),
                          score=0.9, appearance=appearance(5),
                          scale_level=1, frame_id=1)
-        from bevtrack.geometry import buffered_iou
+        from oracles import buffered_iou
         assert buffered_iou(van, moto.box, 0.2, 0.4) > 0.1
         matches = trk.step([moto], dt=0.1)
         assert matches == []
