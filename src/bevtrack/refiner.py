@@ -11,10 +11,10 @@ attention does, so each head samples C/heads channels instead of C.
 Bilinear sampling with zero padding is linear in the grid, so it commutes
 with the per-cell projection and the order changes only rounding. Each
 head's values are projected once into the interior of a zero-bordered
-grid. The sampling is one sparse operator of bilinear taps with each
-cell's attention weights folded in: it yields the attention-weighted sum
-of the K sampled points per cell directly, and the samples themselves are
-never stored.
+grid. The sampling is one sparse operator of bilinear taps for all
+heads, with each cell's attention weights folded in: it yields the
+attention-weighted sum of the K sampled points per cell directly, and the
+samples themselves are never stored.
 
 The level masks of a grid are built in one L x H x W array: each object
 raises its level's mask to its Gaussian only inside its scope's bounding
@@ -30,6 +30,11 @@ allocates is larger than a tile plus the widest kernel.
 Learned components are replaced by seeded injected linear maps and
 ordinary normalized box convolutions: the artifact verifies the masking,
 scoping, combination, and fusion arithmetic, not learned quality.
+
+scipy loads on the first call that uses it: ``scipy.ndimage`` in
+``refine_features`` and ``scipy.sparse`` where the tap operators are built.
+``bevtrack.io`` and the CLI import this module for its configs, and jobs
+which never refine (simulating, evaluating, tracking) do not load either.
 """
 
 from __future__ import annotations
@@ -40,8 +45,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.ndimage import uniform_filter1d
-from scipy.sparse import csr_matrix, get_index_dtype
 
 from .geometry import check_fields, is_number
 
@@ -319,6 +322,8 @@ def refine_features(f: FeatureGrid, masks: Sequence[FilterMask],
         if not 0 <= mask.level < len(kernel_sizes):
             raise ValueError(f"mask level {mask.level} has no kernel size "
                              f"(levels 0..{len(kernel_sizes) - 1})")
+    from scipy.ndimage import uniform_filter1d
+
     rows = f.data.transpose(0, 2, 1)
     # (mask, k, running sum of the pass along H) per branch with weight
     branches = [(m.data, int(kernel_sizes[m.level]), np.zeros((c, w)))
@@ -444,13 +449,15 @@ def _bilinear_taps(h: int, w: int, rows: np.ndarray, cols: np.ndarray,
     fr = rows - r0
     fc = cols - c0
     # Clipping to one cell beyond the border first changes no corner and
-    # keeps far-off positions inside the integer range.
-    r0 = np.clip(r0, -2, h).astype(index_dtype)
-    c0 = np.clip(c0, -2, w).astype(index_dtype)
-    row_lo = (np.clip(r0, -1, h) + 1) * (w + 2)
-    row_hi = (np.clip(r0 + 1, -1, h) + 1) * (w + 2)
-    col_lo = np.clip(c0, -1, w) + 1
-    col_hi = np.clip(c0 + 1, -1, w) + 1
+    # keeps far-off positions inside the integer range. After it r0 lies
+    # in [-2, H], so r0 clipped to [-1, H] needs only the max and r0 + 1
+    # only the min (and likewise for c0); +1 shifts each into the border.
+    r0 = np.minimum(np.maximum(r0, -2, out=r0), h, out=r0).astype(index_dtype)
+    c0 = np.minimum(np.maximum(c0, -2, out=c0), w, out=c0).astype(index_dtype)
+    row_lo = (np.maximum(r0, -1) + 1) * (w + 2)
+    row_hi = np.minimum(r0 + 2, h + 1) * (w + 2)
+    col_lo = np.maximum(c0, -1) + 1
+    col_hi = np.minimum(c0 + 2, w + 1)
     flat_index = np.empty(rows.shape + (4,), dtype=index_dtype)
     np.add(row_lo, col_lo, out=flat_index[..., 0])
     np.add(row_lo, col_hi, out=flat_index[..., 1])
@@ -466,28 +473,51 @@ def _bilinear_taps(h: int, w: int, rows: np.ndarray, cols: np.ndarray,
     return flat_index, weight
 
 
-def _tap_operator(h: int, w: int, rows: np.ndarray, cols: np.ndarray,
-                  weights: np.ndarray) -> csr_matrix:
-    """The weighted bilinear taps of fractional cells as one sparse
-    operator on the flattened (H+2) x (W+2) zero-bordered grid.
+def _tap_layout(h: int, w: int, n_out: int, blocks: int,
+                points: int) -> tuple[type, np.ndarray]:
+    """The index type and row pointers of every tap operator of up to
+    n_out positions with ``points`` samples per row on each of ``blocks``
+    stacked (H+2) x (W+2) zero-bordered grids.
 
-    rows, cols and weights share one shape S of at least one axis. The
-    taps of the samples along the last axis of S share an operator row and
-    carry their weights folded in, so the operator forms the weighted sum
-    without storing the samples. A row sums its taps sample by sample,
-    four corners each in order. The taps are built in that row order with
-    the narrowest index type that holds them, so the sparse matrix takes
-    them without a copy.
+    The index type is the narrowest that holds every column and tap, so
+    the sparse matrix takes the taps without a copy; an operator of fewer
+    positions takes a prefix of the row pointers.
     """
+    from scipy.sparse import get_index_dtype
+
+    per_row, n_rows = 4 * points, n_out * blocks
+    index_dtype = get_index_dtype(
+        maxval=max(blocks * (h + 2) * (w + 2), per_row * n_rows))
+    return index_dtype, np.arange(n_rows + 1, dtype=index_dtype) * per_row
+
+
+def _tap_operator(h: int, w: int, rows: np.ndarray, cols: np.ndarray,
+                  weights: np.ndarray, index_dtype: type,
+                  indptr: np.ndarray):
+    """The weighted bilinear taps of fractional cells as one sparse
+    operator on B stacked, flattened (H+2) x (W+2) zero-bordered grids.
+
+    rows, cols and weights share one shape (N, B, K), and index_dtype and
+    indptr come from ``_tap_layout`` for at least N positions of B blocks.
+    Operator row (n, b) holds the K samples of block b at n, each tap on
+    block b's grid, with its weight folded in, so the operator forms the
+    weighted sum without storing the samples. A row sums its taps sample
+    by sample, four corners each in order. Its product with the blocks'
+    values stacked as (B (H+2)(W+2), C) is (N B, C), with the B blocks of
+    an n side by side when read as (N, B C).
+    """
+    from scipy.sparse import csr_matrix
+
     n_cells = (h + 2) * (w + 2)
-    index_dtype = get_index_dtype(maxval=max(n_cells, 4 * rows.size))
+    n_out, blocks, _ = rows.shape
     flat_index, tap_weight = _bilinear_taps(h, w, rows, cols, index_dtype)
+    flat_index += (np.arange(blocks, dtype=index_dtype)
+                   * n_cells)[:, None, None]
     tap_weight *= weights[..., None]
-    n_out, per_row = math.prod(rows.shape[:-1]), 4 * rows.shape[-1]
     return csr_matrix(
         (tap_weight.ravel(), flat_index.ravel(),
-         np.arange(n_out + 1, dtype=index_dtype) * per_row),
-        shape=(n_out, n_cells))
+         indptr[:n_out * blocks + 1]),
+        shape=(n_out * blocks, blocks * n_cells))
 
 
 def bilinear_sample(data: np.ndarray, rows: np.ndarray, cols: np.ndarray,
@@ -519,7 +549,11 @@ def bilinear_sample(data: np.ndarray, rows: np.ndarray, cols: np.ndarray,
             raise ValueError(f"weights shape {weights.shape} must equal the "
                              f"sample shape {rows.shape} (at least 1-D)")
     h, w, c = data.shape
-    taps = _tap_operator(h, w, rows, cols, weights)
+    n_out, points = math.prod(rows.shape[:-1]), rows.shape[-1]
+    one_block = (n_out, 1, points)
+    taps = _tap_operator(h, w, rows.reshape(one_block),
+                         cols.reshape(one_block), weights.reshape(one_block),
+                         *_tap_layout(h, w, n_out, 1, points))
     padded = np.zeros((h + 2, w + 2, c))
     padded[1:-1, 1:-1] = data
     return (taps @ padded.reshape(-1, c)).reshape(rows.shape[:-1] + (c,))
@@ -547,11 +581,13 @@ def temporal_fuse(prev_refined: FeatureGrid, curr: FeatureGrid,
     The rest runs one tile of ``_TILE_ROWS`` grid rows at a time. The
     generators are split into their prev and curr halves, so a tile's
     offsets and logits are prev @ W_prev + curr @ W_curr over its cells
-    and the (H, W, 2C) concatenation is never built. Per head, the
-    attention over the K points is folded into the sampling operator
-    (``_tap_operator``), so the K samples per cell are never stored. The
-    heads' sampled values sit side by side, so the output projection is
-    one product per tile, written into the result's rows.
+    and the (H, W, 2C) concatenation is never built. The heads' bordered
+    grids are stacked, and one sampling operator per tile
+    (``_tap_operator``) holds every head's taps on its own grid, in
+    (cell, head) rows, with the attention over the K points folded in, so
+    the K samples per cell are never stored. Its product holds the heads'
+    sampled values side by side, so the output projection is one product
+    per tile, written into the result's rows.
     """
     if prev_refined.shape != curr.shape:
         raise ValueError("grids must share one shape")
@@ -566,7 +602,7 @@ def temporal_fuse(prev_refined: FeatureGrid, curr: FeatureGrid,
     values = np.zeros((heads, h + 2, w + 2, c_v))
     for head in range(heads):
         np.matmul(curr.data, p.w_value[head].T, out=values[head, 1:-1, 1:-1])
-    values = values.reshape(heads, -1, c_v)
+    values = values.reshape(-1, c_v)
     # one generator row per (head, point, row/col offset), then one per
     # (head, point) logit
     w_gen = np.concatenate([p.w_offset.reshape(-1, 2 * c),
@@ -575,8 +611,8 @@ def temporal_fuse(prev_refined: FeatureGrid, curr: FeatureGrid,
     w_out = p.w_out.transpose(0, 2, 1).reshape(heads * c_v, c)
     fused = np.empty((h * w, c))
     tile = min(_TILE_ROWS, h) * w
-    cc = np.tile(np.arange(w, dtype=np.float64), tile // w)[:, None]
-    sampled = np.empty((tile, heads * c_v))
+    layout = _tap_layout(h, w, tile, heads, points)
+    cc = np.tile(np.arange(w, dtype=np.float64), tile // w)[:, None, None]
     for start in range(0, h * w, tile):
         cells = slice(start, min(start + tile, h * w))
         m = cells.stop - start
@@ -598,13 +634,11 @@ def temporal_fuse(prev_refined: FeatureGrid, curr: FeatureGrid,
         att /= total[..., None]
 
         rr = np.repeat(np.arange(start // w, cells.stop // w,
-                                 dtype=np.float64), w)[:, None]
-        for head in range(heads):
-            taps = _tap_operator(h, w, rr + offsets[:, head, :, 0],
-                                 cc[:m] + offsets[:, head, :, 1],
-                                 weights=att[:, head])
-            sampled[:m, head * c_v:(head + 1) * c_v] = taps @ values[head]
-        np.matmul(sampled[:m], w_out, out=fused[cells])
+                                 dtype=np.float64), w)[:, None, None]
+        taps = _tap_operator(h, w, rr + offsets[..., 0],
+                             cc[:m] + offsets[..., 1], att, *layout)
+        np.matmul((taps @ values).reshape(m, heads * c_v), w_out,
+                  out=fused[cells])
     return FeatureGrid(fused.reshape(h, w, c), kind=curr.kind)
 
 

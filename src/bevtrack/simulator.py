@@ -92,6 +92,17 @@ class ScenarioConfig:
             raise ValueError("arena: extents must be > 0")
         if self.embedding_dim < 1:
             raise ValueError("embedding_dim: must be >= 1")
+        # one frame draws num_objects x (7 + 3 x embedding_dim) values into
+        # one array, whose size numpy's index type must hold
+        limit = int(np.iinfo(np.intp).max)
+        per_object = 7 + 3 * self.embedding_dim
+        if per_object > limit:
+            raise ValueError(
+                f"embedding_dim: must be <= {(limit - 7) // 3}")
+        if n * per_object > limit:
+            raise ValueError(
+                f"num_objects: must be <= {limit // per_object} with "
+                f"embedding_dim {self.embedding_dim}")
         if not self.size_classes:
             raise ValueError("size_classes: must name at least one class")
         for cls, dims in self.size_classes.items():

@@ -1120,7 +1120,12 @@ class TestCliSimulate:
          "size_classes dims of car must be > 0"),
         ("score_range: [0.5, 1.5]", "score_range must lie in [0, 1]"),
         ("fp_score_range: [-0.1, 0.5]", "fp_score_range must lie in [0, 1]"),
-        ("seed: -1", "seed must be >= 0")])
+        ("seed: -1", "seed must be >= 0"),
+        # one frame's draws would not fit numpy's index type: a traceback
+        # from numpy, or a run that never ends, without the bound
+        ("embedding_dim: 100000000000000000000", "embedding_dim must be <= "),
+        ("num_objects: 100000000000000000000\nnum_frames: 2",
+         "num_objects must be <= ")])
     def test_out_of_range_scenario_exits_1(self, tmp_path, capsys, text,
                                            message):
         # message is the key, a space and the start of its rule's text

@@ -175,6 +175,20 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"^{field}: must be "):
             ScenarioConfig(**kwargs)
 
+    def test_one_frame_of_draws_must_fit_the_index_type(self):
+        # a frame draws num_objects x (7 + 3 x embedding_dim) values in one
+        # array; each count is refused one past the largest that fits
+        limit = int(np.iinfo(np.intp).max)
+        dim = (limit - 7) // 3
+        ScenarioConfig(num_objects=0, embedding_dim=dim)
+        with pytest.raises(ValueError,
+                           match=f"^embedding_dim: must be <= {dim}$"):
+            ScenarioConfig(num_objects=0, embedding_dim=dim + 1)
+        n = limit // (7 + 3 * 32)
+        ScenarioConfig(num_objects=n, embedding_dim=32)
+        with pytest.raises(ValueError, match=f"^num_objects: must be <= {n} "):
+            ScenarioConfig(num_objects=n + 1, embedding_dim=32)
+
     @pytest.mark.parametrize("field", ["x", "heading", "turn_rate"])
     def test_spawn_spec_rejects_non_finite_values(self, field):
         values = {"x": 0.0, "y": 0.0, "heading": 0.0, "speed": 1.0,
