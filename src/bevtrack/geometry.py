@@ -5,23 +5,22 @@ height overlap is ignored. Matrices take ``(N, 5)`` footprint rectangles
 (cx, cy, length, width, yaw): the ``RECT_COLUMNS`` of ``box_rows``, or
 ``motion.state_rects``.
 
-The IoU kernel is ``_rect_iou``: it clips one rectangle footprint by the
-other (Sutherland-Hodgman) and takes the intersection area with the
-shoelace formula. ``bev_iou`` calls it for one pair.
-``_iou_pairs`` gives the same bits for many pairs by one of two paths,
-chosen by the pair count alone: below ``_BATCH_MIN_PAIRS`` it loops
-``_rect_iou``; from there on it runs the same clip as array operations on
-one flat vertex list of all pairs (each vertex tagged with its pair id),
-so each of the four clip edges is a fixed set of numpy operations and
-dropping the vertices outside is one index. It repeats ``_rect_iou``'s
-arithmetic operation for operation: corners from ``math.cos``/``math.sin``,
-the same operand order in the inside test, the crossing parameter and
-point, the shoelace's running sum (from 0.0, starting at the last vertex),
-the union and the clamp, and the same ``_EDGE_EPS``/``_DEGENERATE_EPS``
-tests. The two paths stay because each is the faster one on real inputs:
-the per-call overhead of some forty numpy operations (about 150 us) beats
-the scalar loop's 7-8 us a pair only from about 32 pairs on; small scenes
-make 1-2 pairs a step, a 200-object scene about 290.
+The one IoU kernel is ``_iou_pairs``: it clips one rectangle footprint
+by the other (Sutherland-Hodgman) and takes the intersection area with the
+shoelace formula, for every pair at once, as array operations on one flat
+vertex list of all pairs (each vertex tagged with its pair id), so each of
+the four clip edges is a fixed set of numpy operations and dropping the
+vertices outside is one index. ``buffered_iou_matrix`` runs it, and
+``bev_iou`` is the one cell of that matrix for two boxes with zero ratios
+(scaling by ``1.0 + 0.0`` is exact). It repeats the arithmetic of the
+scalar clip ``rect_iou`` of ``tests/oracles.py`` operation for operation:
+corners from ``math.cos``/``math.sin``, the same operand order in the
+inside test, the crossing parameter and point, the shoelace's running sum
+(from 0.0, starting at the last vertex), the union and the clamp, and the
+same ``_EDGE_EPS``/``_DEGENERATE_EPS`` tests, so the two give the same
+bits, which the tests check. The clip costs some forty numpy operations
+(about 300 us) however few pairs it takes, so a matrix with no candidate
+pair returns before it.
 
 ``buffered_iou_matrix`` runs the clip only on pairs whose circumscribed
 circles can meet: it compares squared centre distances against
@@ -31,7 +30,7 @@ leaves every other pair at exactly 0. The margin
 keeps points up to ``_EDGE_EPS / |edge|`` outside each edge of box b, so two
 boxes a hair apart (corner to corner, say) still score a tiny positive IoU.
 That band reaches at most ``m / sqrt(2)`` past b's circumcircle, so with
-the margin the matrix equals ``_rect_iou`` pair by pair, bit for bit.
+the margin every cell equals the clip of its pair, bit for bit.
 
 The circle test runs on a sweep's candidates, not on all N x M pairs: b is
 sorted by cx, and each a takes the b whose cx lies within
@@ -186,77 +185,6 @@ _EDGE_EPS = 1e-9
 _DEGENERATE_EPS = 1e-12
 
 
-def _corners(cx, cy, length, width, yaw):
-    """BEV footprint corners in counter-clockwise order."""
-    c = math.cos(yaw)
-    s = math.sin(yaw)
-    dx = 0.5 * length
-    dy = 0.5 * width
-    return [
-        (cx + c * dx - s * dy, cy + s * dx + c * dy),
-        (cx - c * dx - s * dy, cy - s * dx + c * dy),
-        (cx - c * dx + s * dy, cy - s * dx - c * dy),
-        (cx + c * dx + s * dy, cy + s * dx - c * dy),
-    ]
-
-
-def _clip(poly, a, b):
-    """Clip polygon by the half-plane left of directed edge a->b."""
-    ex = b[0] - a[0]
-    ey = b[1] - a[1]
-    out = []
-    if not poly:
-        return out
-    sx, sy = poly[-1]
-    s_in = ex * (sy - a[1]) - ey * (sx - a[0]) >= -_EDGE_EPS
-    for px, py in poly:
-        p_in = ex * (py - a[1]) - ey * (px - a[0]) >= -_EDGE_EPS
-        if p_in != s_in:
-            dx = px - sx
-            dy = py - sy
-            den = ex * dy - ey * dx
-            if abs(den) > _DEGENERATE_EPS:
-                t = (ex * (a[1] - sy) - ey * (a[0] - sx)) / den
-                out.append((sx + t * dx, sy + t * dy))
-            # near-parallel crossing within tolerance: skip the intersection
-            # point, the neighbouring vertices bound the area error by eps
-        if p_in:
-            out.append((px, py))
-        sx, sy, s_in = px, py, p_in
-    return out
-
-
-def _shoelace(poly):
-    n = len(poly)
-    if n < 3:
-        return 0.0
-    acc = 0.0
-    x0, y0 = poly[-1]
-    for x1, y1 in poly:
-        acc += x0 * y1 - x1 * y0
-        x0, y0 = x1, y1
-    return 0.5 * abs(acc)
-
-
-def _rect_iou(ax, ay, al, aw, ayaw, bx, by, bl, bw, byaw):
-    """IoU of two yaw-rotated BEV rectangles (cx, cy, length, width, yaw)."""
-    pa = _corners(ax, ay, al, aw, ayaw)
-    pb = _corners(bx, by, bl, bw, byaw)
-    poly = pa
-    prev = pb[-1]
-    for v in pb:
-        poly = _clip(poly, prev, v)
-        if not poly:
-            break
-        prev = v
-    inter = _shoelace(poly)
-    union = al * aw + bl * bw - inter
-    if union <= _DEGENERATE_EPS:
-        return 0.0
-    iou = inter / union
-    return min(max(iou, 0.0), 1.0)
-
-
 @dataclass(frozen=True)
 class Box3D:
     """Oriented 3D bounding box: BEV-plane center, dims, heading.
@@ -289,12 +217,6 @@ class Box3D:
                 f"({self.length}, {self.width}, {self.height})"
             )
         object.__setattr__(self, "yaw", wrap_angle(self.yaw))
-
-
-def bev_iou(a: Box3D, b: Box3D) -> float:
-    """Rotated-rectangle IoU of the two BEV footprints, in [0, 1]."""
-    return _rect_iou(a.cx, a.cy, a.length, a.width, a.yaw,
-                     b.cx, b.cy, b.length, b.width, b.yaw)
 
 
 # columns of a box row that make its footprint rectangle
@@ -335,26 +257,10 @@ def _candidate_pairs(boxes_a: np.ndarray, boxes_b: np.ndarray):
     return rows[hit], cols[hit]
 
 
-# Below this many pairs, _iou_pairs loops the scalar _rect_iou; from it on,
-# one numpy pass clips them all. Timed on a shared 2-core VM (py3.11, numpy
-# 2.4), the two cross at about 32-40 pairs: 1 pair takes 8 us scalar and
-# 155 us batched, 32 pairs 216 and 265 us, 40 pairs 305 and 244 us, 128
-# pairs 1042 and 317 us. The small suites' steps make 1-2 pairs, a step of
-# a 200-object scene about 290.
-_BATCH_MIN_PAIRS = 32
-
-
 def _iou_pairs(rects_a: np.ndarray, rects_b: np.ndarray, rows: np.ndarray,
                cols: np.ndarray) -> np.ndarray:
     """IoU of each rectangle pair (rects_a[rows[k]], rects_b[cols[k]]),
-    equal to ``_rect_iou`` of the pair bit for bit (module doc)."""
-    if len(rows) < _BATCH_MIN_PAIRS:
-        # Python floats: the scalar clip runs about 2x slower on numpy scalars
-        rows_a = rects_a.tolist()
-        rows_b = rects_b.tolist()
-        return np.array([_rect_iou(*rows_a[i], *rows_b[j])
-                         for i, j in zip(rows.tolist(), cols.tolist())],
-                        dtype=np.float64)
+    the same bits as the scalar clip of the pair (module doc)."""
     n_a = len(rects_a)
     xc, yc = _corner_arrays(np.concatenate([rects_a, rects_b]))
     xb, yb = xc[n_a:][cols], yc[n_a:][cols]
@@ -403,9 +309,10 @@ def _interleave(first: np.ndarray, second: np.ndarray) -> np.ndarray:
 
 
 def _corner_arrays(rects: np.ndarray):
-    """(N, 4) x and y arrays of each rectangle's ``_corners``."""
+    """(N, 4) x and y arrays of each rectangle's corners, counter-clockwise
+    and formed as the scalar clip forms them (module doc)."""
     cx, cy, length, width, yaw = rects.T
-    # math.cos and math.sin as in _corners; numpy's may round otherwise
+    # math.cos and math.sin as in the scalar clip; numpy's may round otherwise
     yaw = yaw.tolist()
     c = np.fromiter(map(math.cos, yaw), dtype=np.float64, count=len(yaw))
     s = np.fromiter(map(math.sin, yaw), dtype=np.float64, count=len(yaw))
@@ -428,7 +335,8 @@ def _corner_arrays(rects: np.ndarray):
 def _ring_prev(pid: np.ndarray):
     """(starts, prev) of a flat vertex list sorted by pair id: each
     polygon's first index, and each vertex's predecessor in its polygon,
-    where the first vertex follows the last (``poly[-1]`` in _clip)."""
+    where the first vertex follows the last (``poly[-1]`` in the scalar
+    clip)."""
     new = np.empty(len(pid), dtype=bool)
     new[:1] = True
     np.not_equal(pid[1:], pid[:-1], out=new[1:])
@@ -440,8 +348,8 @@ def _ring_prev(pid: np.ndarray):
 
 
 def _shoelace_pairs(xs, ys, pid, n_pairs: int) -> np.ndarray:
-    """``_shoelace`` of each pair's polygon in a flat vertex list: the same
-    running sum from 0.0, term by term in vertex order."""
+    """Shoelace area of each pair's polygon in a flat vertex list: the
+    scalar clip's running sum from 0.0, term by term in vertex order."""
     inter = np.zeros(n_pairs, dtype=np.float64)
     if not len(pid):
         return inter
@@ -466,21 +374,32 @@ def buffered_iou_matrix(rects_a: np.ndarray, rects_b: np.ndarray,
                         ratios_a: np.ndarray, ratios_b: np.ndarray) -> np.ndarray:
     """Pairwise BEV IoU of two (N, 5) / (M, 5) rectangle arrays after
     scaling each rectangle's length and width by (1 + its ratio); equal,
-    pair by pair, to ``bev_iou`` of the scaled boxes. Ratios must be
-    >= 0."""
+    pair by pair, to the scalar clip of the scaled rectangles (module
+    doc). Each side takes one finite ratio >= 0 per rectangle."""
     buffered = []
     for rects, ratios in ((rects_a, ratios_a), (rects_b, ratios_b)):
         ratios = np.asarray(ratios, dtype=np.float64)
-        if (ratios < 0).any():
-            raise ValueError("buffer ratios must be >= 0")
         rects = np.array(rects, dtype=np.float64).reshape(-1, 5)
+        if ratios.shape != (len(rects),):
+            raise ValueError(f"{len(rects)} rectangles need as many buffer "
+                             f"ratios, got shape {ratios.shape}")
+        if not (np.isfinite(ratios).all() and (ratios >= 0).all()):
+            raise ValueError("buffer ratios must be >= 0 and finite")
         rects[:, 2:4] *= (1.0 + ratios)[:, None]
         buffered.append(rects)
     boxes_a, boxes_b = buffered
     out = np.zeros((len(boxes_a), len(boxes_b)), dtype=np.float64)
     rows, cols = _candidate_pairs(boxes_a, boxes_b)
-    out[rows, cols] = _iou_pairs(boxes_a, boxes_b, rows, cols)
+    if len(rows):  # the clip's fixed cost buys nothing without a pair
+        out[rows, cols] = _iou_pairs(boxes_a, boxes_b, rows, cols)
     return out
+
+
+def bev_iou(a: Box3D, b: Box3D) -> float:
+    """Rotated-rectangle IoU of the two BEV footprints, in [0, 1]: the one
+    cell of ``buffered_iou_matrix`` with zero ratios."""
+    rect_a, rect_b = (box_rows([box])[:, RECT_COLUMNS] for box in (a, b))
+    return float(buffered_iou_matrix(rect_a, rect_b, [0.0], [0.0])[0, 0])
 
 
 # BEV footprint-area breakpoints (m^2) assigning scale levels when no

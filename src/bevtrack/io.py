@@ -389,11 +389,13 @@ def read_detections(path) -> list[DetectionFrame]:
 # ground truth logs
 
 def write_ground_truth(path, gt_frames: Sequence[GroundTruthFrame]) -> None:
-    """One record per object of each frame, written whole or not at all."""
+    """One record per object of each frame, written whole or not at all.
+    Ids are integers by the rule the reader takes them with (``typed``): a
+    float or bool id is a ValueError that names its field."""
     _write_records(path, ({
-        "frame_id": g.frame_id,
+        "frame_id": typed(g.frame_id, int, ("frame_id",)),
         "timestamp": float(g.timestamp),
-        "gt_id": gid,
+        "gt_id": typed(gid, int, ("gt_id",)),
         "box": box_to_list(box),
         "visible": bool(visible),
     } for g in gt_frames for gid, box, visible in g.objects))
@@ -427,21 +429,26 @@ def read_ground_truth(path) -> list[GroundTruthFrame]:
 
 def write_track_records(path, records: Iterable[dict]) -> None:
     """records: dicts with frame_id, track_id, box (Box3D), score,
-    scale_level. (frame_id, track_id) must be unique. The log is written
+    scale_level. (frame_id, track_id) must be unique, and the ids and the
+    level integers by the rule the reader takes them with (``typed``): a
+    float or bool is a ValueError that names its field. The log is written
     whole or not at all."""
 
     def checked():
         seen = set()
         for rec in records:
-            key = (rec["frame_id"], rec["track_id"])
-            if key in seen:
-                raise ValueError(f"duplicate track record {key}")
-            seen.add(key)
-            yield {"frame_id": rec["frame_id"],
-                   "track_id": rec["track_id"],
+            frame_id, track_id, level = (
+                typed(rec[key], int, (key,))
+                for key in ("frame_id", "track_id", "scale_level"))
+            if (frame_id, track_id) in seen:
+                raise ValueError(
+                    f"duplicate track record {(frame_id, track_id)}")
+            seen.add((frame_id, track_id))
+            yield {"frame_id": frame_id,
+                   "track_id": track_id,
                    "box": box_to_list(rec["box"]),
                    "score": float(rec["score"]),
-                   "scale_level": rec["scale_level"]}
+                   "scale_level": level}
 
     _write_records(path, checked())
 

@@ -24,7 +24,7 @@ from .association import (AppearanceState, ClueWeights, CostMatrix,
                           stack_appearance, unstack_appearance)
 from .geometry import (DEFAULT_SCALE_BREAKPOINTS, RECT_COLUMNS, Box3D,
                        InputError, box_rows, buffered_iou_matrix,
-                       check_fields, footprint_levels, wrap_angle)
+                       check_fields, footprint_levels, typed, wrap_angle)
 from .motion import KalmanState, NoiseConfig
 
 
@@ -428,8 +428,11 @@ class Tracker:
 
 def _next_frame_id(own: int | None, last: int | None) -> int:
     """The frame's own id, else 0 for the first frame, else last + 1; the
-    one numbering rule of ``Tracker.step`` and ``number_frames``."""
-    frame_id = own if own is not None else 0 if last is None else last + 1
+    one numbering rule of ``Tracker.step`` and ``number_frames``. An own id
+    is an integer by ``typed`` (a numpy integer gives a Python int; a float
+    or bool is a ValueError)."""
+    frame_id = (typed(own, int, ("frame_id",)) if own is not None
+                else 0 if last is None else last + 1)
     if last is not None and frame_id <= last:
         raise ValueError(f"frame {frame_id} does not follow frame {last}: "
                          "frame ids must increase")

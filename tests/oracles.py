@@ -1,21 +1,21 @@
 """Independent brute-force oracles backing the DERIVED expectations.
 
 Nothing here shares code with the library paths it checks: IoU is
-re-derived by counting rasterization cells, assignment by permutation
+re-derived by counting rasterization cells and by the scalar polygon clip
+(``rect_iou``, one pair at a time in Python floats, which the library's
+array clip must equal bit for bit), assignment by permutation
 enumeration, similarity one pair of vectors at a time, attention and
-convolution by literal loops. Two helpers at the end build on the
-library's single-box and simulator paths instead: ``buffered_iou``, the
-one-pair form of ``buffered_iou_matrix`` on ``bev_iou``, and
-``intra_inter_similarity``, a diagnostic of ``generate``'s embeddings.
+convolution by literal loops. One helper at the end builds on the
+library's simulator path instead: ``intra_inter_similarity``, a
+diagnostic of ``generate``'s embeddings.
 """
 
 import math
-from dataclasses import replace
 from itertools import permutations
 
 import numpy as np
 
-from bevtrack.geometry import bev_iou
+from bevtrack.geometry import _DEGENERATE_EPS, _EDGE_EPS
 from bevtrack.simulator import ScenarioConfig, generate
 
 _BIG = 1e6
@@ -116,6 +116,91 @@ def rasterized_iou_dense(box_a, box_b, cell=0.01):
     if union <= 0:
         return 0.0
     return inter / union
+
+
+# ---------------------------------------------------------------------------
+# exact scalar polygon clip, one pair at a time (the library's tolerances)
+
+def _rect_corners(cx, cy, length, width, yaw):
+    """BEV footprint corners in counter-clockwise order."""
+    c = math.cos(yaw)
+    s = math.sin(yaw)
+    dx = 0.5 * length
+    dy = 0.5 * width
+    return [
+        (cx + c * dx - s * dy, cy + s * dx + c * dy),
+        (cx - c * dx - s * dy, cy - s * dx + c * dy),
+        (cx - c * dx + s * dy, cy - s * dx - c * dy),
+        (cx + c * dx + s * dy, cy + s * dx - c * dy),
+    ]
+
+
+def _clip(poly, a, b):
+    """Clip polygon by the half-plane left of directed edge a->b."""
+    ex = b[0] - a[0]
+    ey = b[1] - a[1]
+    out = []
+    if not poly:
+        return out
+    sx, sy = poly[-1]
+    s_in = ex * (sy - a[1]) - ey * (sx - a[0]) >= -_EDGE_EPS
+    for px, py in poly:
+        p_in = ex * (py - a[1]) - ey * (px - a[0]) >= -_EDGE_EPS
+        if p_in != s_in:
+            dx = px - sx
+            dy = py - sy
+            den = ex * dy - ey * dx
+            if abs(den) > _DEGENERATE_EPS:
+                t = (ex * (a[1] - sy) - ey * (a[0] - sx)) / den
+                out.append((sx + t * dx, sy + t * dy))
+            # near-parallel crossing within tolerance: skip the intersection
+            # point, the neighbouring vertices bound the area error by eps
+        if p_in:
+            out.append((px, py))
+        sx, sy, s_in = px, py, p_in
+    return out
+
+
+def _shoelace(poly):
+    n = len(poly)
+    if n < 3:
+        return 0.0
+    acc = 0.0
+    x0, y0 = poly[-1]
+    for x1, y1 in poly:
+        acc += x0 * y1 - x1 * y0
+        x0, y0 = x1, y1
+    return 0.5 * abs(acc)
+
+
+def rect_iou(ax, ay, al, aw, ayaw, bx, by, bl, bw, byaw):
+    """IoU of two yaw-rotated BEV rectangles (cx, cy, length, width, yaw):
+    a's footprint clipped by b's four edges (Sutherland-Hodgman), the
+    intersection area by the shoelace formula."""
+    pa = _rect_corners(ax, ay, al, aw, ayaw)
+    pb = _rect_corners(bx, by, bl, bw, byaw)
+    poly = pa
+    prev = pb[-1]
+    for v in pb:
+        poly = _clip(poly, prev, v)
+        if not poly:
+            break
+        prev = v
+    inter = _shoelace(poly)
+    union = al * aw + bl * bw - inter
+    if union <= _DEGENERATE_EPS:
+        return 0.0
+    iou = inter / union
+    return min(max(iou, 0.0), 1.0)
+
+
+def buffered_iou(a, b, ra, rb):
+    """``rect_iou`` of the footprints of boxes a and b after scaling each
+    one's length and width by (1 + its ratio), the product
+    ``buffered_iou_matrix`` forms."""
+    return rect_iou(a.cx, a.cy, a.length * (1.0 + ra), a.width * (1.0 + ra),
+                    a.yaw, b.cx, b.cy, b.length * (1.0 + rb),
+                    b.width * (1.0 + rb), b.yaw)
 
 
 # ---------------------------------------------------------------------------
@@ -373,16 +458,7 @@ def reference_evaluate(gt_frames, tracker_output, match_distance=2.0,
 
 
 # ---------------------------------------------------------------------------
-# helpers on the library's own paths (module doc)
-
-def buffered_iou(a, b, ra, rb):
-    """``bev_iou`` of the two boxes after scaling each footprint's length
-    and width by (1 + its ratio), the product ``buffered_iou_matrix``
-    forms."""
-    return bev_iou(
-        replace(a, length=(1.0 + ra) * a.length, width=(1.0 + ra) * a.width),
-        replace(b, length=(1.0 + rb) * b.length, width=(1.0 + rb) * b.width))
-
+# a helper on the library's simulator path (module doc)
 
 def intra_inter_similarity(cfg: ScenarioConfig,
                            clue: str = "img") -> tuple[float, float]:

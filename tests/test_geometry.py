@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -6,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bevtrack.geometry import (_BATCH_MIN_PAIRS, DEFAULT_SCALE_BREAKPOINTS,
-                               RECT_COLUMNS, Box3D, _candidate_pairs,
-                               _iou_pairs, _rect_iou, bev_iou, box_rows,
-                               buffered_iou_matrix, footprint_levels,
-                               wrap_angle)
+from bevtrack import geometry
+from bevtrack.geometry import (DEFAULT_SCALE_BREAKPOINTS, RECT_COLUMNS, Box3D,
+                               _candidate_pairs, _iou_pairs, bev_iou,
+                               box_rows, buffered_iou_matrix,
+                               footprint_levels, wrap_angle)
 
-from oracles import buffered_iou, rasterized_iou, rasterized_iou_dense
+from oracles import (buffered_iou, rasterized_iou, rasterized_iou_dense,
+                     rect_iou)
 
 
 def random_box(rng, span=4.0):
@@ -120,8 +122,8 @@ class TestBevIou:
 
     def test_range_and_matrix_consistency(self):
         # the matrix clips only pairs that pass the circumcircle pre-filter;
-        # every cell must still equal the per-pair IoU exactly, and the
-        # sweep must find exactly the pairs of the dense circle test
+        # every cell must still equal the scalar clip of its pair exactly,
+        # and the sweep must find exactly the pairs of the dense circle test
         rng = np.random.default_rng(13)
 
         def check(boxes_a, boxes_b, ratios_a=None, ratios_b=None):
@@ -142,7 +144,8 @@ class TestBevIou:
                     assert 0.0 <= mat[i, j] <= 1.0
                     assert mat[i, j] == buffered_iou(a, b, ra, rb)
                     if ra == rb == 0:
-                        assert mat[i, j] == bev_iou(a, b)
+                        assert mat[i, j] == rect_iou(*as_tuple(a),
+                                                     *as_tuple(b))
 
         boxes_a = [random_box(rng) for _ in range(8)]
         boxes_b = [random_box(rng) for _ in range(5)]
@@ -290,14 +293,44 @@ class TestBatchedIou:
         n = len(pairs)
         rects_a = np.array([a for a, _ in pairs])
         rects_b = np.array([b for _, b in pairs][::-1])
-        want = np.array([_rect_iou(*a, *b) for a, b in pairs])
-        # below the crossover the scalar loop runs, from it the array clip
-        for size in (min(n, _BATCH_MIN_PAIRS - 1), max(n, _BATCH_MIN_PAIRS)):
-            rows = np.resize(np.arange(n), size)
+        want = np.array([rect_iou(*a, *b) for a, b in pairs])
+        # no pair, one drawn pair, and every pair at once
+        for rows in (np.arange(0), rng.integers(n, size=1), np.arange(n)):
             got = _iou_pairs(rects_a, rects_b, rows, n - 1 - rows)
             assert got.dtype == np.float64
             assert (got.view(np.int64).tolist()
                     == want[rows].view(np.int64).tolist())
+
+    @settings(max_examples=40, deadline=None)
+    @given(family=st.sampled_from(_FAMILIES), far=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_bev_iou_equals_scalar_kernel_bit_for_bit(self, family, far,
+                                                      seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(4):
+            a, b = (Box3D(cx, cy, 0.0, length, width, 1.0, yaw)
+                    for cx, cy, length, width, yaw
+                    in _rect_pair(rng, family, far))
+            got = bev_iou(a, b)
+            assert type(got) is float
+            assert got.hex() == rect_iou(*as_tuple(a), *as_tuple(b)).hex()
+
+    def test_matrix_without_candidate_pairs_skips_the_clip(self,
+                                                           monkeypatch):
+        def clip(*args):
+            raise AssertionError("clip called")
+
+        monkeypatch.setattr(geometry, "_iou_pairs", clip)
+        rects = box_rows([Box3D(0, 0, 0, 4, 2, 1, 0.3),
+                          Box3D(100, 0, 0, 4, 2, 1, 0)])[:, RECT_COLUMNS]
+        for a, b in ((rects[:1], rects[1:]), (rects, rects[:0]),
+                     (rects[:0], rects)):
+            mat = buffered_iou_matrix(a, b, np.zeros(len(a)),
+                                      np.zeros(len(b)))
+            assert mat.shape == (len(a), len(b))
+            assert not mat.any()
+        with pytest.raises(AssertionError, match="clip called"):
+            buffered_iou_matrix(rects, rects, np.zeros(2), np.zeros(2))
 
 
 def pair_iou(a, b, ra, rb):
@@ -312,6 +345,24 @@ class TestBufferedIou:
         for ra, rb in ((-0.1, 0.0), (0.0, -0.1)):
             with pytest.raises(ValueError, match="ratios must be >= 0"):
                 pair_iou(a, a, ra, rb)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_ratio_rejected(self, bad):
+        a = Box3D(0, 0, 0, 4, 2, 1, 0)
+        for ra, rb in ((bad, 0.0), (0.0, bad)):
+            with pytest.raises(ValueError,
+                               match="ratios must be >= 0 and finite"):
+                pair_iou(a, a, ra, rb)
+
+    def test_one_ratio_per_rectangle(self):
+        rects = box_rows([Box3D(0, 0, 0, 4, 2, 1, 0)] * 2)[:, RECT_COLUMNS]
+        two = [0.1, 0.1]
+        for ra, rb in (([0.1], two), (two, 0.1), (two, [[0.1, 0.1]]),
+                       (two, [0.1, 0.1, 0.1])):
+            with pytest.raises(ValueError, match=re.escape(
+                    "2 rectangles need as many buffer ratios")):
+                buffered_iou_matrix(rects, rects, ra, rb)
+        assert (buffered_iou_matrix(rects, rects, two, two) == 1.0).all()
 
     def test_touching_boxes_gain_overlap(self):
         # 2x2 footprints side by side: zero overlap raw, positive buffered

@@ -19,10 +19,11 @@ from bevtrack.geometry import DEFAULT_SCALE_BREAKPOINTS, Box3D
 from bevtrack.metrics import EvalConfig, evaluate
 from bevtrack.refiner import (DEFAULT_BEV_GRID, DEFAULT_IMAGE_GRID,
                               RefinerConfig)
-from bevtrack.simulator import (ScenarioConfig, SpawnSpec, generate,
-                                standard_suites)
-from bevtrack.tracker import (Detection, DetectionFrame, TrackerConfig,
-                              as_frame, number_frames, run_sequence)
+from bevtrack.simulator import (GroundTruthFrame, ScenarioConfig, SpawnSpec,
+                                generate, standard_suites)
+from bevtrack.tracker import (Detection, DetectionFrame, Tracker,
+                              TrackerConfig, as_frame, number_frames,
+                              run_sequence)
 
 
 def make_dets(n_frames=3, per_frame=2, dim=4):
@@ -689,6 +690,68 @@ class TestTrackLog:
 
         with pytest.raises(ValueError, match="duplicate"):
             bio.write_track_records(path, records + records[:1])
+
+
+class TestWrittenIds:
+    """Each writer writes only ids its reader takes: a numpy integer as a
+    JSON integer, and a float or bool id is a ValueError that names the
+    field and leaves the file as it was."""
+
+    OLD = b"old bytes\n"
+
+    def refused(self, path, write, field):
+        path.write_bytes(self.OLD)
+        with pytest.raises(ValueError, match=f"{field}: must be an integer"):
+            write()
+        assert path.read_bytes() == self.OLD
+
+    def test_ground_truth(self, tmp_path):
+        path = tmp_path / "gt.jsonl"
+        box = Box3D(0, 0, 0.8, 4, 2, 1.6, 0.1)
+
+        def frames(frame_id, gt_id):
+            return [GroundTruthFrame(frame_id, 0.5, ((gt_id, box, True),))]
+
+        bio.write_ground_truth(path, frames(np.int64(3), np.int32(2)))
+        assert bio.read_ground_truth(path) == frames(3, 2)
+        for field, frame_id, gt_id in (("gt_id", 0, 2.5), ("gt_id", 0, True),
+                                       ("frame_id", 1.0, 2),
+                                       ("frame_id", False, 2)):
+            self.refused(path, lambda: bio.write_ground_truth(
+                path, frames(frame_id, gt_id)), field)
+
+    def test_track_records(self, tmp_path):
+        path = tmp_path / "tracks.jsonl"
+        box = Box3D(0, 0, 0.8, 4, 2, 1.6, 0.1)
+        rec = {"frame_id": np.int64(4), "track_id": np.uint8(7), "box": box,
+               "score": 0.9, "scale_level": np.int16(2)}
+        bio.write_track_records(path, [rec])
+        assert bio.read_tracks(path) == {4: [(7, box, 0.9)]}
+        assert json.loads(path.read_text())["scale_level"] == 2
+        for field, value in (("track_id", 1.5), ("track_id", True),
+                             ("frame_id", True), ("frame_id", 4.0),
+                             ("scale_level", 2.0), ("scale_level", False)):
+            self.refused(path, lambda: bio.write_track_records(
+                path, [{**rec, field: value}]), field)
+
+    def test_detections(self, tmp_path):
+        path = tmp_path / "dets.jsonl"
+        frame = as_frame(make_dets(n_frames=1)[0])
+        bio.write_detections(path, [replace(frame, frame_id=np.int64(6))])
+        assert [f for f, _ in bio.iter_detection_frames(path)] == [6]
+        for bad in (2.5, True):
+            self.refused(path, lambda: bio.write_detections(
+                path, [replace(frame, frame_id=bad)]), "frame_id")
+            trk = Tracker()
+            with pytest.raises(ValueError,
+                               match="frame_id: must be an integer"):
+                trk.step(replace(frame, frame_id=bad), 0.1)
+            assert not trk.tracklets
+        trk = Tracker()
+        trk.step(replace(frame, frame_id=np.int64(6)), 0.1)
+        trk.step(replace(frame, frame_id=None), 0.1)
+        assert type(trk._last_frame_id) is int
+        assert trk._last_frame_id == 7
 
 
 def overflow_log(path, n_frames=3):
