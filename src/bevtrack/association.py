@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import check_fields
+from .geometry import NonNegative, check_fields
 
 # Entries above any reachable cost; used to steer the solver away from
 # gated-out pairs, which are dropped from its output afterwards.
@@ -58,15 +58,12 @@ class AppearanceState:
 class ClueWeights:
     """Weights of the image, BEV and head cosine similarity clues."""
 
-    img: float = 1.0 / 3.0
-    bev: float = 1.0 / 3.0
-    head: float = 1.0 / 3.0
+    img: NonNegative = 1.0 / 3.0
+    bev: NonNegative = 1.0 / 3.0
+    head: NonNegative = 1.0 / 3.0
 
     def __post_init__(self):
         check_fields(self)
-        for name, weight in vars(self).items():
-            if weight < 0:
-                raise ValueError(f"{name}: must be >= 0")
         if self.img + self.bev + self.head <= 0:
             raise ValueError("clue weights must not all be zero")
 

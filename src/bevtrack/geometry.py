@@ -43,12 +43,14 @@ too, but rounding is monotone: a float bx within the exact bounds is also
 within the rounded ones. So the candidates equal the dense test's pairs.
 
 The module also holds the input rules every other module shares:
-``is_number``, ``InputError``, and ``typed``, the one kind check of a
-config value. Every config dataclass starts its ``__post_init__`` with
-``check_fields``, which runs each field through ``typed`` by its type
-hint, and keeps only its range rules after it; ``io`` reads the YAML
+``is_number``, ``InputError``, and ``typed``, the one kind and range check
+of a config value. A field's range rule is a ``Bound`` in its type hint
+(``Unit``, ``NonNegative``, ``Positive``, ``Count``, ``AtLeastOne``).
+Every config dataclass starts its ``__post_init__`` with ``check_fields``,
+which runs each field through ``typed`` by its type hint, and keeps only
+the rules that relate fields or lengths after it; ``io`` reads the YAML
 files through ``typed`` too, so the library and the files refuse the same
-kinds with the same ``FieldError`` messages.
+values with the same ``FieldError`` messages.
 """
 
 from __future__ import annotations
@@ -56,8 +58,9 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, is_dataclass, replace
-from functools import cache
-from typing import Sequence, get_args, get_origin, get_type_hints
+from functools import cache, partial
+from typing import (Annotated, Sequence, get_args, get_origin,
+                    get_type_hints)
 
 import numpy as np
 
@@ -88,13 +91,45 @@ _KINDS = {int: (numbers.Integral, "must be an integer"),
           str: (str, "must be a string")}
 
 
+@dataclass(frozen=True)
+class Bound:
+    """The range rule of a number, declared in its type hint as
+    ``Annotated[kind, Bound(...)]``: at least ``low`` (above it when
+    ``open``) and at most ``high``."""
+
+    low: float
+    high: float = math.inf
+    open: bool = False
+
+    def check(self, value, where: tuple):
+        """value, if it keeps the rule; else FieldError ``must be >= low``,
+        ``must be > low`` or ``must be in [low, high]``."""
+        if (value > self.low if self.open else value >= self.low) \
+                and value <= self.high:
+            return value
+        if self.high < math.inf:
+            raise FieldError(where, f"must be in {'(' if self.open else '['}"
+                                    f"{self.low}, {self.high}]")
+        raise FieldError(where, f"must be {'>' if self.open else '>='} "
+                                f"{self.low}")
+
+
+Unit = Annotated[float, Bound(0, 1)]
+NonNegative = Annotated[float, Bound(0)]
+Positive = Annotated[float, Bound(0, open=True)]
+Count = Annotated[int, Bound(0)]
+AtLeastOne = Annotated[int, Bound(1)]
+
+
 def typed(value, hint, where: tuple = (), default=None):
     """value as the kind its type hint names, from Python or from YAML: the
-    one kind check of every config value.
+    one kind and range check of every config value.
 
     An ``int`` takes an Integral and a ``float`` a Real whose float is
     finite, neither a bool, and each gives the plain Python number; a
-    ``bool`` takes True or False and a ``str`` a string. A tuple takes a
+    ``bool`` takes True or False and a ``str`` a string. ``Annotated[kind,
+    Bound(...)]`` takes a kind that keeps the bound, else "must be >= low",
+    "must be > low" or "must be in [low, high]". A tuple takes a
     list or a tuple, of the hint's length unless it ends in ``...``, and
     gives a tuple; a dict takes a dict; ``X | None`` takes None or an X. A
     dataclass takes an instance as it is, or a mapping of its fields: the
@@ -115,6 +150,8 @@ def typed(value, hint, where: tuple = (), default=None):
             pass
         raise FieldError(where, message)
     origin, args = get_origin(hint), get_args(hint)
+    if origin is Annotated:  # a kind and its Bound
+        return args[1].check(typed(value, args[0], where), where)
     if type(None) in args:  # X | None
         return None if value is None else typed(value, args[0], where)
     if origin is tuple:
@@ -150,14 +187,14 @@ def typed(value, hint, where: tuple = (), default=None):
         raise FieldError(where, str(exc)) from exc
 
 
-_field_hints = cache(get_type_hints)
+_field_hints = cache(partial(get_type_hints, include_extras=True))
 
 
 def check_fields(config) -> None:
     """Run each field of a config dataclass through ``typed`` by its type
     hint and keep what ``typed`` gives, so a config holds plain numbers and
     tuples however it was built. Every config's ``__post_init__`` starts
-    with it; the config's range rules follow."""
+    with it; the config's rules that relate fields or lengths follow."""
     for name, hint in _field_hints(type(config)).items():
         object.__setattr__(config, name,
                            typed(getattr(config, name), hint, (name,)))

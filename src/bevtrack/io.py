@@ -390,15 +390,32 @@ def read_detections(path) -> list[DetectionFrame]:
 
 def write_ground_truth(path, gt_frames: Sequence[GroundTruthFrame]) -> None:
     """One record per object of each frame, written whole or not at all.
-    Ids are integers by the rule the reader takes them with (``typed``): a
-    float or bool id is a ValueError that names its field."""
-    _write_records(path, ({
-        "frame_id": typed(g.frame_id, int, ("frame_id",)),
-        "timestamp": float(g.timestamp),
-        "gt_id": typed(gid, int, ("gt_id",)),
-        "box": box_to_list(box),
-        "visible": bool(visible),
-    } for g in gt_frames for gid, box, visible in g.objects))
+    The ids, the timestamp and ``visible`` take the reader's rule
+    (``typed``), each frame id is written once and each gt id once in its
+    frame: else a ValueError that names the field."""
+
+    def checked():
+        written = set()
+        for g in gt_frames:
+            frame_id = typed(g.frame_id, int, ("frame_id",))
+            if frame_id in written:
+                raise FieldError(("frame_id",), f"{frame_id} repeats")
+            written.add(frame_id)
+            timestamp = typed(g.timestamp, float, ("timestamp",))
+            gt_ids = set()
+            for gid, box, visible in g.objects:
+                gid = typed(gid, int, ("gt_id",))
+                if gid in gt_ids:
+                    raise FieldError(("gt_id",), f"{gid} repeats in frame "
+                                                 f"{frame_id}")
+                gt_ids.add(gid)
+                yield {"frame_id": frame_id,
+                       "timestamp": timestamp,
+                       "gt_id": gid,
+                       "box": box_to_list(box),
+                       "visible": typed(visible, bool, ("visible",))}
+
+    _write_records(path, checked())
 
 
 def read_ground_truth(path) -> list[GroundTruthFrame]:
@@ -429,10 +446,10 @@ def read_ground_truth(path) -> list[GroundTruthFrame]:
 
 def write_track_records(path, records: Iterable[dict]) -> None:
     """records: dicts with frame_id, track_id, box (Box3D), score,
-    scale_level. (frame_id, track_id) must be unique, and the ids and the
-    level integers by the rule the reader takes them with (``typed``): a
-    float or bool is a ValueError that names its field. The log is written
-    whole or not at all."""
+    scale_level. (frame_id, track_id) must be unique, the ids and the
+    level integers and the score a finite number by the rule the reader
+    takes them with (``typed``): else a ValueError that names its field.
+    The log is written whole or not at all."""
 
     def checked():
         seen = set()
@@ -447,7 +464,7 @@ def write_track_records(path, records: Iterable[dict]) -> None:
             yield {"frame_id": frame_id,
                    "track_id": track_id,
                    "box": box_to_list(rec["box"]),
-                   "score": float(rec["score"]),
+                   "score": typed(rec["score"], float, ("score",)),
                    "scale_level": level}
 
     _write_records(path, checked())
@@ -492,6 +509,12 @@ class AppConfig:
         if any(a >= b for a, b in zip(edges, edges[1:])):
             raise ValueError("scale_breakpoints: must be strictly increasing, "
                              f"got {list(edges)}")
+        # footprint_levels gives a level from 0 to len(edges)
+        if len(edges) >= self.tracker.num_levels:
+            raise ValueError(
+                f"scale_breakpoints: {len(edges)} breakpoints give "
+                f"{len(edges) + 1} scale levels, but tracker.num_levels is "
+                f"{self.tracker.num_levels}")
 
 
 DEFAULT_CONFIG_TEXT = """\

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Box3D, InputError, check_fields
+from .geometry import AtLeastOne, Box3D, InputError, Positive, check_fields
 from .simulator import GroundTruthFrame
 
 Pred = tuple[int, Box3D, float]  # (track_id, box, score)
@@ -32,15 +32,11 @@ Pred = tuple[int, Box3D, float]  # (track_id, box, score)
 
 @dataclass(frozen=True)
 class EvalConfig:
-    match_distance: float = 2.0  # meters, BEV center distance for a TP
-    recall_thresholds: int = 40
+    match_distance: Positive = 2.0  # meters, BEV center distance for a TP
+    recall_thresholds: AtLeastOne = 40
 
     def __post_init__(self):
         check_fields(self)
-        if not self.match_distance > 0:
-            raise ValueError("match_distance: must be > 0")
-        if self.recall_thresholds < 1:
-            raise ValueError("recall_thresholds: must be >= 1")
 
 
 @dataclass

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Box3D, box_rows, check_fields, wrap_angle
+from .geometry import Box3D, Positive, box_rows, check_fields, wrap_angle
 
 STATE_DIM = 10
 MEAS_DIM = 7
@@ -52,19 +52,16 @@ class NoiseConfig:
     second).
     """
 
-    process_pos_std: float = 0.5
-    process_vel_std: float = 1.0
-    process_yaw_std: float = 0.1
-    process_dim_std: float = 0.05
-    meas_pos_std: float = 0.5
-    meas_yaw_std: float = 0.1
-    meas_dim_std: float = 0.1
+    process_pos_std: Positive = 0.5
+    process_vel_std: Positive = 1.0
+    process_yaw_std: Positive = 0.1
+    process_dim_std: Positive = 0.05
+    meas_pos_std: Positive = 0.5
+    meas_yaw_std: Positive = 0.1
+    meas_dim_std: Positive = 0.1
 
     def __post_init__(self):
         check_fields(self)
-        for name, std in vars(self).items():
-            if std <= 0:
-                raise ValueError(f"{name}: must be strictly positive")
 
     def process_var(self) -> np.ndarray:
         """(10,) diagonal of the process covariance Q."""

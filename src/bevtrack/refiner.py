@@ -46,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import check_fields, is_number
+from .geometry import AtLeastOne, Positive, check_fields, is_number
 
 # Grid rows in one tile of refine_features and temporal_fuse.
 _TILE_ROWS = 16
@@ -59,21 +59,17 @@ class RefinerGridConfig:
     size. Image grids use 3 levels and BEV grids 5 by default. Each rule's
     message starts with the field it breaks."""
 
-    num_levels: int
-    scope_radii: tuple[float, ...]
+    num_levels: AtLeastOne
+    scope_radii: tuple[Positive, ...]
     kernel_sizes: tuple[int, ...]
 
     def __post_init__(self):
         check_fields(self)
-        if self.num_levels < 1:
-            raise ValueError("num_levels: must be >= 1")
         for name in ("scope_radii", "kernel_sizes"):
             n = len(getattr(self, name))
             if n != self.num_levels:
                 raise ValueError(
                     f"{name}: {n} entries for {self.num_levels} levels")
-        if min(self.scope_radii) <= 0:
-            raise ValueError("scope_radii: each must be finite and > 0")
         _check_kernel_sizes(self.kernel_sizes)
 
 

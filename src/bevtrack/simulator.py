@@ -25,7 +25,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import Box3D, check_fields, wrap_angle
+from .geometry import (AtLeastOne, Box3D, Count, NonNegative, Positive, Unit,
+                       check_fields, wrap_angle)
 from .tracker import DetectionFrame
 
 DEFAULT_SIZE_CLASSES: dict[str, tuple[float, float, float]] = {
@@ -51,47 +52,36 @@ class SpawnSpec:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    seed: int = 0
-    num_objects: int = 4
-    num_frames: int = 40
-    frame_dt: float = 0.1
-    arena: tuple[float, float] = (60.0, 60.0)
-    size_classes: dict[str, tuple[float, float, float]] = field(
+    seed: Count = 0
+    num_objects: Count = 4
+    num_frames: AtLeastOne = 40
+    frame_dt: Positive = 0.1
+    arena: tuple[Positive, Positive] = (60.0, 60.0)
+    size_classes: dict[str, tuple[Positive, Positive, Positive]] = field(
         default_factory=lambda: dict(DEFAULT_SIZE_CLASSES))
     object_classes: tuple[str, ...] | None = None  # per-object; None = cycle
     speed_range: tuple[float, float] = (2.0, 6.0)
     turn_rate_range: tuple[float, float] = (-0.2, 0.2)
-    pos_std: float = 0.0
-    yaw_std: float = 0.0
-    dim_std: float = 0.0
-    fp_rate: float = 0.0
-    fn_rate: float = 0.0
-    embedding_dim: int = 32
-    embedding_noise_std: float = 0.0
-    score_range: tuple[float, float] = (0.6, 1.0)
-    fp_score_range: tuple[float, float] = (0.1, 0.9)
-    occlusion_events: tuple[tuple[int, int, int], ...] = ()  # (obj, start, len)
+    pos_std: NonNegative = 0.0
+    yaw_std: NonNegative = 0.0
+    dim_std: NonNegative = 0.0
+    fp_rate: NonNegative = 0.0
+    fn_rate: Unit = 0.0
+    embedding_dim: AtLeastOne = 32
+    embedding_noise_std: NonNegative = 0.0
+    score_range: tuple[Unit, Unit] = (0.6, 1.0)
+    fp_score_range: tuple[Unit, Unit] = (0.1, 0.9)
+    # (obj, start, len)
+    occlusion_events: tuple[tuple[int, Count, Count], ...] = ()
     spawn_overrides: dict[int, SpawnSpec] = field(default_factory=dict)
     # (leader, follower, gap): follower spawns within gap meters of the
     # leader and copies its motion, staying a close neighbor for the whole
     # scenario
-    companions: tuple[tuple[int, int, float], ...] = ()
+    companions: tuple[tuple[int, int, NonNegative], ...] = ()
 
     def __post_init__(self):
         check_fields(self)
-        if self.seed < 0:
-            raise ValueError("seed: must be >= 0")
         n = self.num_objects
-        if n < 0:
-            raise ValueError("num_objects: must be >= 0")
-        if self.num_frames < 1:
-            raise ValueError("num_frames: must be >= 1")
-        if not self.frame_dt > 0:
-            raise ValueError("frame_dt: must be > 0")
-        if not min(self.arena) > 0:
-            raise ValueError("arena: extents must be > 0")
-        if self.embedding_dim < 1:
-            raise ValueError("embedding_dim: must be >= 1")
         # one frame draws num_objects x (7 + 3 x embedding_dim) values into
         # one array, whose size numpy's index type must hold
         limit = int(np.iinfo(np.intp).max)
@@ -105,23 +95,12 @@ class ScenarioConfig:
                 f"embedding_dim {self.embedding_dim}")
         if not self.size_classes:
             raise ValueError("size_classes: must name at least one class")
-        for cls, dims in self.size_classes.items():
-            if not min(dims) > 0:
-                raise ValueError(f"size_classes: dims of {cls} must be > 0")
         for name in ("speed_range", "turn_rate_range", "score_range",
                      "fp_score_range"):
             low, high = getattr(self, name)
             if low > high:
                 raise ValueError(
                     f"{name}: must be [low, high] with low <= high")
-            if name.endswith("score_range") and (low < 0 or high > 1):
-                raise ValueError(f"{name}: must lie in [0, 1]")
-        if not 0.0 <= self.fn_rate <= 1.0:
-            raise ValueError("fn_rate: must be in [0, 1]")
-        for name in ("fp_rate", "pos_std", "yaw_std", "dim_std",
-                     "embedding_noise_std"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name}: must be >= 0")
         if self.object_classes is not None:
             if len(self.object_classes) != n:
                 raise ValueError("object_classes: must name every object")
@@ -138,12 +117,6 @@ class ScenarioConfig:
             if not 0 <= obj < n:
                 raise ValueError(f"{name}: names object {obj}, but "
                                  f"num_objects is {n}")
-        if any(start < 0 or duration < 0
-               for _, start, duration in self.occlusion_events):
-            raise ValueError("occlusion_events: need start >= 0 and "
-                             "duration >= 0")
-        if any(gap < 0 for _, _, gap in self.companions):
-            raise ValueError("companions: need gap >= 0")
 
     def noiseless(self) -> "ScenarioConfig":
         """Same trajectories and occlusions, zero observation corruption."""

@@ -22,9 +22,10 @@ from . import motion
 from .association import (AppearanceState, ClueWeights, CostMatrix,
                           build_similarity_matrix, solve_assignment,
                           stack_appearance, unstack_appearance)
-from .geometry import (DEFAULT_SCALE_BREAKPOINTS, RECT_COLUMNS, Box3D,
-                       InputError, box_rows, buffered_iou_matrix,
-                       check_fields, footprint_levels, typed, wrap_angle)
+from .geometry import (DEFAULT_SCALE_BREAKPOINTS, RECT_COLUMNS, AtLeastOne,
+                       Box3D, Count, InputError, NonNegative, Unit, box_rows,
+                       buffered_iou_matrix, check_fields, footprint_levels,
+                       typed, wrap_angle)
 from .motion import KalmanState, NoiseConfig
 
 
@@ -170,14 +171,14 @@ class Tracklet:
 class TrackerConfig:
     clue_weights: ClueWeights = field(default_factory=ClueWeights)
     similarity_gate: float = 0.3
-    iou_threshold: float = 0.1
+    iou_threshold: Unit = 0.1
     # footprint buffer ratio per scale level, smallest level first; levels
     # past the table take its last ratio
-    buffer_ratios: tuple[float, ...] = (0.5, 0.4, 0.3, 0.2, 0.1)
-    init_score_threshold: float = 0.5
-    max_age: int = 0
-    ema_alpha: float = 0.9
-    num_levels: int = 5
+    buffer_ratios: tuple[NonNegative, ...] = (0.5, 0.4, 0.3, 0.2, 0.1)
+    init_score_threshold: Unit = 0.5
+    max_age: Count = 0
+    ema_alpha: Unit = 0.9
+    num_levels: AtLeastOne = 5
     # ablation switches: disable stage 1 / footprint buffering / per-level
     # cascading (flat stage-2 assignment)
     use_multi_clue: bool = True
@@ -186,16 +187,9 @@ class TrackerConfig:
 
     def __post_init__(self):
         check_fields(self)
-        for name in ("iou_threshold", "init_score_threshold", "ema_alpha"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name}: must be in [0, 1]")
-        if self.max_age < 0:
-            raise ValueError("max_age: must be >= 0")
-        if self.num_levels < 1:
-            raise ValueError("num_levels: must be >= 1")
         ratios = self.buffer_ratios
-        if not ratios or min(ratios) < 0:
-            raise ValueError("buffer_ratios: must be non-empty and >= 0")
+        if not ratios:
+            raise ValueError("buffer_ratios: must be non-empty")
         if any(a < b for a, b in zip(ratios, ratios[1:])):
             raise ValueError("buffer_ratios: must be non-increasing from "
                              "smallest to largest scale level")

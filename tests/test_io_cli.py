@@ -693,15 +693,16 @@ class TestTrackLog:
 
 
 class TestWrittenIds:
-    """Each writer writes only ids its reader takes: a numpy integer as a
-    JSON integer, and a float or bool id is a ValueError that names the
-    field and leaves the file as it was."""
+    """Each writer writes only ids and values its reader takes: a numpy
+    integer as a JSON integer, and a float or bool id, a non-finite
+    number or a repeated id is a ValueError that names the field and
+    leaves the file as it was."""
 
     OLD = b"old bytes\n"
 
-    def refused(self, path, write, field):
+    def refused(self, path, write, field, rule="must be an integer"):
         path.write_bytes(self.OLD)
-        with pytest.raises(ValueError, match=f"{field}: must be an integer"):
+        with pytest.raises(ValueError, match=re.escape(f"{field}: {rule}")):
             write()
         assert path.read_bytes() == self.OLD
 
@@ -720,6 +721,31 @@ class TestWrittenIds:
             self.refused(path, lambda: bio.write_ground_truth(
                 path, frames(frame_id, gt_id)), field)
 
+    def test_ground_truth_values(self, tmp_path):
+        """A finite timestamp, a bool visible, each frame id once and each
+        gt id once in its frame: the log reads back what was written."""
+        path = tmp_path / "gt.jsonl"
+        box = Box3D(0, 0, 0.8, 4, 2, 1.6, 0.1)
+        good = GroundTruthFrame(0, 0.5, ((1, box, False),))
+        later = GroundTruthFrame(1, np.float64(0.6), ((1, box, True),))
+        bio.write_ground_truth(path, [good, later])
+        assert bio.read_ground_truth(path) == [good, later]
+        finite, boolean = "must be a finite number", "must be true or false"
+        for frames, field, rule in (
+                ([replace(good, timestamp=math.nan)], "timestamp", finite),
+                ([good, replace(later, timestamp=math.inf)], "timestamp",
+                 finite),
+                ([replace(good, timestamp=True)], "timestamp", finite),
+                ([replace(good, objects=((1, box, "no"),))], "visible",
+                 boolean),
+                ([replace(good, objects=((1, box, 0),))], "visible", boolean),
+                ([replace(good, objects=((1, box, True), (1, box, True)))],
+                 "gt_id", "1 repeats in frame 0"),
+                ([good, later, replace(good, timestamp=0.7)], "frame_id",
+                 "0 repeats")):
+            self.refused(path, lambda: bio.write_ground_truth(path, frames),
+                         field, rule)
+
     def test_track_records(self, tmp_path):
         path = tmp_path / "tracks.jsonl"
         box = Box3D(0, 0, 0.8, 4, 2, 1.6, 0.1)
@@ -733,6 +759,10 @@ class TestWrittenIds:
                              ("scale_level", 2.0), ("scale_level", False)):
             self.refused(path, lambda: bio.write_track_records(
                 path, [{**rec, field: value}]), field)
+        for score in (math.inf, math.nan, True, "0.9"):
+            self.refused(path, lambda: bio.write_track_records(
+                path, [{**rec, "score": score}]), "score",
+                "must be a finite number")
 
     def test_detections(self, tmp_path):
         path = tmp_path / "dets.jsonl"
@@ -961,6 +991,17 @@ class TestConfig:
             bev=replace(DEFAULT_BEV_GRID, kernel_sizes=(1, 1, 3, 3, 5))))
         assert cfg.refiner.image == DEFAULT_IMAGE_GRID
 
+    def test_breakpoints_fit_the_tracker_levels(self):
+        """len(scale_breakpoints) + 1 footprint levels, at most
+        tracker.num_levels of them."""
+        app = bio.AppConfig(tracker=TrackerConfig(num_levels=3),
+                            scale_breakpoints=(1.0, 4.0))
+        assert app.tracker.num_levels == 3
+        with pytest.raises(ValueError, match=re.escape(
+                "scale_breakpoints: 2 breakpoints give 3 scale levels, but "
+                "tracker.num_levels is 2") + "$"):
+            replace(app, tracker=TrackerConfig(num_levels=2))
+
     def test_switches_and_ratio_tables(self, tmp_path):
         path = tmp_path / "cfg.yaml"
         path.write_text("tracker:\n  use_cascade: false\n"
@@ -1015,9 +1056,9 @@ class TestConfig:
         ("refiner: {image: {kernel_sizes: [0, 3, 5]}}",
          "refiner.image.kernel_sizes", "each must be odd and >= 1"),
         ("refiner: {bev: {scope_radii: [2.0, -4.0, 8.0, 16.0, 24.0]}}",
-         "refiner.bev.scope_radii", "each must be finite and > 0"),
+         "refiner.bev.scope_radii", "must be > 0"),
         ("refiner: {image: {scope_radii: [2.0, 4.0, 0.0]}}",
-         "refiner.image.scope_radii", "each must be finite and > 0"),
+         "refiner.image.scope_radii", "must be > 0"),
         ("refiner: {bev: {num_levels: 0}}", "refiner.bev.num_levels",
          "must be >= 1"),
         ("scale_breakpoints: [30.0, 1.0]", "scale_breakpoints",
@@ -1027,9 +1068,9 @@ class TestConfig:
         ("tracker: {buffer_ratios: [0.1, 0.2]}", "tracker.buffer_ratios",
          "must be non-increasing from smallest to largest scale level"),
         ("tracker: {buffer_ratios: [0.3, -0.1]}", "tracker.buffer_ratios",
-         "must be non-empty and >= 0"),
+         "must be >= 0"),
         ("tracker: {buffer_ratios: []}", "tracker.buffer_ratios",
-         "must be non-empty and >= 0"),
+         "must be non-empty"),
         ("tracker: {buffer_ratios: 0.5}", "tracker.buffer_ratios",
          "must be a list"),
         ("tracker: {use_cascade: 0}", "tracker.use_cascade",
@@ -1039,7 +1080,7 @@ class TestConfig:
         ("tracker: {clue_weights: {img: -1}}", "tracker.clue_weights.img",
          "must be >= 0"),
         ("motion: {meas_pos_std: 0}", "motion.meas_pos_std",
-         "must be strictly positive"),
+         "must be > 0"),
         ("tracker: {max_age: -1}", "tracker.max_age", "must be >= 0"),
         ("tracker: {ema_alpha: 1.5}", "tracker.ema_alpha",
          "must be in [0, 1]"),
@@ -1073,6 +1114,27 @@ class TestCliConfig:
         assert main(argv + ["--config", str(cfg)]) == 1
         assert f"{cfg}: refiner." in capsys.readouterr().err
         assert not (tmp_path / "refined").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("scale_breakpoints: [1, 2, 4, 8, 16]",
+         "5 breakpoints give 6 scale levels, but tracker.num_levels is 5"),
+        ("tracker: {num_levels: 3}",
+         "4 breakpoints give 5 scale levels, but tracker.num_levels is 3")])
+    def test_breakpoints_beyond_the_levels_exit_1(self, tmp_path, capsys,
+                                                   text, message):
+        """The config is refused, not the first record that takes its level
+        (4 by the default breakpoints, 5 by the longer ones) from them."""
+        dets, cfg, out = (tmp_path / name for name in
+                          ("dets.jsonl", "cfg.yaml", "tracks.jsonl"))
+        dets.write_text(json.dumps({
+            "frame_id": 0, "timestamp": 0.0, "box": [0, 0, 0.8, 8, 4, 1.6, 0],
+            "score": 0.9, "e_img": [1], "e_bev": [1], "e_head": [1]}) + "\n")
+        cfg.write_text(text + "\n")
+        assert main(["track", "--dets", str(dets), "--config", str(cfg),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: scale_breakpoints: {message}\n")
+        assert not out.exists()
 
     def test_even_kernel_exits_1_with_one_line(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.yaml"
@@ -1170,19 +1232,19 @@ class TestCliSimulate:
          "companions names object 9, but num_objects is 4"),
         ("frame_dt: -1", "frame_dt must be > 0"),
         ("num_frames: 0", "num_frames must be >= 1"),
-        ("arena: [0, 10]", "arena extents must be > 0"),
+        ("arena: [0, 10]", "arena must be > 0"),
         ("occlusion_events: [[9, 0, 3]]",
          "occlusion_events names object 9, but num_objects is 4"),
         ("embedding_dim: 0", "embedding_dim must be >= 1"),
         ("size_classes: {}", "size_classes must name at least one class"),
         ("spawn_overrides: {4: {x: 1, y: 2, heading: 0, speed: 1}}",
          "spawn_overrides names object 4"),
-        ("occlusion_events: [[0, -1, 3]]", "occlusion_events need start >= 0"),
-        ("companions: [[0, 1, -2.0]]", "companions need gap >= 0"),
+        ("occlusion_events: [[0, -1, 3]]", "occlusion_events must be >= 0"),
+        ("companions: [[0, 1, -2.0]]", "companions must be >= 0"),
         ("size_classes: {car: [0, 1, 1]}",
-         "size_classes dims of car must be > 0"),
-        ("score_range: [0.5, 1.5]", "score_range must lie in [0, 1]"),
-        ("fp_score_range: [-0.1, 0.5]", "fp_score_range must lie in [0, 1]"),
+         "size_classes.car must be > 0"),
+        ("score_range: [0.5, 1.5]", "score_range must be in [0, 1]"),
+        ("fp_score_range: [-0.1, 0.5]", "fp_score_range must be in [0, 1]"),
         ("seed: -1", "seed must be >= 0"),
         # one frame's draws would not fit numpy's index type: a traceback
         # from numpy, or a run that never ends, without the bound

@@ -73,8 +73,8 @@ class TestInjectedMaps:
         (3, (2.0, 4.0), (1, 3, 5), "scope_radii: 2 entries for 3 levels"),
         (3, (2.0, 4.0, 8.0), (1, 3, 5, 7),
          "kernel_sizes: 4 entries for 3 levels"),
-        (3, (2.0, 0.0, 8.0), (1, 3, 5), "scope_radii: each must be finite"),
-        (3, (2.0, -4.0, 8.0), (1, 3, 5), "scope_radii: each must be finite"),
+        (3, (2.0, 0.0, 8.0), (1, 3, 5), "scope_radii: must be > 0"),
+        (3, (2.0, -4.0, 8.0), (1, 3, 5), "scope_radii: must be > 0"),
         (3, (2.0, 4.0, math.inf), (1, 3, 5),
          "scope_radii: must be a finite number"),
         (3, (2.0, 4.0, 8.0), (1, 3, 4), "kernel_sizes: each must be odd"),

@@ -277,12 +277,12 @@ class TestBufferRatios:
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError,
-                           match="^buffer_ratios: must be non-empty and >= 0"):
+                           match="^buffer_ratios: must be >= 0"):
             TrackerConfig(buffer_ratios=(0.3, -0.1))
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError,
-                           match="^buffer_ratios: must be non-empty and >= 0"):
+                           match="^buffer_ratios: must be non-empty"):
             TrackerConfig(buffer_ratios=())
 
     @pytest.mark.parametrize("ratios", [(True, 0.5), (0.5, "0.4"), (None,)])

@@ -1,10 +1,12 @@
-"""One kind rule for every config value: ``geometry.typed``, run by each
-config on its own fields (``check_fields``) and by ``io`` on the YAML
-files, so the library and the files accept and refuse the same values."""
+"""One kind and range rule for every config value: ``geometry.typed``, run
+by each config on its own fields (``check_fields``) and by ``io`` on the
+YAML files, so the library and the files accept and refuse the same
+values."""
 
 import math
 import re
 from dataclasses import fields, is_dataclass, replace
+from typing import Annotated, get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
@@ -123,6 +125,121 @@ def test_library_and_file_agree_on_every_field(tmp_path, root, owner_path):
             if file_error is not None or loaded != lib:
                 differ.append((path, bad, lib, file_error or loaded))
     assert differ == []
+
+
+def bounds(config, owner_path=()):
+    """(owner path, owner, field path, kind, Bound, keys) of each value in
+    config whose type hint declares a Bound, where keys is the field path
+    without its list indices, the path a message names. Every entry of a
+    fixed-length list is followed, the first and last of any other."""
+    for name, hint in get_type_hints(type(config),
+                                     include_extras=True).items():
+        yield from _bounded(getattr(config, name), hint, owner_path, config,
+                            (name,), (name,))
+
+
+def _bounded(value, hint, owner_path, owner, path, keys):
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Annotated:
+        yield (owner_path, owner, path, *args, keys)
+    elif is_dataclass(hint):
+        yield from bounds(value, owner_path + path)
+    elif origin is dict:
+        for k, v in value.items():
+            yield from _bounded(v, args[1], owner_path, owner, path + (k,),
+                                keys + (k,))
+    elif origin is tuple:
+        last = len(value) - 1
+        for i, v in enumerate(value):
+            if args[-1] is not Ellipsis or i in (0, last):
+                yield from _bounded(v, args[0] if args[-1] is Ellipsis
+                                    else args[i], owner_path, owner,
+                                    path + (i,), keys)
+    elif type(None) in args and value is not None:  # X | None
+        yield from _bounded(value, args[0], owner_path, owner, path, keys)
+
+
+BOUNDS = {(root, owner_path, path): (owner, *rest)
+          for root, (config, _load) in ROOTS.items()
+          for owner_path, owner, path, *rest in bounds(config)}
+
+
+def rule(bound):
+    """The message of a bound, spelled out here as the README states it."""
+    if bound.high < math.inf:
+        return f"must be in [{bound.low}, {bound.high}]"
+    return f"must be {'>' if bound.open else '>='} {bound.low}"
+
+
+def test_every_range_rule_is_a_declared_bound():
+    """Each field's range rule, found by its type hint; keys as a file
+    names them."""
+    found = {}
+    for (root, owner_path, _path), (_owner, _kind, bound, keys) in \
+            BOUNDS.items():
+        found.setdefault(rule(bound), set()).add(
+            f"{root}:{'.'.join(map(str, owner_path + keys))}")
+
+    def keys(run, scenario):
+        return ({f"run config:{key}" for key in run.split()}
+                | {f"scenario:{key}" for key in scenario.split()})
+
+    assert found == {
+        "must be in [0, 1]": keys(
+            "tracker.iou_threshold tracker.init_score_threshold "
+            "tracker.ema_alpha", "fn_rate score_range fp_score_range"),
+        "must be >= 0": keys(
+            "tracker.max_age tracker.buffer_ratios tracker.clue_weights.img "
+            "tracker.clue_weights.bev tracker.clue_weights.head",
+            "seed num_objects pos_std yaw_std dim_std fp_rate "
+            "embedding_noise_std occlusion_events companions"),
+        "must be >= 1": keys(
+            "tracker.num_levels eval.recall_thresholds "
+            "refiner.image.num_levels refiner.bev.num_levels",
+            "num_frames embedding_dim"),
+        "must be > 0": keys(
+            "eval.match_distance refiner.image.scope_radii "
+            "refiner.bev.scope_radii motion.process_pos_std "
+            "motion.process_vel_std motion.process_yaw_std "
+            "motion.process_dim_std motion.meas_pos_std motion.meas_yaw_std "
+            "motion.meas_dim_std",
+            "frame_dt arena size_classes.car size_classes.pedestrian "
+            "size_classes.truck")}
+
+
+@pytest.mark.parametrize("root, owner_path, path", BOUNDS, ids=[
+    f"{root}:{'.'.join(map(str, owner_path + path))}"
+    for root, owner_path, path in BOUNDS])
+def test_every_bound_refuses_past_it_and_takes_its_limit(tmp_path, root,
+                                                         owner_path, path):
+    """A value just past a bound is refused as "<field>: <rule>" by the
+    owning config and as "<file>: <key path>: <rule>" by the file; the
+    bound's own value is taken where the bound includes it."""
+    config, load = ROOTS[root]
+    owner, kind, bound, keys = BOUNDS[root, owner_path, path]
+    step = ((lambda v, to: v - 1 if to < v else v + 1) if kind is int
+            else math.nextafter)
+    beyond = [bound.low if bound.open else step(bound.low, -math.inf)]
+    limits = [] if bound.open else [bound.low]
+    if bound.high < math.inf:
+        beyond.append(step(bound.high, math.inf))
+        limits.append(bound.high)
+    file = tmp_path / "config.yaml"
+    for value in beyond:
+        field = _set(plain(getattr(owner, path[0])), path[1:], value)
+        with pytest.raises(ValueError) as info:
+            replace(owner, **{path[0]: field})
+        assert str(info.value) == f"{'.'.join(keys)}: {rule(bound)}"
+        file.write_text(yaml.safe_dump(
+            _set(plain(config), owner_path + path, value)))
+        with pytest.raises(bio.ConfigError) as info:
+            load(file)
+        assert str(info.value) == (
+            f"{file}: {'.'.join(map(str, owner_path + keys))}: {rule(bound)}")
+    hint = get_type_hints(type(owner), include_extras=True)[path[0]]
+    for value in limits:
+        field = _set(plain(getattr(owner, path[0])), path[1:], value)
+        assert plain(typed(field, hint, path[:1])) == field
 
 
 class TestMotivatingCases:
