@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.typing import NDArray
 
 from .geometry import NonNegative, check_fields
 
@@ -29,14 +30,12 @@ _NORM_EPS = 1e-12
 class AppearanceState:
     """Image / BEV / head embeddings of one object, equal dims, finite."""
 
-    e_img: np.ndarray
-    e_bev: np.ndarray
-    e_head: np.ndarray
+    e_img: NDArray[np.float64]
+    e_bev: NDArray[np.float64]
+    e_head: NDArray[np.float64]
 
     def __post_init__(self):
-        for name in ("e_img", "e_bev", "e_head"):
-            object.__setattr__(self, name,
-                               np.asarray(getattr(self, name), dtype=np.float64))
+        check_fields(self)
         if not (self.e_img.shape == self.e_bev.shape == self.e_head.shape):
             raise ValueError("appearance embeddings must share one dimension")
         if self.e_img.ndim != 1:

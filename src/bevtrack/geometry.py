@@ -43,13 +43,17 @@ too, but rounding is monotone: a float bx within the exact bounds is also
 within the rounded ones. So the candidates equal the dense test's pairs.
 
 The module also holds the input rules every other module shares:
-``is_number``, ``InputError``, and ``typed``, the one kind and range check
-of a config value. A field's range rule is a ``Bound`` in its type hint
-(``Unit``, ``NonNegative``, ``Positive``, ``Count``, ``AtLeastOne``).
-Every config dataclass starts its ``__post_init__`` with ``check_fields``,
-which runs each field through ``typed`` by its type hint, and keeps only
-the rules that relate fields or lengths after it; ``io`` reads the YAML
-files through ``typed`` too, so the library and the files refuse the same
+``InputError``, and ``typed``, the one kind and range check of a config
+value or a value class field. A field's range rule is a ``Bound`` in its
+type hint (``Unit``, ``NonNegative``, ``Positive``, ``Count``,
+``AtLeastOne``), and an array field's dtype is its ``NDArray[dtype]``
+hint. Every config dataclass and every value class that checks its fields
+(``AppearanceState``, the refiner's, ``GroundTruthFrame``) starts its
+``__post_init__`` with ``check_fields``, which runs each field through
+``typed`` by its type hint, and keeps only the rules that relate fields,
+lengths, shapes or values after it; ``GroundTruthFrame`` then checks
+each object's parts under their own names. ``io`` reads the YAML files
+through ``typed`` too, so the library and the files refuse the same
 values with the same ``FieldError`` messages.
 """
 
@@ -63,11 +67,6 @@ from typing import (Annotated, Sequence, get_args, get_origin,
                     get_type_hints)
 
 import numpy as np
-
-
-def is_number(value, kind) -> bool:
-    """value is an instance of the numbers ABC kind and not a bool."""
-    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 class InputError(ValueError):
@@ -87,7 +86,7 @@ class FieldError(ValueError):
 
 _KINDS = {int: (numbers.Integral, "must be an integer"),
           float: (numbers.Real, "must be a finite number"),
-          bool: (bool, "must be true or false"),
+          bool: (np.bool_, "must be true or false"),
           str: (str, "must be a string")}
 
 
@@ -123,26 +122,30 @@ AtLeastOne = Annotated[int, Bound(1)]
 
 def typed(value, hint, where: tuple = (), default=None):
     """value as the kind its type hint names, from Python or from YAML: the
-    one kind and range check of every config value.
+    one kind and range check of every config and value class field.
 
     An ``int`` takes an Integral and a ``float`` a Real whose float is
     finite, neither a bool, and each gives the plain Python number; a
-    ``bool`` takes True or False and a ``str`` a string. ``Annotated[kind,
-    Bound(...)]`` takes a kind that keeps the bound, else "must be >= low",
-    "must be > low" or "must be in [low, high]". A tuple takes a
-    list or a tuple, of the hint's length unless it ends in ``...``, and
-    gives a tuple; a dict takes a dict; ``X | None`` takes None or an X. A
-    dataclass takes an instance as it is, or a mapping of its fields: the
-    given ones replace those of default, and null keeps default; without a
-    default it is built from the given fields alone. An unknown key, a
-    missing field and a rule of the dataclass raise FieldError too, a rule
-    message "field: ..." at that field. Any other hint (an array) takes
-    the value as it is, for its class to check.
+    ``bool`` takes True or False (numpy's too) and gives a Python bool; a
+    ``str`` takes a string. ``Annotated[kind, Bound(...)]`` takes a kind
+    that keeps the bound, else "must be >= low", "must be > low" or "must
+    be in [low, high]". A tuple takes a list or a tuple, of the hint's
+    length unless it ends in ``...``, and gives a tuple; a dict takes a
+    dict; ``X | None`` takes None or an X. A dataclass takes an instance as
+    it is, or a mapping of its fields: the given ones replace those of
+    default, and null keeps default; without a default it is built from
+    the given fields alone. An unknown key, a missing field and a rule of
+    the dataclass raise FieldError too, a rule message "field: ..." at
+    that field. ``NDArray[dtype]`` takes what
+    ``np.asarray`` turns into an array of that dtype, for its class to
+    check the shape and the values. Any other hint (a bare ``tuple``) takes
+    the value as it is.
     """
     if hint in _KINDS:
         kind, message = _KINDS[hint]
         try:
-            if type(value) is hint or is_number(value, kind):
+            if type(value) is hint or (isinstance(value, kind)
+                                       and not isinstance(value, bool)):
                 value = hint(value)
                 if hint is not float or math.isfinite(value):
                     return value
@@ -166,8 +169,10 @@ def typed(value, hint, where: tuple = (), default=None):
             raise FieldError(where, "must be a mapping")
         return {typed(k, args[0], where + (k,)):
                 typed(v, args[1], where + (k,)) for k, v in value.items()}
+    if origin is np.ndarray:  # NDArray[dtype]
+        return np.asarray(value, dtype=get_args(args[1])[0])
     if not is_dataclass(hint):
-        return value  # an array, which its class checks
+        return value
     if isinstance(value, hint) or value is None and default is not None:
         return default if value is None else value
     if not isinstance(value, dict):
@@ -191,10 +196,10 @@ _field_hints = cache(partial(get_type_hints, include_extras=True))
 
 
 def check_fields(config) -> None:
-    """Run each field of a config dataclass through ``typed`` by its type
-    hint and keep what ``typed`` gives, so a config holds plain numbers and
-    tuples however it was built. Every config's ``__post_init__`` starts
-    with it; the config's rules that relate fields or lengths follow."""
+    """Run each field of a config or value dataclass through ``typed`` by
+    its type hint and keep what ``typed`` gives, so it holds plain numbers
+    and tuples however it was built. Every config's ``__post_init__``
+    starts with it; the rules that relate fields or lengths follow."""
     for name, hint in _field_hints(type(config)).items():
         object.__setattr__(config, name,
                            typed(getattr(config, name), hint, (name,)))

@@ -132,9 +132,10 @@ def _require(record: dict, key: str, path, line_no: int):
 
 def _number(record: dict, key: str, path, line_no: int, kind=int,
             default=None):
-    """record[key] as kind (int or float) by the rule of ``typed``: a JSON
-    integer, or a finite JSON number converted to float. A missing key
-    gives the default, or a DataError when there is none."""
+    """record[key] as kind (int, float or bool) by the rule of ``typed``: a
+    JSON integer, a finite JSON number converted to float, or a JSON
+    boolean. A missing key gives the default, or a DataError when there is
+    none."""
     value = (_require(record, key, path, line_no) if default is None
              else record.get(key, default))
     try:
@@ -390,55 +391,46 @@ def read_detections(path) -> list[DetectionFrame]:
 
 def write_ground_truth(path, gt_frames: Sequence[GroundTruthFrame]) -> None:
     """One record per object of each frame, written whole or not at all.
-    The ids, the timestamp and ``visible`` take the reader's rule
-    (``typed``), each frame id is written once and each gt id once in its
-    frame: else a ValueError that names the field."""
+    Each frame holds values its reader takes (``GroundTruthFrame``'s
+    rules); a frame id written before is a ValueError that names the
+    field."""
 
     def checked():
         written = set()
         for g in gt_frames:
-            frame_id = typed(g.frame_id, int, ("frame_id",))
-            if frame_id in written:
-                raise FieldError(("frame_id",), f"{frame_id} repeats")
-            written.add(frame_id)
-            timestamp = typed(g.timestamp, float, ("timestamp",))
-            gt_ids = set()
+            if g.frame_id in written:
+                raise FieldError(("frame_id",), f"{g.frame_id} repeats")
+            written.add(g.frame_id)
             for gid, box, visible in g.objects:
-                gid = typed(gid, int, ("gt_id",))
-                if gid in gt_ids:
-                    raise FieldError(("gt_id",), f"{gid} repeats in frame "
-                                                 f"{frame_id}")
-                gt_ids.add(gid)
-                yield {"frame_id": frame_id,
-                       "timestamp": timestamp,
-                       "gt_id": gid,
-                       "box": box_to_list(box),
-                       "visible": typed(visible, bool, ("visible",))}
+                yield {"frame_id": g.frame_id, "timestamp": g.timestamp,
+                       "gt_id": gid, "box": box_to_list(box),
+                       "visible": visible}
 
     _write_records(path, checked())
 
 
 def read_ground_truth(path) -> list[GroundTruthFrame]:
-    frames: dict[int, list] = {}
+    """The log's frames by ascending frame id, each with its objects in
+    file order; a gt_id twice in a frame is a DataError at its second
+    line."""
+    frames: dict[int, dict] = {}  # frame id -> gt_id -> object
     stamps: dict[int, float] = {}
-    seen: set[tuple[int, int]] = set()
     for line_no, record in _records(path):
         frame_id = _number(record, "frame_id", path, line_no)
         box = _box(record, path, line_no)
         gid = _number(record, "gt_id", path, line_no)
-        visible = record.get("visible", True)
-        if type(visible) is not bool:
-            raise DataError(path, line_no, "visible must be true or false")
-        if (frame_id, gid) in seen:
+        visible = _number(record, "visible", path, line_no, bool,
+                          default=True)
+        objects = frames.setdefault(frame_id, {})
+        if gid in objects:
             raise DataError(path, line_no, f"duplicate gt_id {gid} in "
                             f"frame {frame_id}")
-        seen.add((frame_id, gid))
-        frames.setdefault(frame_id, []).append((gid, box, visible))
+        objects[gid] = (gid, box, visible)
         stamps[frame_id] = _number(record, "timestamp", path, line_no,
                                    float, default=0.0)
     return [GroundTruthFrame(frame_id=fid, timestamp=stamps[fid],
-                             objects=tuple(rows))
-            for fid, rows in sorted(frames.items())]
+                             objects=tuple(objects.values()))
+            for fid, objects in sorted(frames.items())]
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +463,8 @@ def write_track_records(path, records: Iterable[dict]) -> None:
 
 
 def read_tracks(path) -> dict[int, list[Pred]]:
-    """Track log as {frame_id: [(track_id, box, score), ...]}."""
+    """Track log as {frame_id: [(track_id, box, score), ...]}. A record's
+    ``scale_level``, which may be left out, must be a JSON integer."""
     out: dict[int, list[Pred]] = {}
     seen = set()
     for line_no, record in _records(path):
@@ -484,6 +477,7 @@ def read_tracks(path) -> dict[int, list[Pred]]:
         seen.add((frame_id, track_id))
         box = _box(record, path, line_no)
         score = _number(record, "score", path, line_no, float)
+        _number(record, "scale_level", path, line_no, default=0)  # optional
         out.setdefault(frame_id, []).append((track_id, box, score))
     return out
 

@@ -19,12 +19,15 @@ truth rows (occluded objects) are excluded from evaluation.
 from __future__ import annotations
 
 import math
+import numbers
+from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .geometry import AtLeastOne, Box3D, InputError, Positive, check_fields
+from .geometry import (AtLeastOne, Box3D, FieldError, InputError, Positive,
+                       check_fields, typed)
 from .simulator import GroundTruthFrame
 
 Pred = tuple[int, Box3D, float]  # (track_id, box, score)
@@ -81,15 +84,35 @@ def match_frame(gt: GroundTruthFrame, preds: Sequence[Pred],
     return tps, fps, sorted(free)
 
 
+def _scores(tracker_output: dict[int, list[Pred]]) -> np.ndarray:
+    """Every prediction's score as one float array, if each is a finite
+    number by ``typed``'s rule; else an InputError that names the frame and
+    the track id of the first that is not."""
+    scores = [s for preds in tracker_output.values() for _t, _b, s in preds]
+    with suppress(OverflowError):  # an int beyond the float range
+        if all(issubclass(kind, numbers.Real) and kind is not bool
+               for kind in set(map(type, scores))):
+            out = np.array(scores, dtype=np.float64)
+            if np.isfinite(out).all():
+                return out
+    for f, preds in tracker_output.items():
+        for t, _b, s in preds:
+            try:
+                typed(s, float, ("score",))
+            except FieldError as exc:
+                raise InputError(f"frame {f}, track {t}: {exc}") from None
+
+
 def evaluate(gt_frames: Sequence[GroundTruthFrame],
              tracker_output: dict[int, list[Pred]],
              cfg: EvalConfig | None = None) -> MetricsReport:
     """Score tracker output against ground truth.
 
     tracker_output maps frame_id to that frame's predictions. Ground-truth
-    frame ids must be unique, gt_ids unique within a frame, and every
-    predicted frame id must exist in the ground truth; a breach, or ground
-    truth with no visible object, is an ``InputError``.
+    frame ids must be unique (each ``GroundTruthFrame`` keeps its own
+    rules), every predicted frame id must exist in the ground truth, and
+    every score must be a finite number; a breach, or ground truth with no
+    visible object, is an ``InputError``.
     """
     cfg = cfg or EvalConfig()
     # ids are any Python int, so they enter the arrays as dense codes
@@ -101,17 +124,13 @@ def evaluate(gt_frames: Sequence[GroundTruthFrame],
             raise InputError(f"frame {g.frame_id} repeated in the ground "
                              "truth")
         frame_ids.add(g.frame_id)
-        seen: set[int] = set()
-        for gid, _box, vis in g.objects:
-            if gid in seen:
-                raise InputError(f"gt_id {gid} repeated in frame {g.frame_id}")
-            seen.add(gid)
-            if vis:
-                visible_codes.append(gt_code.setdefault(gid, len(gt_code)))
+        visible_codes.extend(gt_code.setdefault(gid, len(gt_code))
+                             for gid, _box, vis in g.objects if vis)
     frame_rank = {f: r for r, f in enumerate(sorted(frame_ids))}
     for frame_id in tracker_output:
         if frame_id not in frame_rank:
             raise InputError(f"prediction for unknown frame {frame_id}")
+    all_scores = _scores(tracker_output)
 
     num_gt = len(visible_codes)
     if num_gt == 0:
@@ -155,8 +174,7 @@ def evaluate(gt_frames: Sequence[GroundTruthFrame],
     # confidence sweep: target recalls k/n, threshold = score of the
     # ceil(r*P)-th TP in descending-score order
     tp_scores = np.sort(score)[::-1]
-    all_scores = np.sort(np.array(
-        [s for preds in tracker_output.values() for (_t, _b, s) in preds]))[::-1]
+    all_scores = np.sort(all_scores)[::-1]
     n_thr = cfg.recall_thresholds
     motars: list[float] = []
     amotp_terms: list[float] = []

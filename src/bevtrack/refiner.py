@@ -40,13 +40,14 @@ which never refine (simulating, evaluating, tracking) do not load either.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.typing import NDArray
 
-from .geometry import AtLeastOne, Positive, check_fields, is_number
+from .geometry import (AtLeastOne, Count, NonNegative, Positive,
+                       check_fields, typed)
 
 # Grid rows in one tile of refine_features and temporal_fuse.
 _TILE_ROWS = 16
@@ -100,11 +101,11 @@ class RefinerConfig:
 class FeatureGrid:
     """Dense H x W x C feature map, image-like or BEV-like."""
 
-    data: np.ndarray
+    data: NDArray[np.float64]
     kind: str = "bev"
 
     def __post_init__(self):
-        object.__setattr__(self, "data", np.asarray(self.data, dtype=np.float64))
+        check_fields(self)
         if self.data.ndim != 3 or min(self.data.shape) < 1:
             raise ValueError("feature grid must be H x W x C with all dims >= 1")
         if not np.all(np.isfinite(self.data)):
@@ -117,52 +118,32 @@ class FeatureGrid:
         return self.data.shape  # type: ignore[return-value]
 
 
-def _finite_pair(name: str, value) -> tuple[float, float]:
-    """value as two finite floats (bools and strings refused), else
-    ValueError."""
-    try:
-        a, b = value
-        if all(is_number(v, numbers.Real) for v in (a, b)):
-            a, b = float(a), float(b)
-            if math.isfinite(a) and math.isfinite(b):
-                return a, b
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ValueError(f"{name} must be two finite numbers, got {value!r}")
-
-
 @dataclass(frozen=True)
 class ObjectPrior:
     """One predicted object projected onto a grid: concatenated embedding,
     fractional center cell, and footprint extent in cells."""
 
-    e_cat: np.ndarray
+    e_cat: NDArray[np.float64]
     center_cell: tuple[float, float]
-    footprint: tuple[float, float]
+    footprint: tuple[NonNegative, NonNegative]
 
     def __post_init__(self):
-        object.__setattr__(self, "e_cat", np.asarray(self.e_cat, dtype=np.float64))
+        check_fields(self)
         if self.e_cat.ndim != 1:
             raise ValueError("e_cat must be a vector")
         if not np.all(np.isfinite(self.e_cat)):
             raise ValueError("e_cat contains NaN/Inf")
-        object.__setattr__(self, "center_cell",
-                           _finite_pair("center_cell", self.center_cell))
-        object.__setattr__(self, "footprint",
-                           _finite_pair("footprint", self.footprint))
-        if min(self.footprint) < 0:
-            raise ValueError("footprint extents must be non-negative")
 
 
 @dataclass(frozen=True)
 class FilterMask:
     """Per-level attention grid in [0, 1], zero outside object scopes."""
 
-    level: int
-    data: np.ndarray
+    level: Count
+    data: NDArray[np.float64]
 
     def __post_init__(self):
-        object.__setattr__(self, "data", np.asarray(self.data, dtype=np.float64))
+        check_fields(self)
         if self.data.ndim != 2:
             raise ValueError("mask must be 2-D")
         if self.data.size and (self.data.min() < 0 or self.data.max() > 1):
@@ -179,15 +160,11 @@ class InjectedMaps(RefinerGridConfig):
     amplitude. Both are reproducible from the seed.
     """
 
-    level_matrix: np.ndarray
-    weight_vector: np.ndarray
+    level_matrix: NDArray[np.float64]
+    weight_vector: NDArray[np.float64]
 
     def __post_init__(self):
-        super().__post_init__()
-        object.__setattr__(self, "level_matrix",
-                           np.asarray(self.level_matrix, dtype=np.float64))
-        object.__setattr__(self, "weight_vector",
-                           np.asarray(self.weight_vector, dtype=np.float64))
+        super().__post_init__()  # check_fields, then the grid rules
         if self.level_matrix.shape[0] != self.num_levels:
             raise ValueError("level_matrix must have one row per level")
 
@@ -198,6 +175,8 @@ class InjectedMaps(RefinerGridConfig):
         """Draw level_matrix then weight_vector from one seeded generator.
         Settings left out come from the default grid with num_levels
         levels."""
+        embed_dim = typed(embed_dim, AtLeastOne, ("embed_dim",))
+        num_levels = typed(num_levels, AtLeastOne, ("num_levels",))
         default = {g.num_levels: g for g in (DEFAULT_IMAGE_GRID,
                                               DEFAULT_BEV_GRID)}.get(num_levels)
         if default is None and (scope_radii is None or kernel_sizes is None):
@@ -306,8 +285,7 @@ def refine_features(f: FeatureGrid, masks: Sequence[FilterMask],
     the product alone.
     """
     h, w, c = f.shape
-    if not all(is_number(k, numbers.Integral) for k in kernel_sizes):
-        raise ValueError("kernel_sizes: each must be an integer")
+    kernel_sizes = typed(kernel_sizes, tuple[int, ...], ("kernel_sizes",))
     _check_kernel_sizes(kernel_sizes)
     if len(kernel_sizes) != len(masks):
         raise ValueError("need one kernel size per mask level")
@@ -315,14 +293,14 @@ def refine_features(f: FeatureGrid, masks: Sequence[FilterMask],
         if mask.data.shape != (h, w):
             raise ValueError(
                 f"mask shape {mask.data.shape} does not match grid {(h, w)}")
-        if not 0 <= mask.level < len(kernel_sizes):
+        if mask.level >= len(kernel_sizes):
             raise ValueError(f"mask level {mask.level} has no kernel size "
                              f"(levels 0..{len(kernel_sizes) - 1})")
     from scipy.ndimage import uniform_filter1d
 
     rows = f.data.transpose(0, 2, 1)
     # (mask, k, running sum of the pass along H) per branch with weight
-    branches = [(m.data, int(kernel_sizes[m.level]), np.zeros((c, w)))
+    branches = [(m.data, kernel_sizes[m.level], np.zeros((c, w)))
                 for m in masks if m.data.any()]
     # Adding each branch to the tile in turn sums in the same order as
     # np.mean over the stacked branches, so the result is bitwise the same
@@ -383,17 +361,15 @@ class DeformableFusionParams:
     linear maps over the concatenated (prev, curr) features.
     """
 
-    heads: int
-    points: int
-    w_value: np.ndarray
-    w_out: np.ndarray
-    w_offset: np.ndarray
-    w_attention: np.ndarray
+    heads: AtLeastOne
+    points: AtLeastOne
+    w_value: NDArray[np.float64]
+    w_out: NDArray[np.float64]
+    w_offset: NDArray[np.float64]
+    w_attention: NDArray[np.float64]
 
     def __post_init__(self):
-        for name in ("w_value", "w_out", "w_offset", "w_attention"):
-            object.__setattr__(self, name,
-                               np.asarray(getattr(self, name), dtype=np.float64))
+        check_fields(self)
         hh, kk = self.heads, self.points
         c_v, c = self.w_value.shape[1], self.w_value.shape[2]
         if c % hh != 0 or c_v != c // hh:
@@ -413,6 +389,11 @@ class DeformableFusionParams:
     def from_seed(cls, seed: int, channels: int, heads: int = 2,
                   points: int = 4, offset_scale: float = 1.0) -> "DeformableFusionParams":
         """Draw w_value, w_out, w_offset, w_attention in that order."""
+        channels = typed(channels, AtLeastOne, ("channels",))
+        heads = typed(heads, AtLeastOne, ("heads",))
+        points = typed(points, AtLeastOne, ("points",))
+        offset_scale = typed(offset_scale, NonNegative, ("offset_scale",))
+        # the draws divide by C / heads before the constructor's shape rule
         if channels % heads != 0:
             raise ValueError("channels must be divisible by heads")
         c_v = channels // heads

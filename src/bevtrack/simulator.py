@@ -25,8 +25,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import (AtLeastOne, Box3D, Count, NonNegative, Positive, Unit,
-                       check_fields, wrap_angle)
+from .geometry import (AtLeastOne, Box3D, Count, FieldError, NonNegative,
+                       Positive, Unit, check_fields, typed, wrap_angle)
 from .tracker import DetectionFrame
 
 DEFAULT_SIZE_CLASSES: dict[str, tuple[float, float, float]] = {
@@ -126,9 +126,29 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class GroundTruthFrame:
+    """One frame of ground truth: an integer frame id, a finite timestamp
+    and (gt_id, box, visible) per object, each gt_id an integer once in
+    the frame, each box a Box3D and visible a bool. Ids and flags are kept
+    as ``typed`` gives them; a breach is a ValueError naming the field."""
+
     frame_id: int
     timestamp: float
-    objects: tuple[tuple[int, Box3D, bool], ...]  # (gt_id, box, visible)
+    # (gt_id, box, visible) per object, each part checked under its name
+    # below; a bare hint, so check_fields does not walk the objects twice
+    objects: tuple
+
+    def __post_init__(self):
+        check_fields(self)
+        objects = {}  # by gt_id
+        for gid, box, visible in self.objects:
+            gid = typed(gid, int, ("gt_id",))
+            if gid in objects:
+                raise FieldError(("gt_id",),
+                                 f"{gid} repeats in frame {self.frame_id}")
+            if not isinstance(box, Box3D):
+                raise FieldError(("box",), "must be a Box3D")
+            objects[gid] = (gid, box, typed(visible, bool, ("visible",)))
+        object.__setattr__(self, "objects", tuple(objects.values()))
 
 
 def _anchor_matrix(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:

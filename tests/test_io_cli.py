@@ -672,6 +672,24 @@ class TestTrackLog:
                            match=f"{re.escape(str(path))}:2: {message}"):
             bio.read_tracks(path)
 
+    @pytest.mark.parametrize("raw", ['"x"', "1.5", "null", "true"])
+    def test_scale_level_must_be_an_integer(self, tmp_path, raw):
+        """As write_track_records writes it; a record may leave it out."""
+        path = tmp_path / "tracks.jsonl"
+        path.write_text(track_line("0", "7", "0.9") + "\n"
+                        + track_line("0", "8", "0.8").replace(
+                            '"scale_level": 2', f'"scale_level": {raw}')
+                        + "\n")
+        with pytest.raises(bio.DataError, match=re.escape(
+                f"{path}:2: scale_level must be an integer")):
+            bio.read_tracks(path)
+
+    def test_scale_level_may_be_left_out(self, tmp_path):
+        path = tmp_path / "tracks.jsonl"
+        path.write_text(track_line("0", "7", "0.9").replace(
+            ', "scale_level": 2', "") + "\n")
+        assert [t for t, _b, _s in bio.read_tracks(path)[0]] == [7]
+
     def test_round_trip_and_duplicate_rejection(self, tmp_path):
         path = tmp_path / "tracks.jsonl"
         records = [
@@ -723,7 +741,9 @@ class TestWrittenIds:
 
     def test_ground_truth_values(self, tmp_path):
         """A finite timestamp, a bool visible, each frame id once and each
-        gt id once in its frame: the log reads back what was written."""
+        gt id once in its frame: the log reads back what was written. A bad
+        frame is refused when it is built (``GroundTruthFrame``), a repeated
+        frame id by the writer."""
         path = tmp_path / "gt.jsonl"
         box = Box3D(0, 0, 0.8, 4, 2, 1.6, 0.1)
         good = GroundTruthFrame(0, 0.5, ((1, box, False),))
@@ -732,18 +752,22 @@ class TestWrittenIds:
         assert bio.read_ground_truth(path) == [good, later]
         finite, boolean = "must be a finite number", "must be true or false"
         for frames, field, rule in (
-                ([replace(good, timestamp=math.nan)], "timestamp", finite),
-                ([good, replace(later, timestamp=math.inf)], "timestamp",
+                (lambda: [replace(good, timestamp=math.nan)], "timestamp",
                  finite),
-                ([replace(good, timestamp=True)], "timestamp", finite),
-                ([replace(good, objects=((1, box, "no"),))], "visible",
+                (lambda: [good, replace(later, timestamp=math.inf)],
+                 "timestamp", finite),
+                (lambda: [replace(good, timestamp=True)], "timestamp",
+                 finite),
+                (lambda: [replace(good, objects=((1, box, "no"),))],
+                 "visible", boolean),
+                (lambda: [replace(good, objects=((1, box, 0),))], "visible",
                  boolean),
-                ([replace(good, objects=((1, box, 0),))], "visible", boolean),
-                ([replace(good, objects=((1, box, True), (1, box, True)))],
+                (lambda: [replace(good, objects=((1, box, True),
+                                                 (1, box, True)))],
                  "gt_id", "1 repeats in frame 0"),
-                ([good, later, replace(good, timestamp=0.7)], "frame_id",
-                 "0 repeats")):
-            self.refused(path, lambda: bio.write_ground_truth(path, frames),
+                (lambda: [good, later, replace(good, timestamp=0.7)],
+                 "frame_id", "0 repeats")):
+            self.refused(path, lambda: bio.write_ground_truth(path, frames()),
                          field, rule)
 
     def test_track_records(self, tmp_path):
@@ -1616,6 +1640,16 @@ class TestCliRefineDemo:
         code = main(["refine-demo", "--grid", "8x8x2", "--objects", str(objs),
                      "--seed", "0", "--out", str(tmp_path / "demo")])
         assert code == 1
+
+    def test_short_center_names_the_field(self, tmp_path, capsys):
+        objs = tmp_path / "objs.jsonl"
+        objs.write_text('{"center": [1]}\n')
+        out = tmp_path / "demo"
+        assert main(["refine-demo", "--grid", "8x8x2", "--objects", str(objs),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {objs}:1: center_cell: must have 2 entries\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("line", [
         '{"center": [NaN, 1]}',

@@ -1,3 +1,4 @@
+import math
 import re
 from dataclasses import asdict
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bevtrack.geometry import Box3D
+from bevtrack.geometry import Box3D, InputError
 from bevtrack.metrics import EvalConfig, evaluate, format_report, match_frame
 from bevtrack.simulator import GroundTruthFrame
 
@@ -219,12 +220,30 @@ class TestEvaluateInputs:
             evaluate(gt, {0: [(1, box_at(0, 0), 0.9)]})
 
     def test_repeated_gt_id_in_frame_rejected(self):
-        # unchecked, perfect tracking scores AMOTA 0.0, recall 0.5, FN 1
-        gt = [GroundTruthFrame(frame_id=3, timestamp=0.3, objects=(
-            (7, box_at(0, 0), True), (7, box_at(10, 0), True)))]
-        tracks = {3: [(1, box_at(0, 0), 0.9), (2, box_at(10, 0), 0.8)]}
-        with pytest.raises(ValueError, match="gt_id 7 repeated in frame 3"):
+        # unchecked, perfect tracking scores AMOTA 0.0, recall 0.5, FN 1;
+        # the frame refuses it when it is built
+        with pytest.raises(ValueError,
+                           match="^gt_id: 7 repeats in frame 3$"):
+            GroundTruthFrame(frame_id=3, timestamp=0.3, objects=(
+                (7, box_at(0, 0), True), (7, box_at(10, 0), True)))
+
+    @pytest.mark.parametrize("score", [math.nan, math.inf, True, "0.9"])
+    def test_score_not_a_finite_number_rejected(self, score):
+        # unchecked, NaN keeps no TP at any threshold and divides by zero,
+        # "0.9" raises a TypeError and inf is scored
+        gt = [gt_frame(0, [(0, 0)]), gt_frame(1, [(0, 0), (9, 0)])]
+        tracks = {0: [(4, box_at(0, 0), 0.9)],
+                  1: [(4, box_at(0, 0), 0.8), (5, box_at(9, 0), score)]}
+        with pytest.raises(InputError, match="^frame 1, track 5: score: "
+                           "must be a finite number$"):
             evaluate(gt, tracks)
+
+    def test_numpy_and_integer_scores_are_scored(self):
+        gt = [gt_frame(0, [(0, 0), (9, 0)])]
+        tracks = {0: [(4, box_at(0, 0), np.float32(0.5)),
+                      (5, box_at(9, 0), 1)]}
+        assert evaluate(gt, tracks) == evaluate(
+            gt, {0: [(4, box_at(0, 0), 0.5), (5, box_at(9, 0), 1.0)]})
 
 
 BIG = 2 ** 70

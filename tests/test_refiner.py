@@ -47,22 +47,37 @@ def random_prior(rng, dim, grid_shape):
 
 
 class TestObjectPrior:
-    @pytest.mark.parametrize("center, footprint", [
-        ((5.0, 5.0, 9.0), (1.0, 1.0)), ((5.0,), (1.0, 1.0)),
-        ((math.nan, 1.0), (1.0, 1.0)), ((1.0, 1e999), (1.0, 1.0)),
-        ((True, 1.0), (1.0, 1.0)), ("ab", (1.0, 1.0)), (3.0, (1.0, 1.0)),
-        ((1.0, 1.0), (math.nan, 1.0)), ((1.0, 1.0), (1.0,)),
-        ((1.0, 1.0), (1.0, "2")), ((1.0, 1.0), (1.0, 1.0, 1.0))])
-    def test_rejects_anything_but_two_finite_numbers(self, center, footprint):
-        with pytest.raises(ValueError, match="must be two finite numbers"):
+    LENGTH, FINITE, LIST = ("must have 2 entries", "must be a finite number",
+                            "must be a list")
+
+    @pytest.mark.parametrize("center, footprint, field, rule", [
+        ((5.0, 5.0, 9.0), (1.0, 1.0), "center_cell", LENGTH),
+        ((5.0,), (1.0, 1.0), "center_cell", LENGTH),
+        ((math.nan, 1.0), (1.0, 1.0), "center_cell", FINITE),
+        ((1.0, 1e999), (1.0, 1.0), "center_cell", FINITE),
+        ((True, 1.0), (1.0, 1.0), "center_cell", FINITE),
+        ("ab", (1.0, 1.0), "center_cell", LIST),
+        (3.0, (1.0, 1.0), "center_cell", LIST),
+        ((1.0, 1.0), (math.nan, 1.0), "footprint", FINITE),
+        ((1.0, 1.0), (1.0,), "footprint", LENGTH),
+        ((1.0, 1.0), (1.0, "2"), "footprint", FINITE),
+        ((1.0, 1.0), (1.0, 1.0, 1.0), "footprint", LENGTH)],
+        ids=["center0-footprint0", "center1-footprint1", "center2-footprint2",
+             "center3-footprint3", "center4-footprint4", "ab-footprint5",
+             "3.0-footprint6", "center7-footprint7", "center8-footprint8",
+             "center9-footprint9", "center10-footprint10"])
+    def test_rejects_anything_but_two_finite_numbers(self, center, footprint,
+                                                     field, rule):
+        """typed's rule of a pair, named by the field that breaks it."""
+        with pytest.raises(ValueError, match=f"^{field}: {rule}$"):
             ObjectPrior(np.zeros(3), center, footprint)
 
     def test_rejects_negative_footprint(self):
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match=r"^footprint: must be >= 0$"):
             ObjectPrior(np.zeros(3), (1.0, 1.0), (-0.5, 1.0))
 
     def test_pairs_become_float_tuples(self):
-        o = ObjectPrior(np.zeros(3), [np.float64(1.5), 2], np.array([0, 3.0]))
+        o = ObjectPrior(np.zeros(3), [np.float64(1.5), 2], [np.int64(0), 3.0])
         assert o.center_cell == (1.5, 2.0) and o.footprint == (0.0, 3.0)
         assert all(type(v) is float for v in o.center_cell + o.footprint)
 
@@ -112,6 +127,21 @@ class TestInjectedMaps:
                                       kernel_sizes=[1, 3, 5])
         assert maps.scope_radii == (2, 4.5, 8)
         assert maps.kernel_sizes == (1, 3, 5)
+
+    @pytest.mark.parametrize("args, message", [
+        ((0, 3), "embed_dim: must be >= 1"),
+        ((2.0, 3), "embed_dim: must be an integer"),
+        ((6, 0), "num_levels: must be >= 1"),
+        ((6, 3.0), "num_levels: must be an integer")])
+    def test_from_seed_takes_its_integers_by_typed(self, args, message):
+        """An embedding length of 0 divided by zero, one of 2.0 reached
+        numpy as a size."""
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            InjectedMaps.from_seed(0, *args)
+        maps = InjectedMaps.from_seed(0, np.int64(6), np.int32(3))
+        assert maps.level_matrix.shape == (3, 6)
+        assert bitwise_equal(maps.level_matrix,
+                             InjectedMaps.from_seed(0, 6, 3).level_matrix)
 
     def test_from_seed_defaults_are_the_default_grids(self):
         for grid in (DEFAULT_IMAGE_GRID, DEFAULT_BEV_GRID):
@@ -261,6 +291,14 @@ class TestCombineMasks:
     def test_level_mismatch_rejected(self):
         with pytest.raises(ValueError):
             combine_masks([FilterMask(0, np.zeros((4, 4)))], 1)
+
+    @pytest.mark.parametrize("level, message", [
+        (1.5, "level: must be an integer"), (True, "level: must be an integer"),
+        (-1, "level: must be >= 0")])
+    def test_mask_level_is_a_count(self, level, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FilterMask(level, np.zeros((4, 4)))
+        assert type(FilterMask(np.int64(2), np.zeros((4, 4))).level) is int
 
 
 class TestRefineFeatures:
@@ -419,8 +457,8 @@ class TestRefineFeatures:
         ((4,), "kernel_sizes: each must be odd and >= 1"),
         ((0,), "kernel_sizes: each must be odd and >= 1"),
         ((-1,), "kernel_sizes: each must be odd and >= 1"),
-        ((3.0,), "kernel_sizes: each must be an integer"),
-        ((True,), "kernel_sizes: each must be an integer")],
+        ((3.0,), "kernel_sizes: must be an integer"),
+        ((True,), "kernel_sizes: must be an integer")],
         ids=["even-empty-level", "4", "0", "-1", "float", "bool"])
     def test_bad_kernel_size_rejected(self, kernels, message):
         # the rule of RefinerGridConfig, checked before any work, also for
@@ -434,9 +472,13 @@ class TestRefineFeatures:
 
     @pytest.mark.parametrize("level", [3, -1])
     def test_level_without_kernel_size_rejected(self, level):
+        """A level past the kernel sizes is refused by refine_features, a
+        negative one by FilterMask before refine_features runs."""
         f = FeatureGrid(np.ones((4, 4, 2)))
+        message = ("mask level 3 has no kernel size" if level == 3
+                   else "level: must be >= 0")
         for data in (np.ones((4, 4)), np.zeros((4, 4))):
-            with pytest.raises(ValueError, match="kernel size"):
+            with pytest.raises(ValueError, match=f"^{message}"):
                 refine_features(f, [FilterMask(level, data)], (3,))
 
 
@@ -624,6 +666,49 @@ def identity_params(c):
         w_offset=np.zeros((1, 1, 2, 2 * c)),
         w_attention=np.zeros((1, 1, 2 * c)),
     )
+
+
+class TestFusionParams:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"channels": 8, "heads": 0}, "heads: must be >= 1"),
+        ({"channels": 0}, "channels: must be >= 1"),
+        ({"channels": 8, "heads": 2.0}, "heads: must be an integer"),
+        ({"channels": 8.0}, "channels: must be an integer"),
+        ({"channels": 8, "points": 0}, "points: must be >= 1"),
+        ({"channels": 8, "points": 2.0}, "points: must be an integer"),
+        ({"channels": 8, "offset_scale": -1.0}, "offset_scale: must be >= 0"),
+        ({"channels": 8, "offset_scale": math.nan},
+         "offset_scale: must be a finite number"),
+        ({"channels": 8, "heads": 3}, "channels must be divisible by heads"),
+        ({"channels": 1, "heads": 2}, "channels must be divisible by heads")])
+    def test_from_seed_rejects(self, kwargs, message):
+        """0 heads or channels divided by zero, 2.0 heads reached numpy as
+        a size, and 0 points built params that temporal_fuse could not
+        run."""
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DeformableFusionParams.from_seed(0, **kwargs)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("heads", 0, "heads: must be >= 1"),
+        ("heads", 1.0, "heads: must be an integer"),
+        ("points", 0, "points: must be >= 1"),
+        ("points", True, "points: must be an integer")])
+    def test_constructor_rejects(self, field, value, message):
+        c = 2
+        counts = {"heads": 1, "points": 1, field: value}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DeformableFusionParams(
+                **counts, w_value=np.zeros((1, c, c)),
+                w_out=np.zeros((1, c, c)), w_offset=np.zeros((1, 0, 2, 2 * c)),
+                w_attention=np.zeros((1, 0, 2 * c)))
+
+    def test_numpy_integers_draw_the_same_weights(self):
+        p = DeformableFusionParams.from_seed(5, np.int64(8), np.int32(2),
+                                             np.uint8(3))
+        q = DeformableFusionParams.from_seed(5, 8, 2, 3)
+        assert (type(p.heads), type(p.points)) == (int, int)
+        for name in ("w_value", "w_out", "w_offset", "w_attention"):
+            assert bitwise_equal(getattr(p, name), getattr(q, name))
 
 
 class TestTemporalFuse:

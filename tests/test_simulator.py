@@ -1,11 +1,15 @@
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from bevtrack.geometry import DEFAULT_SCALE_BREAKPOINTS, footprint_levels
-from bevtrack.simulator import (ADVERSARIAL_SUITES, ScenarioConfig, SpawnSpec,
-                                generate, standard_suites)
+from bevtrack.geometry import (DEFAULT_SCALE_BREAKPOINTS, Box3D,
+                               footprint_levels)
+from bevtrack.simulator import (ADVERSARIAL_SUITES, GroundTruthFrame,
+                                ScenarioConfig, SpawnSpec, generate,
+                                standard_suites)
 
 from oracles import intra_inter_similarity
 
@@ -200,3 +204,44 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             generate(ScenarioConfig(num_objects=3,
                                     object_classes=("car",)))
+
+
+class TestGroundTruthFrame:
+    """A frame owns its rules: each breach is one ValueError that names the
+    field, raised when the frame is built."""
+
+    BOX = Box3D(0.0, 0.0, 0.8, 4.0, 2.0, 1.6, 0.0)
+
+    @pytest.mark.parametrize("frame_id, timestamp, objects, message", [
+        ("x", math.nan, ((1, "notabox", "no"),),
+         "frame_id: must be an integer"),
+        (0.5, 0.0, (), "frame_id: must be an integer"),
+        (True, 0.0, (), "frame_id: must be an integer"),
+        (0, math.nan, (), "timestamp: must be a finite number"),
+        (0, math.inf, (), "timestamp: must be a finite number"),
+        (0, "0.1", (), "timestamp: must be a finite number"),
+        (0, 0.0, ((1.5, BOX, True),), "gt_id: must be an integer"),
+        (0, 0.0, ((False, BOX, True),), "gt_id: must be an integer"),
+        (0, 0.0, ((1, "notabox", True),), "box: must be a Box3D"),
+        (0, 0.0, ((1, (0, 0, 0, 1, 1, 1, 0), True),), "box: must be a Box3D"),
+        (0, 0.0, ((1, BOX, "no"),), "visible: must be true or false"),
+        (0, 0.0, ((1, BOX, 1),), "visible: must be true or false"),
+        (0, 0.0, ((1, BOX, True), (2, BOX, True), (1, BOX, False)),
+         "gt_id: 1 repeats in frame 0")])
+    def test_rejects(self, frame_id, timestamp, objects, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            GroundTruthFrame(frame_id, timestamp, objects)
+
+    def test_numpy_values_become_plain(self):
+        g = GroundTruthFrame(np.int64(4), np.float64(0.5),
+                             [(np.int32(2), self.BOX, np.bool_(False))])
+        assert g == GroundTruthFrame(4, 0.5, ((2, self.BOX, False),))
+        assert [type(v) for v in (g.frame_id, g.timestamp)] == [int, float]
+        assert [type(v) for v in g.objects[0]] == [int, Box3D, bool]
+        assert type(g.objects) is tuple
+        with pytest.raises(ValueError, match="^timestamp: "):
+            replace(g, timestamp=math.nan)
+
+    def test_generated_frames_hold_their_rules(self):
+        gt_frames, _ = generate(ScenarioConfig(num_objects=3, num_frames=2))
+        assert [replace(g) for g in gt_frames] == gt_frames

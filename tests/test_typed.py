@@ -11,6 +11,7 @@ from typing import Annotated, get_args, get_origin, get_type_hints
 import numpy as np
 import pytest
 import yaml
+from numpy.typing import NDArray
 
 from bevtrack import io as bio
 from bevtrack.association import ClueWeights
@@ -306,6 +307,25 @@ class TestConversions:
             replace(NoiseConfig(), process_pos_std=True)
         assert replace(TrackerConfig(), buffer_ratios=[0.4]).buffer_ratios \
             == (0.4,)
+
+    def test_numpy_bool_is_a_bool(self):
+        assert typed(np.bool_(True), bool) is True
+        cfg = TrackerConfig(use_buffer=np.bool_(False))
+        assert cfg.use_buffer is False and cfg == TrackerConfig(
+            use_buffer=False)
+        for value in (np.int64(1), np.float64(0.0)):
+            with pytest.raises(FieldError, match="^use_buffer: must be true "
+                               "or false$"):
+                typed(value, bool, ("use_buffer",))
+        with pytest.raises(FieldError, match="^must be an integer$"):
+            typed(np.bool_(True), int)
+
+    def test_array_hint_gives_its_dtype(self):
+        out = typed([1, 2], NDArray[np.float64])
+        assert out.dtype == np.float64 and out.tolist() == [1.0, 2.0]
+        same = np.zeros(3)
+        assert typed(same, NDArray[np.float64]) is same
+        assert typed([1, 0], NDArray[np.bool_]).tolist() == [True, False]
 
     def test_typed_names_the_path(self):
         with pytest.raises(FieldError) as info:
