@@ -5,13 +5,22 @@ head). Pairwise similarity is the weighted sum of the three cosine
 similarities; the negated similarity matrix feeds a minimum-cost bipartite
 assignment with a similarity gate.
 
-``solve_assignment`` imports scipy's solver on its first call, so that jobs
-which never assign (refining, simulating, evaluating) do not load
-``scipy.optimize`` and the ``scipy.linalg`` and ``scipy.special`` it pulls in.
+``solve_assignment`` runs scipy's compiled ``linear_sum_assignment``
+kernel (Crouse's shortest augmenting path), loaded on the first call that
+has an admissible pair, so jobs which never assign (refining, simulating,
+evaluating) load none of it. It loads the kernel's extension module,
+``scipy/optimize/_lsap``, from its file on its own: importing
+``scipy.optimize`` would also load ``scipy.sparse``, ``linalg``,
+``spatial``, ``fft`` and ``special`` (about 48 MB of resident memory and a
+few tenths of a second), none of which assigning needs. So tracking imports the
+root ``scipy`` package and that one extension. A scipy build without the
+file there gets the same kernel through ``scipy.optimize``.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,6 +33,8 @@ from .geometry import NonNegative, check_fields
 # gated-out pairs, which are dropped from its output afterwards.
 _INFEASIBLE_COST = 1e6
 _NORM_EPS = 1e-12
+_KERNEL_MODULE = "scipy.optimize._lsap"
+_linear_sum_assignment = None  # scipy's kernel, set by _load_kernel
 
 
 @dataclass(frozen=True)
@@ -140,12 +151,47 @@ def solve_assignment(c: CostMatrix) -> list[tuple[int, int]]:
     total cost; forced inadmissible pairings are dropped from the result.
     Pairs are returned sorted by detection index.
     """
+    global _linear_sum_assignment
     values, gate = c.values, c.gate_mask
     if values.size == 0 or not gate.any():
         return []
-    from scipy.optimize import linear_sum_assignment
-
+    if _linear_sum_assignment is None:
+        _linear_sum_assignment = _load_kernel()
     padded = np.where(gate, values, _INFEASIBLE_COST)
-    rows, cols = linear_sum_assignment(padded)  # rows come out ascending
+    rows, cols = _linear_sum_assignment(padded)  # rows come out ascending
     keep = gate[rows, cols]
     return list(zip(rows[keep].tolist(), cols[keep].tolist()))
+
+
+def _load_kernel():
+    """scipy's ``linear_sum_assignment``, loaded from the ``_lsap``
+    extension file without running ``scipy/optimize/__init__.py``. Once
+    ``scipy.optimize`` has loaded the extension, its function is taken as
+    it is; without the file, the function comes from ``scipy.optimize``.
+
+    The extension uses single-phase init, so loading it enters it in
+    ``sys.modules``; the entry is taken out again, or a later ``import
+    scipy.optimize`` would find it there and leave the package without its
+    ``_lsap`` attribute. That import then gets the very same function.
+    """
+    from importlib.machinery import EXTENSION_SUFFIXES
+    from importlib.util import module_from_spec, spec_from_file_location
+
+    import scipy
+
+    module = sys.modules.get(_KERNEL_MODULE)
+    if module is None:
+        stem = os.path.join(os.path.dirname(scipy.__file__), "optimize",
+                            "_lsap")
+        found = [stem + s for s in EXTENSION_SUFFIXES
+                 if os.path.isfile(stem + s)]
+        if not found:
+            from scipy.optimize import linear_sum_assignment
+            return linear_sum_assignment
+        spec = spec_from_file_location(_KERNEL_MODULE, found[0])
+        try:
+            module = module_from_spec(spec)
+            spec.loader.exec_module(module)
+        finally:
+            sys.modules.pop(_KERNEL_MODULE, None)
+    return module.linear_sum_assignment

@@ -1,9 +1,11 @@
 """File formats and run configuration.
 
 All logs are line-delimited JSON in UTF-8, one object per line with
-self-describing field names, grouped by ascending frame id. A line that is
-not UTF-8, or that nests deeper than the JSON parser can follow, is a
-``DataError`` naming the line. Python's repr-based float
+self-describing field names, grouped by ascending frame id: each reader
+refuses a record whose frame id is lower than the previous record's with a
+``DataError`` naming the line, and each writer refuses such a frame id. A
+line that is not UTF-8, or that nests deeper than the JSON parser can
+follow, is a ``DataError`` naming the line. Python's repr-based float
 serialization is shortest-round-trip, so write-then-read reproduces every
 value exactly.
 
@@ -122,6 +124,23 @@ def _records(path) -> Iterator[tuple[int, dict]]:
             if not isinstance(record, dict):
                 raise DataError(path, line_no, "record must be a JSON object")
             yield line_no, record
+
+
+def _check_order(frame_id: int, last: int | None, path,
+                 line_no: int) -> None:
+    """A record whose frame id is lower than the previous record's (last)
+    is a DataError: every log is grouped by ascending frame id."""
+    if last is not None and frame_id < last:
+        raise DataError(path, line_no,
+                        "records must be grouped by ascending frame_id")
+
+
+def _check_written_order(frame_id: int, last: int | None) -> None:
+    """A writer's FieldError for a frame id lower than the previous one,
+    which its reader would refuse."""
+    if last is not None and frame_id < last:
+        raise FieldError(("frame_id",),
+                         f"{frame_id} is lower than the previous {last}")
 
 
 def _require(record: dict, key: str, path, line_no: int):
@@ -360,9 +379,7 @@ def iter_detection_frames(path, breakpoints=DEFAULT_SCALE_BREAKPOINTS,
             if frame_id != current_id:
                 if current_id is not None:
                     frame = pending.frame(current_id)
-                    if frame_id < current_id:
-                        raise DataError(path, line_no, "records must be "
-                                        "grouped by ascending frame_id")
+                    _check_order(frame_id, current_id, path, line_no)
                     yield current_id, frame
                 current_id = frame_id
             elif empty or not pending.records:
@@ -392,15 +409,17 @@ def read_detections(path) -> list[DetectionFrame]:
 def write_ground_truth(path, gt_frames: Sequence[GroundTruthFrame]) -> None:
     """One record per object of each frame, written whole or not at all.
     Each frame holds values its reader takes (``GroundTruthFrame``'s
-    rules); a frame id written before is a ValueError that names the
-    field."""
+    rules); a frame id written before, or lower than the previous one, is
+    a ValueError that names the field."""
 
     def checked():
-        written = set()
+        written, last = set(), None
         for g in gt_frames:
             if g.frame_id in written:
                 raise FieldError(("frame_id",), f"{g.frame_id} repeats")
+            _check_written_order(g.frame_id, last)
             written.add(g.frame_id)
+            last = g.frame_id
             for gid, box, visible in g.objects:
                 yield {"frame_id": g.frame_id, "timestamp": g.timestamp,
                        "gt_id": gid, "box": box_to_list(box),
@@ -415,8 +434,10 @@ def read_ground_truth(path) -> list[GroundTruthFrame]:
     line."""
     frames: dict[int, dict] = {}  # frame id -> gt_id -> object
     stamps: dict[int, float] = {}
+    frame_id = None
     for line_no, record in _records(path):
-        frame_id = _number(record, "frame_id", path, line_no)
+        last, frame_id = frame_id, _number(record, "frame_id", path, line_no)
+        _check_order(frame_id, last, path, line_no)
         box = _box(record, path, line_no)
         gid = _number(record, "gt_id", path, line_no)
         visible = _number(record, "visible", path, line_no, bool,
@@ -430,7 +451,7 @@ def read_ground_truth(path) -> list[GroundTruthFrame]:
                                    float, default=0.0)
     return [GroundTruthFrame(frame_id=fid, timestamp=stamps[fid],
                              objects=tuple(objects.values()))
-            for fid, objects in sorted(frames.items())]
+            for fid, objects in frames.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -438,17 +459,19 @@ def read_ground_truth(path) -> list[GroundTruthFrame]:
 
 def write_track_records(path, records: Iterable[dict]) -> None:
     """records: dicts with frame_id, track_id, box (Box3D), score,
-    scale_level. (frame_id, track_id) must be unique, the ids and the
-    level integers and the score a finite number by the rule the reader
-    takes them with (``typed``): else a ValueError that names its field.
-    The log is written whole or not at all."""
+    scale_level, by ascending frame_id. (frame_id, track_id) must be
+    unique, the ids and the level integers and the score a finite number
+    by the rule the reader takes them with (``typed``): else a ValueError
+    that names its field. The log is written whole or not at all."""
 
     def checked():
-        seen = set()
+        seen, last = set(), None
         for rec in records:
             frame_id, track_id, level = (
                 typed(rec[key], int, (key,))
                 for key in ("frame_id", "track_id", "scale_level"))
+            _check_written_order(frame_id, last)
+            last = frame_id
             if (frame_id, track_id) in seen:
                 raise ValueError(
                     f"duplicate track record {(frame_id, track_id)}")
@@ -467,8 +490,10 @@ def read_tracks(path) -> dict[int, list[Pred]]:
     ``scale_level``, which may be left out, must be a JSON integer."""
     out: dict[int, list[Pred]] = {}
     seen = set()
+    frame_id = None
     for line_no, record in _records(path):
-        frame_id = _number(record, "frame_id", path, line_no)
+        last, frame_id = frame_id, _number(record, "frame_id", path, line_no)
+        _check_order(frame_id, last, path, line_no)
         track_id = _number(record, "track_id", path, line_no)
         if (frame_id, track_id) in seen:
             raise DataError(path, line_no,

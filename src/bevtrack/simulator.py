@@ -127,9 +127,10 @@ class ScenarioConfig:
 @dataclass(frozen=True)
 class GroundTruthFrame:
     """One frame of ground truth: an integer frame id, a finite timestamp
-    and (gt_id, box, visible) per object, each gt_id an integer once in
-    the frame, each box a Box3D and visible a bool. Ids and flags are kept
-    as ``typed`` gives them; a breach is a ValueError naming the field."""
+    and a (gt_id, box, visible) triple per object, each gt_id an integer
+    once in the frame, each box a Box3D and visible a bool. Ids and flags
+    are kept as ``typed`` gives them; a breach is a ValueError naming the
+    field."""
 
     frame_id: int
     timestamp: float
@@ -140,7 +141,11 @@ class GroundTruthFrame:
     def __post_init__(self):
         check_fields(self)
         objects = {}  # by gt_id
-        for gid, box, visible in self.objects:
+        for obj in self.objects:
+            if not isinstance(obj, (tuple, list)) or len(obj) != 3:
+                raise FieldError(("objects",), "each must be a (gt_id, box, "
+                                 "visible) triple")
+            gid, box, visible = obj
             gid = typed(gid, int, ("gt_id",))
             if gid in objects:
                 raise FieldError(("gt_id",),

@@ -1,8 +1,14 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+import scipy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
+from bevtrack import association
 from bevtrack.association import (AppearanceState, ClueWeights, CostMatrix,
                                   build_similarity_matrix, solve_assignment,
                                   stack_appearance, unstack_appearance)
@@ -242,3 +248,70 @@ class TestSolveAssignment:
         for _ in range(10):
             assert solve_assignment(CostMatrix(values.copy(), gate.copy())) \
                 == first
+
+
+def scipy_pairs(values, gate):
+    """The gated assignment through ``scipy.optimize`` itself: gated-out
+    cells padded with 1e6, forced gated-out pairs dropped."""
+    rows, cols = linear_sum_assignment(np.where(gate, values, 1e6))
+    return [(i, j) for i, j in zip(rows.tolist(), cols.tolist())
+            if gate[i, j]]
+
+
+@st.composite
+def gated_matrices(draw):
+    """Tall and wide gated cost matrices up to 7x7. Costs on a 0.5 grid
+    (half the draws) force ties; some rows and columns are gated out
+    entirely."""
+    n, m = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(size=(n, m))
+    if draw(st.booleans()):
+        values = np.round(values * 2) / 2
+    gate = rng.uniform(size=(n, m)) < draw(st.sampled_from([0.3, 0.7, 1.0]))
+    gate[rng.uniform(size=n) < 0.2] = False
+    gate[:, rng.uniform(size=m) < 0.2] = False
+    return values, gate
+
+
+class TestScipyKernel:
+    """solve_assignment runs scipy's own kernel, loaded from its extension
+    file: the same pairs as ``scipy.optimize``, ties included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(gated_matrices())
+    def test_equals_scipy_optimize(self, matrix):
+        values, gate = matrix
+        assert solve_assignment(CostMatrix(values, gate)) \
+            == scipy_pairs(values, gate)
+
+    def test_rows_and_columns_gated_out(self):
+        values = np.round(np.random.default_rng(5).normal(size=(4, 6)))
+        gate = np.ones((4, 6), dtype=bool)
+        gate[1] = gate[:, [0, 4]] = False
+        for v, g in ((values, gate), (values.T, gate.T)):
+            pairs = solve_assignment(CostMatrix(v, g))
+            assert pairs == scipy_pairs(v, g)
+            assert len(pairs) == 3 and all(g[i, j] for i, j in pairs)
+
+    def test_fallback_without_the_extension_file(self, monkeypatch,
+                                                 tmp_path):
+        """A scipy build that keeps no ``optimize/_lsap`` extension where
+        it is looked for gets the kernel through ``scipy.optimize``."""
+        values = np.round(np.random.default_rng(9).normal(size=(5, 4)), 1)
+        gate = np.random.default_rng(10).uniform(size=(5, 4)) < 0.6
+        calls = []
+
+        def spy(cost):
+            calls.append(cost.shape)
+            return linear_sum_assignment(cost)
+
+        monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
+        monkeypatch.delitem(sys.modules, "scipy.optimize._lsap",
+                            raising=False)
+        monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", spy)
+        monkeypatch.setattr(association, "_linear_sum_assignment", None)
+        assert solve_assignment(CostMatrix(values, gate)) \
+            == scipy_pairs(values, gate)
+        assert association._linear_sum_assignment is spy
+        assert calls == [(5, 4)]

@@ -3,11 +3,13 @@
 Importing bevtrack and every submodule loads no scipy module, and neither
 do simulating, the log writers and readers, evaluating or the default
 config, nor the ``simulate``, ``evaluate`` and ``init-config`` commands.
-``scipy.optimize`` loads at the first assignment with an admissible pair,
-``scipy.ndimage`` at the first ``refine_features`` call and
-``scipy.sparse`` at the first fusion (``scipy.optimize`` brings it too),
-and PyYAML at the first config or scenario file. Each job runs in a fresh
-interpreter, so no earlier test's imports count.
+The first assignment with an admissible pair loads the root ``scipy``
+package and the assignment kernel's extension, but no ``scipy.optimize``,
+``scipy.sparse``, ``scipy.linalg`` or ``scipy.special`` module;
+``scipy.ndimage`` loads at the first ``refine_features`` call,
+``scipy.sparse`` at the first fusion, and PyYAML at the first config or
+scenario file. Each job runs in a fresh interpreter, so no earlier test's
+imports count.
 """
 
 import json
@@ -106,6 +108,20 @@ out["after"] = [m for m in watched if m in sys.modules]
 print(json.dumps(out))
 """
 
+KERNEL = PRELUDE + r"""
+from bevtrack import association
+from bevtrack.association import CostMatrix, solve_assignment
+
+out["pairs"] = solve_assignment(CostMatrix([[0.0, 1.0], [1.0, 0.0]],
+                                           [[True, True], [True, True]]))
+out["matched"] = loaded()
+kernel = association._linear_sum_assignment
+import scipy.optimize
+out["same"] = kernel is scipy.optimize.linear_sum_assignment
+out["lsap"] = scipy.optimize._lsap.linear_sum_assignment is kernel
+print(json.dumps(out))
+"""
+
 
 def _run(script: str, arg) -> dict:
     """Run script in a fresh interpreter on this checkout's sources."""
@@ -132,7 +148,8 @@ def test_tracking_loads_the_solver_but_not_ndimage(tmp_path):
     out = _run(TRACKING, tmp_path)
     assert out["born"] == []
     assert out["matches"] == 4
-    assert "scipy.optimize" in out["matched"]
+    assert not set(out["matched"]) & {"scipy.optimize", "scipy.sparse",
+                                      "scipy.linalg", "scipy.special"}
     assert "scipy.ndimage" not in out["matched"]
     assert "yaml" not in out["matched"]
 
@@ -149,4 +166,14 @@ def test_refining_loads_neither_solver_nor_yaml(tmp_path):
     assert out["before"] == []
     assert out["pairs"] == [[0, 1], [1, 0]]
     assert out["max_age"] == 7
-    assert out["after"] == ["scipy.optimize", "yaml"]
+    assert out["after"] == ["yaml"]
+
+
+def test_kernel_is_the_function_scipy_optimize_gives(tmp_path):
+    """The kernel loaded from its file is the function a later ``import
+    scipy.optimize`` gives, and that import still finds its ``_lsap``
+    submodule: the loader leaves no stale ``sys.modules`` entry."""
+    out = _run(KERNEL, tmp_path)
+    assert out["pairs"] == [[0, 0], [1, 1]]
+    assert "scipy.optimize" not in out["matched"]
+    assert out["same"] and out["lsap"]

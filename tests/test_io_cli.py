@@ -551,6 +551,17 @@ class TestGroundTruthLog:
         assert [len(g.objects) for g in bio.read_ground_truth(path)] == [2, 1]
 
 
+    def test_frames_out_of_order_name_line(self, tmp_path):
+        """Frames 1, 0, 1 are refused at the first lower frame id, as a
+        detection log is, not read back as frames 0 and 1."""
+        path = tmp_path / "gt.jsonl"
+        path.write_text("".join(gt_line(f, g, "0.0") + "\n"
+                                for f, g in (("1", "1"), ("0", "1"),
+                                             ("1", "2"))))
+        with pytest.raises(bio.DataError, match=re.escape(
+                f"{path}:2: records must be grouped by ascending frame_id")):
+            bio.read_ground_truth(path)
+
     @pytest.mark.parametrize("field, raw, message", [
         ("gt_id", '"x"', "gt_id must be an integer"),
         ("gt_id", "1.0", "gt_id must be an integer"),
@@ -684,6 +695,14 @@ class TestTrackLog:
                 f"{path}:2: scale_level must be an integer")):
             bio.read_tracks(path)
 
+    def test_frames_out_of_order_name_line(self, tmp_path):
+        path = tmp_path / "tracks.jsonl"
+        path.write_text(track_line("2", "7", "0.9") + "\n"
+                        + track_line("0", "7", "0.9") + "\n")
+        with pytest.raises(bio.DataError, match=re.escape(
+                f"{path}:2: records must be grouped by ascending frame_id")):
+            bio.read_tracks(path)
+
     def test_scale_level_may_be_left_out(self, tmp_path):
         path = tmp_path / "tracks.jsonl"
         path.write_text(track_line("0", "7", "0.9").replace(
@@ -769,6 +788,26 @@ class TestWrittenIds:
                  "frame_id", "0 repeats")):
             self.refused(path, lambda: bio.write_ground_truth(path, frames()),
                          field, rule)
+
+    def test_ground_truth_frames_must_ascend(self, tmp_path):
+        path = tmp_path / "gt.jsonl"
+        box = Box3D(0, 0, 0.8, 4, 2, 1.6, 0.1)
+        frames = [GroundTruthFrame(f, 0.1 * f, ((1, box, True),))
+                  for f in (0, 2, 1)]
+        self.refused(path, lambda: bio.write_ground_truth(path, frames),
+                     "frame_id", "1 is lower than the previous 2")
+        bio.write_ground_truth(path, frames[:2])
+        assert bio.read_ground_truth(path) == frames[:2]
+
+    def test_track_record_frames_must_ascend(self, tmp_path):
+        path = tmp_path / "tracks.jsonl"
+        box = Box3D(0, 0, 0.8, 4, 2, 1.6, 0.1)
+        records = [{"frame_id": f, "track_id": t, "box": box, "score": 0.9,
+                    "scale_level": 0} for f, t in ((2, 1), (2, 2), (0, 1))]
+        self.refused(path, lambda: bio.write_track_records(path, records),
+                     "frame_id", "0 is lower than the previous 2")
+        bio.write_track_records(path, records[:2])
+        assert [t for t, _b, _s in bio.read_tracks(path)[2]] == [1, 2]
 
     def test_track_records(self, tmp_path):
         path = tmp_path / "tracks.jsonl"

@@ -232,6 +232,13 @@ class TestGroundTruthFrame:
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             GroundTruthFrame(frame_id, timestamp, objects)
 
+    @pytest.mark.parametrize("obj", [(1, BOX), (1, BOX, True, 0), 5, None,
+                                     "abc"])
+    def test_objects_must_be_triples(self, obj):
+        with pytest.raises(ValueError, match=re.escape(
+                "objects: each must be a (gt_id, box, visible) triple")):
+            GroundTruthFrame(0, 0.0, ((2, self.BOX, True), obj))
+
     def test_numpy_values_become_plain(self):
         g = GroundTruthFrame(np.int64(4), np.float64(0.5),
                              [(np.int32(2), self.BOX, np.bool_(False))])
